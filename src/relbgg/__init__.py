@@ -20,7 +20,6 @@ from .bgg import (
 )
 from .dynkin import DynkinLabel, LabelVerdict, parse_label, print_label, validate_label
 from .grading import (
-    AdditivityReport,
     Bidegree,
     BigradedComponent,
     Bigrading,
@@ -35,7 +34,6 @@ from .grading import (
     sigma_height,
     subalgebra_profile,
     tangent_ranks,
-    verify_bracket_additivity,
 )
 from .oracle import (
     BlockStructure,
@@ -70,7 +68,6 @@ from .torsion import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdditivityReport",
     "BGGEntry",
     "BGGSequence",
     "Bidegree",
@@ -122,5 +119,4 @@ __all__ = [
     "tangent_ranks",
     "theorem_322_check",
     "validate_label",
-    "verify_bracket_additivity",
 ]

@@ -14,6 +14,7 @@ differential operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
@@ -35,13 +36,6 @@ class WeylWord:
         return len(self.gens)
 
 
-_Images = tuple[tuple[int, ...], ...]  # images of all simple roots, root coordinates
-
-
-def _identity_images(rank: int) -> _Images:
-    return tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
-
-
 def _reflect_root_coords(
     cartan: tuple[tuple[int, ...], ...], i0: int, v: tuple[int, ...]
 ) -> tuple[int, ...]:
@@ -49,57 +43,6 @@ def _reflect_root_coords(
     out = list(v)
     out[i0] -= k
     return tuple(out)
-
-
-def _right_multiply(rs: RootSystem, imgs: _Images, i: int) -> _Images:
-    """Images of w*s_i from those of w: (w s_i)(a_j) = w(a_j) - C[i][j] w(a_i)."""
-    i0 = i - 1
-    base = imgs[i0]
-    return tuple(
-        tuple(imgs[j][t] - rs.cartan[i0][j] * base[t] for t in range(rs.rank))
-        for j in range(rs.rank)
-    )
-
-
-def _word_images(rs: RootSystem, gens: tuple[int, ...]) -> _Images:
-    imgs = _identity_images(rs.rank)
-    for g in gens:
-        imgs = _right_multiply(rs, imgs, g)
-    return imgs
-
-
-def _is_positive(v: tuple[int, ...]) -> bool:
-    return any(c > 0 for c in v) and all(c >= 0 for c in v)
-
-
-def _apply_images(imgs: _Images, v: tuple[int, ...]) -> tuple[int, ...]:
-    rank = len(v)
-    return tuple(
-        sum(v[j] * imgs[j][t] for j in range(rank)) for t in range(rank)
-    )
-
-
-def _enumerate_group(rs: RootSystem, generators: list[int]) -> dict[_Images, tuple[int, ...]]:
-    """All elements of the subgroup generated by the given simple reflections.
-
-    Breadth-first over right multiplications that increase length, so every
-    recorded word is reduced and discovery order is by length.
-    """
-    identity = _identity_images(rs.rank)
-    seen: dict[_Images, tuple[int, ...]] = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for imgs in frontier:
-            word = seen[imgs]
-            for i in generators:
-                if _is_positive(imgs[i - 1]):  # l(w s_i) = l(w) + 1
-                    imgs2 = _right_multiply(rs, imgs, i)
-                    if imgs2 not in seen:
-                        seen[imgs2] = word + (i,)
-                        nxt.append(imgs2)
-        frontier = nxt
-    return seen
 
 
 @dataclass(frozen=True)
@@ -114,56 +57,70 @@ class HasseDiagram:
         return len(self.elements)
 
 
-def _reflection_images(rs: RootSystem, beta: Root) -> _Images:
-    """Images of the simple roots under s_beta: a_j - <a_j, beta^vee> beta."""
-    rank = rs.rank
-    out = []
-    for j in range(1, rank + 1):
-        k = pairing(root_to_weight(rs, rs.simple_root(j)), beta, rs)
-        img = list(rs.simple_root(j).coeffs)
-        for t in range(rank):
-            img[t] -= k * beta.coeffs[t]
-        out.append(tuple(img))
-    return tuple(out)
+def _rho_shift(rs: RootSystem, w: WeylWord) -> tuple[int, ...]:
+    """w(rho) - rho in simple-root coordinates, via s_g w'(rho) - rho = s_g(x') - alpha_g."""
+    x = (0,) * rs.rank
+    for g in reversed(w.gens):
+        shifted = list(_reflect_root_coords(rs.cartan, g - 1, x))
+        shifted[g - 1] -= 1
+        x = tuple(shifted)
+    return x
 
 
 def _connecting_root(rs: RootSystem, wk: WeylWord, wk1: WeylWord) -> Root | None:
-    """Positive beta with w_{k+1} = s_beta o w_k, if one exists."""
+    """Positive beta with w_{k+1} = s_beta o w_k, if one exists.
+
+    If w_{k+1} = s_beta w_k then w_k(rho) - w_{k+1}(rho) = n beta with
+    n = <w_k(rho), beta^vee>; rho is regular and roots are primitive, so
+    the converse test below is exact.
+    """
     if wk1.length != wk.length + 1:
         return None
-    imgs_k = _word_images(rs, wk.gens)
-    imgs_k1 = _word_images(rs, wk1.gens)
-    # common case: w_{k+1} = w_k s_j, whence beta = w_k(alpha_j)
-    for j in range(1, rs.rank + 1):
-        if _right_multiply(rs, imgs_k, j) == imgs_k1:
-            beta = _apply_images(imgs_k, rs.simple_root(j).coeffs)
-            if _is_positive(beta):
-                return Root(beta)
-    # general case: test s_beta = w_{k+1} o w_k^{-1} over all positive roots
-    inv_k = _word_images(rs, tuple(reversed(wk.gens)))
-    t_imgs = tuple(_apply_images(imgs_k1, inv_k[j]) for j in range(rs.rank))
-    for beta in rs.positive_roots:
-        if _reflection_images(rs, beta) == t_imgs:
-            return beta
-    return None
+    xk = _rho_shift(rs, wk)
+    d = tuple(a - b for a, b in zip(xk, _rho_shift(rs, wk1)))
+    n = gcd(*d)
+    beta = tuple(c // n for c in d)
+    if not rs.is_root(beta) or not any(c > 0 for c in beta):
+        return None
+    root = Root(beta)
+    wk_rho = rs.rho + root_to_weight(rs, Root(xk))
+    return root if pairing(wk_rho, root, rs) == n else None
 
 
 def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
     """Minimal-length representatives indexing the relative sequence.
 
-    Enumerates the Weyl group of the Levi of p (nodes outside sigma_p) and
-    keeps w with w^{-1}(alpha_j) positive for every node j outside sigma_q.
-    Elements are sorted by length, then lexicographically by word.
+    Walks the orbit of mu = sum of omega_j over sigma_q minus sigma_p under
+    the Weyl group of the Levi of p (nodes outside sigma_p), reflecting at a
+    Levi node only where the weight is positive.  The stabilizer of mu is
+    generated by the nodes outside sigma_q, so orbit points nu = v(mu) match
+    the elements w = v^{-1} with w^{-1}(alpha_j) positive for every node j
+    outside sigma_q.  Elements are sorted by length, then lexicographically
+    by word.
     """
     rs = pair.rs
     levi = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_p]
-    coset_nodes = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_q]
-    group = _enumerate_group(rs, levi)
-    words = []
-    for imgs, word in group.items():
-        # imgs describe v := w^{-1}; require v(alpha_j) > 0 on the coset nodes
-        if all(_is_positive(imgs[j - 1]) for j in coset_nodes):
-            words.append(WeylWord(tuple(reversed(word))))
+    relative = pair.sigma_q - pair.sigma_p
+    mu = Weight(tuple(1 if i in relative else 0 for i in range(1, rs.rank + 1)))
+    orbit = [mu]
+    seen = {mu}
+    for nu in orbit:
+        for i in levi:
+            if nu.coeffs[i - 1] > 0:
+                nxt = reflect(rs, i, nu)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    orbit.append(nxt)
+    # The walk visits orbit points by length, so peeling the smallest Levi
+    # node where nu is negative reaches a point whose word is known; this
+    # spells the lexicographically smallest reduced word of v.
+    v_words = {mu: ()}
+    for nu in orbit[1:]:
+        for i in levi:
+            if nu.coeffs[i - 1] < 0:
+                v_words[nu] = (i,) + v_words[reflect(rs, i, nu)]
+                break
+    words = [WeylWord(tuple(reversed(v_words[nu]))) for nu in orbit]
     words.sort(key=lambda w: (w.length, w.gens))
     connecting: dict[int, Root] = {}
     for k in range(len(words) - 1):

@@ -21,7 +21,6 @@ from .grading import (
     filtration,
     subalgebra_profile,
     tangent_ranks,
-    verify_bracket_additivity,
 )
 from .oracle import block_structure_from_pair, commutator_audit, p_plus_action_audit
 from .roots import build_root_system
@@ -205,9 +204,6 @@ def cmd_ranks(args) -> int:
             "rank_T_rho": rep.rank_T_rho,
             "ranks_T_P": [{"i_prime": ip, "rank": r} for ip, r in sorted(rep.ranks_T_P.items())],
             "ranks_V": [{"i_prime": ip, "rank": r} for ip, r in sorted(rep.ranks_V.items())],
-            "leaf_graded": [
-                {"i_prime": ip, "rank": r} for ip, r in sorted(rep.leaf_graded.items())
-            ],
         }
         _emit_json("ranks", _pair_inputs(pair), result)
         return 0
@@ -265,13 +261,11 @@ def cmd_audit(args) -> int:
     bg = bigrade(pair)
     bs = block_structure_from_pair(pair)
     comm = commutator_audit(bs, bg)
-    additivity = verify_bracket_additivity(bg)
     levels = sorted(bg.first_index_values())
     p_plus_reports = {ip: p_plus_action_audit(bs, ip) for ip in levels}
     total = (
         len(comm.violations)
         + len(comm.dim_mismatches)
-        + len(additivity.violations)
         + sum(len(r.violations) for r in p_plus_reports.values())
     )
     if args.json:
@@ -281,10 +275,6 @@ def cmd_audit(args) -> int:
                 "pairs_checked": comm.pairs_checked,
                 "violations": list(comm.violations),
                 "dim_mismatches": list(comm.dim_mismatches),
-            },
-            "bracket_additivity": {
-                "pairs_checked": additivity.pairs_checked,
-                "violations": len(additivity.violations),
             },
             "p_plus_raising": [
                 {
@@ -300,10 +290,6 @@ def cmd_audit(args) -> int:
     print(
         f"commutator audit: {comm.pairs_checked} pairs, "
         f"{len(comm.violations)} violations, {len(comm.dim_mismatches)} dim mismatches"
-    )
-    print(
-        f"bracket additivity: {additivity.pairs_checked} pairs, "
-        f"{len(additivity.violations)} violations"
     )
     for ip, rep in sorted(p_plus_reports.items()):
         print(f"p_plus raising at i'={ip}: {rep.pairs_checked} pairs, {len(rep.violations)} violations")

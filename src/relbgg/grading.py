@@ -118,67 +118,6 @@ def bigrade(pair: ParabolicPair) -> Bigrading:
 
 
 @dataclass(frozen=True)
-class AdditivityViolation:
-    alpha: Root
-    beta: Root
-    expected: Bidegree
-    actual: Bidegree
-
-
-@dataclass(frozen=True)
-class AdditivityReport:
-    ok: bool
-    violations: tuple[AdditivityViolation, ...]
-    pairs_checked: int
-    forbidden_mixed_pairs: int  # pairs from g_(0,i'') x g_(i',0) whose sum must not be a root
-
-
-def verify_bracket_additivity(bg: Bigrading) -> AdditivityReport:
-    """Check that root addition respects bidegree addition.
-
-    For every pair of signed roots whose sum is again a root, the sum's
-    bidegree must be the componentwise sum (a sum landing at a mixed-sign
-    bidegree is impossible, which is exactly the vanishing statement for
-    g_(0,i'') against g_(i',0) with opposite signs).
-    """
-    pair = bg.pair
-    rs = pair.rs
-    signed: list[tuple[tuple[int, ...], Bidegree]] = []
-    for root in rs.positive_roots:
-        bd = bidegree_of_root(pair, root)
-        signed.append((root.coeffs, bd))
-        signed.append(((-root).coeffs, -bd))
-    violations = []
-    mixed = 0
-    checked = 0
-    for a in range(len(signed)):
-        ca, bda = signed[a]
-        for b in range(a, len(signed)):
-            cb, bdb = signed[b]
-            checked += 1
-            s = Bidegree(bda.i_prime + bdb.i_prime, bda.i_dprime + bdb.i_dprime)
-            if (s.i_prime > 0 > s.i_dprime) or (s.i_prime < 0 < s.i_dprime):
-                mixed += 1
-            total = tuple(x + y for x, y in zip(ca, cb))
-            if all(t == 0 for t in total):
-                if s != Bidegree(0, 0):
-                    violations.append(
-                        AdditivityViolation(Root(ca), Root(cb), Bidegree(0, 0), s)
-                    )
-                continue
-            if rs.is_root(total):
-                actual = bidegree_of_root(pair, Root(total))
-                if actual != s:
-                    violations.append(AdditivityViolation(Root(ca), Root(cb), s, actual))
-    return AdditivityReport(
-        ok=not violations,
-        violations=tuple(violations),
-        pairs_checked=checked,
-        forbidden_mixed_pairs=mixed,
-    )
-
-
-@dataclass(frozen=True)
 class SubalgebraInfo:
     bidegrees: tuple[Bidegree, ...]
     dim: int
@@ -256,7 +195,6 @@ class RankReport:
     rank_T_rho: int
     ranks_T_P: dict[int, int] = field(default_factory=dict)
     ranks_V: dict[int, int] = field(default_factory=dict)
-    leaf_graded: dict[int, int] = field(default_factory=dict)
 
 
 def tangent_ranks(bg: Bigrading) -> RankReport:
@@ -277,5 +215,4 @@ def tangent_ranks(bg: Bigrading) -> RankReport:
         rank_T_rho=rank_t_rho,
         ranks_T_P=ranks_t_p,
         ranks_V=ranks_v,
-        leaf_graded=dict(ranks_v),
     )

@@ -249,22 +249,46 @@ def catalog(name: str, assume_involutive_f: bool = False) -> Geometry:
     raise ValueError(f"unknown catalog {kind!r}")
 
 
-def support_from_json(data: dict) -> TorsionSupport:
-    """Deserialize a support from the CLI's JSON schema."""
+def _bidegree_from_json(value, where: str) -> Bidegree:
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
+    ):
+        raise ValueError(f"support {where} must be a pair of integers, got {value!r}")
+    return Bidegree(*value)
+
+
+def support_from_json(data) -> TorsionSupport:
+    """Deserialize a support from the CLI's JSON schema; ValueError on a bad shape."""
+    if not isinstance(data, dict):
+        raise ValueError("support JSON must be an object")
+    components = data.get("components", [])
+    if not isinstance(components, list):
+        raise ValueError("support 'components' must be a list")
+    geometry_tag = data.get("geometry_tag", "")
+    if not isinstance(geometry_tag, str):
+        raise ValueError("support 'geometry_tag' must be a string")
+    kappa = data.get("kappa_vanishes_on_relative_pair")
+    if kappa is not None and not isinstance(kappa, bool):
+        raise ValueError("support 'kappa_vanishes_on_relative_pair' must be true, false or null")
     comps = set()
-    for c in data.get("components", []):
-        comps.add(
-            TorsionComponent(
-                in1=Bidegree(*c["in1"]),
-                in2=Bidegree(*c["in2"]),
-                out=Bidegree(*c["out"]),
-                tag=c.get("tag", ""),
-            )
-        )
+    for k, c in enumerate(components):
+        if not isinstance(c, dict):
+            raise ValueError(f"support component {k} must be an object")
+        bidegrees = {}
+        for key in ("in1", "in2", "out"):
+            if key not in c:
+                raise ValueError(f"support component {k} lacks {key!r}")
+            bidegrees[key] = _bidegree_from_json(c[key], f"component {k} {key}")
+        tag = c.get("tag", "")
+        if not isinstance(tag, str):
+            raise ValueError(f"support component {k} has a non-string tag")
+        comps.add(TorsionComponent(**bidegrees, tag=tag))
     return TorsionSupport(
         components=frozenset(comps),
-        geometry_tag=data.get("geometry_tag", ""),
-        kappa_vanishes_on_relative_pair=data.get("kappa_vanishes_on_relative_pair"),
+        geometry_tag=geometry_tag,
+        kappa_vanishes_on_relative_pair=kappa,
     )
 
 

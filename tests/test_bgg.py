@@ -6,6 +6,7 @@ locked in by the worked path-type sequences below; every other check is
 structural or derived from an independent identity.
 """
 
+import itertools
 import random
 
 import pytest
@@ -18,17 +19,26 @@ from relbgg import (
     affine_act,
     build_root_system,
     operator_order,
+    pairing,
     parse_label,
     relative_bgg_sequence,
     relative_hasse,
+    root_to_weight,
 )
-from relbgg.bgg import _apply_images, _word_images
 
 
-def _pair(rank, sq, sp):
+def _pair(rank, sq, sp, type_tag="A"):
     return ParabolicPair(
-        rs=build_root_system("A", rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
+        rs=build_root_system(type_tag, rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
     )
+
+
+def _reflect_root(rs, i, v):
+    """Simple reflection s_i on simple-root coordinates."""
+    k = sum(rs.cartan[i - 1][j] * v[j] for j in range(rs.rank))
+    out = list(v)
+    out[i - 1] -= k
+    return tuple(out)
 
 
 def path_pair(n=3):
@@ -134,11 +144,10 @@ def test_symmetric_square_first_labels():
 
 
 def test_two_form_sequence_and_known_mismatch():
-    """The two-form source: first three labels are pinned; the last label is
-    computed as (1,-5,0,1).  A commonly quoted value for this bundle is
-    (1,-3,0,1); the uncrossed part (0,1) and every operator order agree, and
-    the shifted action pinned by the fully matching dual-standard sequence
-    produces -5, so that value is asserted here."""
+    """The two-form source.  The last label is (1,-5,0,1): shifted to start
+    at 0, the epsilon coordinates of its lambda + rho form {0,1,2,3,4} like
+    the source's, whereas those of the sometimes quoted (1,-3,0,1) form
+    {0,1,2,3,3}, so that value is not an image under the shifted action."""
     seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-3,0,1,0)"), path_pair())
     labels = [e.label.coeffs.coeffs for e in seq.entries]
     assert labels[:3] == [(-3, 0, 1, 0), (-2, -2, 2, 0), (0, -4, 0, 2)]
@@ -239,8 +248,9 @@ def test_orders_match_source_coefficients():
         hd = relative_hasse(pair)
         for k, beta in hd.connecting_roots.items():
             wk = hd.elements[k]
-            inv = _word_images(rs, tuple(reversed(wk.gens)))
-            back = _apply_images(inv, beta.coeffs)
+            back = beta.coeffs
+            for g in wk.gens:  # w_k^{-1} applies the generators left to right
+                back = _reflect_root(rs, g, back)
             assert sum(back) == 1 and all(c in (0, 1) for c in back)
             j = back.index(1) + 1
             assert j not in pair.sigma_p
@@ -254,3 +264,84 @@ def test_operator_order_direct():
     assert operator_order(Weight((-2, 1, 0, 0)), Root((0, 1, 0, 0)), rs) == 2
     with pytest.raises(ValueError):
         operator_order(Weight((0, 0, 0, 0)), Root((1, 0, 1, 0)), rs)
+
+
+# -- brute-force reference ---------------------------------------------------
+
+def _reference_hasse(pair):
+    """The Hasse diagram by exhaustion: enumerate the Levi Weyl group, filter
+    minimal coset representatives, scan all positive roots for connections.
+
+    Elements are stored as images of the simple roots; the breadth-first
+    search over generators in ascending order records the lexicographically
+    smallest reduced word of v = w^{-1}.
+    """
+    rs = pair.rs
+    levi = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_p]
+    identity = tuple(rs.simple_root(j).coeffs for j in range(1, rs.rank + 1))
+
+    def times_simple(imgs, i):
+        """Images under v s_i from those under v: v(a_j) - C[i][j] v(a_i)."""
+        base = imgs[i - 1]
+        return tuple(
+            tuple(a - rs.cartan[i - 1][j] * b for a, b in zip(imgs[j], base))
+            for j in range(rs.rank)
+        )
+
+    def s_beta(beta, v):
+        n = pairing(root_to_weight(rs, Root(v)), beta, rs)
+        return tuple(a - n * b for a, b in zip(v, beta.coeffs))
+
+    seen = {identity: ()}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for imgs in frontier:
+            for i in levi:
+                imgs2 = times_simple(imgs, i)
+                if imgs2 not in seen:
+                    seen[imgs2] = seen[imgs] + (i,)
+                    nxt.append(imgs2)
+        frontier = nxt
+    elements = {}  # word of w -> images under w
+    for imgs, word in seen.items():
+        if all(min(imgs[j - 1]) >= 0 for j in range(1, rs.rank + 1) if j not in pair.sigma_q):
+            w_word = tuple(reversed(word))  # w = v^{-1}
+            w_imgs = identity
+            for g in w_word:
+                w_imgs = times_simple(w_imgs, g)
+            elements[w_word] = w_imgs
+    words = sorted(elements, key=lambda w: (len(w), w))
+    connecting = {}
+    for k in range(len(words) - 1):
+        source, target = elements[words[k]], elements[words[k + 1]]
+        for beta in rs.positive_roots:
+            if all(s_beta(beta, v) == t for v, t in zip(source, target)):
+                connecting[k] = beta.coeffs
+                break
+    is_chain = [len(w) for w in words] == list(range(len(words))) and len(connecting) == len(words) - 1
+    return words, connecting, is_chain
+
+
+def _nested_pairs(type_tag, rank):
+    for q_mask in itertools.product((0, 1), repeat=rank):
+        sq = [i for i, b in zip(range(1, rank + 1), q_mask) if b]
+        for p_mask in itertools.product((0, 1), repeat=len(sq)):
+            sp = [i for i, b in zip(sq, p_mask) if b]
+            yield _pair(rank, sq, sp, type_tag)
+
+
+def test_hasse_matches_brute_force_reference():
+    diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
+                ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
+    checked = 0
+    for type_tag, rank in diagrams:
+        for pair in _nested_pairs(type_tag, rank):
+            hd = relative_hasse(pair)
+            words, connecting, is_chain = _reference_hasse(pair)
+            where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
+            assert [w.gens for w in hd.elements] == words, where
+            assert {k: b.coeffs for k, b in hd.connecting_roots.items()} == connecting, where
+            assert hd.is_chain == is_chain, where
+            checked += 1
+    assert checked == 300

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from relbgg.cli import main
 
 
@@ -136,6 +138,35 @@ def test_bad_node_list_exits_two(capsys):
 def test_unknown_catalog_exits_two(capsys):
     code, _, err = run_cli(capsys, "check-torsion", "--catalog", "nope(3)")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"components": [',
+        "[1, 2, 3]",
+        '{"components": 5}',
+        '{"components": [5]}',
+        '{"components": [{"in1": [-1, 0], "in2": [-1, 0]}]}',
+        '{"components": [{"in2": [-1, 0], "out": [0, -1]}]}',
+        '{"components": [{"in1": [-1], "in2": [-1, 0], "out": [0, -1]}]}',
+        '{"components": [{"in1": "ab", "in2": [-1, 0], "out": [0, -1]}]}',
+        '{"components": [{"in1": [-1, 0.5], "in2": [-1, 0], "out": [0, -1]}]}',
+        '{"components": [{"in1": [-1, 0], "in2": [-1, 0], "out": [0, -1], "tag": 7}]}',
+        '{"components": [], "geometry_tag": ["x"]}',
+    ],
+)
+def test_malformed_support_exits_two(capsys, tmp_path, text):
+    path = tmp_path / "support.json"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys,
+        "check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1",
+        "--support", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
 
 
 # -- JSON reports -------------------------------------------------------------

@@ -19,7 +19,6 @@ from relbgg import (
     sigma_height,
     subalgebra_profile,
     tangent_ranks,
-    verify_bracket_additivity,
 )
 
 
@@ -79,6 +78,7 @@ def test_path_component_dims(n):
 def test_equal_sets_collapse_to_single_grading():
     bg = bigrade(_pair(4, {2}, {2}))
     assert all(bd.i_dprime == 0 for bd in bg.components)
+    assert list(bigrade(_pair(3, set(), set())).components) == [(0, 0)]
 
 
 @pytest.mark.parametrize("rank", range(1, 5))
@@ -96,27 +96,6 @@ def test_partition_duality_and_total_dim(rank):
                 hp = sigma_height(root, pair.sigma_p)
                 hq = sigma_height(root, pair.sigma_q)
                 assert (hp, hq - hp) == tuple(bd)
-
-
-# -- bracket additivity ------------------------------------------------------
-
-def test_additivity_on_the_example_geometries():
-    for pair in (legendrean_pair(3), path_pair(3), _pair(3, set(), set())):
-        rep = verify_bracket_additivity(bigrade(pair))
-        assert rep.ok
-        assert not rep.violations
-
-
-def test_additivity_trivial_pair_single_component():
-    bg = bigrade(_pair(3, set(), set()))
-    assert list(bg.components) == [(0, 0)]
-    assert verify_bracket_additivity(bg).ok
-
-
-@pytest.mark.parametrize("rank", range(1, 7))
-def test_additivity_exhaustive(rank):
-    for pair in all_pairs(rank):
-        assert verify_bracket_additivity(bigrade(pair)).ok
 
 
 # -- subalgebra profile ------------------------------------------------------
@@ -208,7 +187,7 @@ def test_legendrean_ranks_n2():
 def test_collapsed_ranks():
     rep = tangent_ranks(bigrade(_pair(4, {2}, {2})))
     assert rep.rank_T_rho == 0
-    assert sum(rep.leaf_graded.values()) == rep.dim_M
+    assert sum(rep.ranks_V.values()) + rep.rank_T_rho == rep.dim_M
 
 
 def test_ranks_require_nonempty_sigma_p():
@@ -223,7 +202,6 @@ def test_rank_telescoping(rank):
             continue
         rep = tangent_ranks(bigrade(pair))
         assert sum(rep.ranks_V.values()) == rep.dim_M - rep.rank_T_rho
-        assert rep.leaf_graded == rep.ranks_V
 
 
 def test_pair_validation():
