@@ -93,7 +93,8 @@ def _components_json(bg: Bigrading) -> list[dict]:
 def _block_matrix_lines(pair: ParabolicPair) -> list[str]:
     bs = block_structure_from_pair(pair)
     n = bs.num_blocks
-    cells = [[_fmt_bd(bs.bidegree_of_block[(a, b)]) for b in range(1, n + 1)] for a in range(1, n + 1)]
+    bidegs = bs.bidegree_of_block
+    cells = [[_fmt_bd(bidegs[(a, b)]) for b in range(1, n + 1)] for a in range(1, n + 1)]
     width = max(len(c) for row in cells for c in row)
     lines = [f"block sizes: {','.join(str(s) for s in bs.block_sizes)}"]
     for row in cells:

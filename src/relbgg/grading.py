@@ -22,9 +22,6 @@ class Bidegree(NamedTuple):
     def __neg__(self) -> Bidegree:
         return Bidegree(-self.i_prime, -self.i_dprime)
 
-    def __add__(self, other) -> Bidegree:  # type: ignore[override]
-        return Bidegree(self.i_prime + other[0], self.i_dprime + other[1])
-
 
 @dataclass(frozen=True)
 class ParabolicPair:

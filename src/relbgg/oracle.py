@@ -1,120 +1,108 @@
 """Brute-force verification of the bigrading through sl(m) matrices.
 
 The combinatorial bidegree assignment is cross-checked against the concrete
-realization of sl(m) by elementary matrices: sigma_q cuts {1..m} into
-blocks, each matrix position inherits a block bidegree, and every claim
-about the grading becomes a statement about explicit integer commutators.
+realization of sl(m) by elementary matrices.  A node set sigma defines the
+diagonal grading element Z_sigma, whose eigenvalue on the u-th basis vector
+of C^m is z_u = #{k in sigma : k >= u}; the matrix entry (u, w) then has
+sigma-height z_u - z_w.  Z_p and Z_q grade every matrix, and every claim
+about the grading becomes a statement about explicit commutators: a
+homogeneous [X, Y] satisfies [Z, [X, Y]] = deg * [X, Y] entry by entry.
 
-All arithmetic is exact: int64 entries stay tiny (products of values
-bounded by 2 summed over at most m terms), guarded by an explicit bound.
+Matrices are sparse dicts {(u, w): int} of exact Python ints with 0-based
+indices; every basis element has at most two entries.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate, groupby
 
 from .grading import Bidegree, Bigrading, ParabolicPair
 
-_ENTRY_BOUND = 1 << 40  # far below int64 wraparound; exceeding it is a hard error
+Matrix = dict[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
 class BlockStructure:
-    """Block decomposition of sl(m) induced by a nested pair on type A."""
+    """Eigenvalues of Z_p and Z_q on C^m for a nested pair on type A (0-based)."""
 
-    block_sizes: tuple[int, ...]
-    bidegree_of_block: dict[tuple[int, int], Bidegree]
+    z_p: tuple[int, ...]
+    z_q: tuple[int, ...]
 
     @property
     def m(self) -> int:
-        return sum(self.block_sizes)
+        return len(self.z_q)
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """Runs of equal z_q: the sigma_q cuts split C^m into blocks."""
+        return tuple(len(list(run)) for _, run in groupby(self.z_q))
 
     @property
     def num_blocks(self) -> int:
         return len(self.block_sizes)
 
-    def block_of_index(self, u: int) -> int:
-        """1-based block containing the 1-based matrix index u."""
-        total = 0
-        for a, size in enumerate(self.block_sizes, start=1):
-            total += size
-            if u <= total:
-                return a
-        raise ValueError(f"index {u} out of range 1..{self.m}")
+    def bidegree(self, u: int, w: int) -> Bidegree:
+        """Bidegree of the matrix entry (u, w) from the two height differences."""
+        hp = self.z_p[u] - self.z_p[w]
+        return Bidegree(hp, self.z_q[u] - self.z_q[w] - hp)
+
+    @property
+    def bidegree_of_block(self) -> dict[tuple[int, int], Bidegree]:
+        """Bidegree of every (row block, column block), 1-based, read at block starts."""
+        starts = list(accumulate(self.block_sizes[:-1], initial=0))
+        return {
+            (a, b): self.bidegree(u, w)
+            for a, u in enumerate(starts, start=1)
+            for b, w in enumerate(starts, start=1)
+        }
 
 
 def block_structure_from_pair(pair: ParabolicPair) -> BlockStructure:
-    """Blocks from the sigma_q cuts, bidegrees from the block indices.
-
-    A cut at node k separates matrix positions k and k+1.  For the entry
-    at row block a, column block b the first index is the difference of
-    the enclosing sigma_p blocks and the second the remaining part of the
-    sigma_q block difference.
-    """
+    """Grading elements Z_p and Z_q of sl(rank + 1) for a type-A pair."""
     rs = pair.rs
     if rs.type_tag != "A":
         raise ValueError("matrix realization is only available for type A")
     m = rs.rank + 1
-    cuts = sorted(pair.sigma_q)
-    starts = [1] + [k + 1 for k in cuts]
-    ends = [k for k in cuts] + [m]
-    sizes = tuple(e - s + 1 for s, e in zip(starts, ends))
-    # p-block index of each q-block: count the sigma_p cuts before its start
-    p_of = [1 + sum(1 for k in pair.sigma_p if k < s) for s in starts]
-    bidegs = {}
-    n = len(sizes)
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            ip = p_of[b - 1] - p_of[a - 1]
-            bidegs[(a, b)] = Bidegree(ip, (b - a) - ip)
-    return BlockStructure(block_sizes=sizes, bidegree_of_block=bidegs)
+
+    def eigenvalues(sigma: frozenset[int]) -> tuple[int, ...]:
+        return tuple(sum(1 for k in sigma if k > u) for u in range(m))
+
+    return BlockStructure(z_p=eigenvalues(pair.sigma_p), z_q=eigenvalues(pair.sigma_q))
 
 
-def basis_with_bidegrees(bs: BlockStructure) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def basis_with_bidegrees(bs: BlockStructure) -> tuple[list[Matrix], list[Bidegree], list[str]]:
     """Basis of sl(m): elementary matrices E_uv plus traceless diagonals.
 
-    Returns the (N, m, m) stack, the (N, 2) bidegrees, and display names.
-    The Cartan part uses H_i = E_ii - E_{i+1,i+1} at bidegree (0, 0).
+    Returns the sparse matrices, their bidegrees, and display names.  The
+    Cartan part uses H_i = E_ii - E_{i+1,i+1} at bidegree (0, 0).
     """
     m = bs.m
     mats, bidegs, names = [], [], []
-    for u in range(1, m + 1):
-        for v in range(1, m + 1):
-            if u == v:
-                continue
-            e = np.zeros((m, m), dtype=np.int64)
-            e[u - 1, v - 1] = 1
-            mats.append(e)
-            bidegs.append(bs.bidegree_of_block[(bs.block_of_index(u), bs.block_of_index(v))])
-            names.append(f"E[{u},{v}]")
-    for i in range(1, m):
-        h = np.zeros((m, m), dtype=np.int64)
-        h[i - 1, i - 1] = 1
-        h[i, i] = -1
-        mats.append(h)
-        bidegs.append(Bidegree(0, 0))
-        names.append(f"H[{i}]")
-    return np.stack(mats), np.array(bidegs, dtype=np.int64), names
-
-
-def _all_commutators(x: np.ndarray) -> np.ndarray:
-    prod = np.einsum("aij,bjk->abik", x, x)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    if np.abs(comm).max(initial=0) >= _ENTRY_BOUND:
-        raise OverflowError("commutator entries exceeded the exactness bound")
-    return comm
-
-
-def _entry_bidegrees(bs: BlockStructure) -> np.ndarray:
-    m = bs.m
-    grid = np.zeros((m, m, 2), dtype=np.int64)
-    blocks = [bs.block_of_index(u) for u in range(1, m + 1)]
     for u in range(m):
         for v in range(m):
-            grid[u, v] = bs.bidegree_of_block[(blocks[u], blocks[v])]
-    return grid
+            if u != v:
+                mats.append({(u, v): 1})
+                bidegs.append(bs.bidegree(u, v))
+                names.append(f"E[{u + 1},{v + 1}]")
+    for i in range(m - 1):
+        mats.append({(i, i): 1, (i + 1, i + 1): -1})
+        bidegs.append(Bidegree(0, 0))
+        names.append(f"H[{i + 1}]")
+    return mats, bidegs, names
+
+
+def bracket(x: Matrix, y: Matrix) -> Matrix:
+    """Exact commutator xy - yx of two sparse integer matrices."""
+    out: Matrix = {}
+    for (u, v), s in x.items():
+        for (v2, w), t in y.items():
+            if v == v2:
+                out[u, w] = out.get((u, w), 0) + s * t
+            if w == u:
+                out[v2, v] = out.get((v2, v), 0) - s * t
+    return {k: c for k, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -128,35 +116,24 @@ class OracleReport:
 def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     """Exhaustively check [X, Y] against the summed bidegree for all basis pairs.
 
-    Every nonzero off-diagonal entry of a commutator must sit at the block
-    bidegree equal to the sum of the inputs' bidegrees, and a nonzero
-    diagonal part may only appear at summed bidegree (0, 0).  Component
-    dimensions of the root picture are compared with block counts as well.
+    Every nonzero entry (u, w) of a commutator must have sigma_p- and
+    sigma_q-heights z_u - z_w equal to those summed from the inputs'
+    bidegrees, i.e. [Z, [X, Y]] = deg * [X, Y] for Z_p and Z_q.
+    Component dimensions of the root picture are compared with the counts of
+    basis elements per bidegree as well.
     """
-    x, bidegs, names = basis_with_bidegrees(bs)
-    comm = _all_commutators(x)
-    m = bs.m
-    required = bidegs[:, None, :] + bidegs[None, :, :]
-    grid = _entry_bidegrees(bs)
-    nonzero = comm != 0
-    offdiag = ~np.eye(m, dtype=bool)
-    bad_entry = (grid[None, None] != required[:, :, None, None, :]).any(-1)
-    entry_viol = (nonzero & offdiag[None, None] & bad_entry).any((2, 3))
-    diag_viol = (nonzero & np.eye(m, dtype=bool)[None, None]).any((2, 3)) & (
-        required != 0
-    ).any(-1)
-    violations = [
-        f"[{names[a]},{names[b]}]" for a, b in np.argwhere(entry_viol | diag_viol)
-    ]
+    mats, bidegs, names = basis_with_bidegrees(bs)
+    zp, zq = bs.z_p, bs.z_q
+    violations = []
+    for x, dx, nx in zip(mats, bidegs, names):
+        for y, dy, ny in zip(mats, bidegs, names):
+            hp = dx.i_prime + dy.i_prime
+            hq = hp + dx.i_dprime + dy.i_dprime
+            if any(zp[u] - zp[w] != hp or zq[u] - zq[w] != hq for u, w in bracket(x, y)):
+                violations.append(f"[{nx},{ny}]")
 
+    block_counts = Counter(bidegs)
     mismatches = []
-    block_counts: dict[Bidegree, int] = {}
-    for u in range(m):
-        for v in range(m):
-            if u != v:
-                bd = Bidegree(int(grid[u, v, 0]), int(grid[u, v, 1]))
-                block_counts[bd] = block_counts.get(bd, 0) + 1
-    block_counts[Bidegree(0, 0)] = block_counts.get(Bidegree(0, 0), 0) + (m - 1)
     for bd in sorted(set(block_counts) | set(bg.components)):
         left = block_counts.get(bd, 0)
         right = bg.dim_component(bd)
@@ -176,35 +153,21 @@ def p_plus_action_audit(bs: BlockStructure, i_prime: int) -> OracleReport:
 
     For every basis element X with first index > 0 and Y with first index
     >= i_prime (including the Cartan when i_prime <= 0), each nonzero entry
-    of [X, Y] must have first index >= i_prime + 1; a vacuous pass when the
-    bound exceeds every block index.
+    (u, w) of [X, Y] must have first index z_u - z_w >= i_prime + 1; a
+    vacuous pass when the bound exceeds every block index.
     """
-    x, bidegs, names = basis_with_bidegrees(bs)
-    left = np.flatnonzero(bidegs[:, 0] > 0)
-    right = np.flatnonzero(bidegs[:, 0] >= i_prime)
-    if left.size == 0 or right.size == 0:
-        return OracleReport(ok=True, violations=(), pairs_checked=0)
-    prod = np.einsum("aij,bjk->abik", x[left], x[right])
-    back = np.einsum("aij,bjk->abik", x[right], x[left])
-    comm = prod - back.transpose(1, 0, 2, 3)
-    if np.abs(comm).max(initial=0) >= _ENTRY_BOUND:
-        raise OverflowError("commutator entries exceeded the exactness bound")
-    m = bs.m
-    grid = _entry_bidegrees(bs)
-    low_entry = grid[:, :, 0] < i_prime + 1
-    offdiag = ~np.eye(m, dtype=bool)
-    bad = (comm != 0) & (low_entry & offdiag)[None, None]
-    if i_prime + 1 > 0:
-        bad |= (comm != 0) & np.eye(m, dtype=bool)[None, None]
-    pairs = np.argwhere(bad.any((2, 3)))
-    violations = tuple(f"[{names[left[a]]},{names[right[b]]}]" for a, b in pairs)
+    mats, bidegs, names = basis_with_bidegrees(bs)
+    left = [a for a, bd in enumerate(bidegs) if bd.i_prime > 0]
+    right = [b for b, bd in enumerate(bidegs) if bd.i_prime >= i_prime]
+    z = bs.z_p
+    violations = tuple(
+        f"[{names[a]},{names[b]}]"
+        for a in left
+        for b in right
+        if any(z[u] - z[w] <= i_prime for u, w in bracket(mats[a], mats[b]))
+    )
     return OracleReport(
         ok=not violations,
         violations=violations,
-        pairs_checked=left.size * right.size,
+        pairs_checked=len(left) * len(right),
     )
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact commutator of two integer matrices."""
-    return a @ b - b @ a

@@ -101,9 +101,7 @@ def involutivity_check(ts: TorsionSupport) -> TorsionVerdict:
     return TorsionVerdict(ok=not bad, violators=tuple(bad))
 
 
-def theorem_322_check(
-    ts: TorsionSupport, bg: Bigrading, i_prime: int, strict: bool = False
-) -> TorsionVerdict:
+def theorem_322_check(ts: TorsionSupport, i_prime: int, strict: bool = False) -> TorsionVerdict:
     """Does torsion keep (relative direction, first index >= i') inside the bundle?
 
     Non-strict needs output first index >= i'; strict needs >= i' + 1 (the
@@ -142,8 +140,8 @@ def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
     part1 = True
     part2 = inv.ok
     for ip in range(lowest, 1):
-        ok1 = theorem_322_check(ts, bg, ip, strict=False).ok
-        ok2 = theorem_322_check(ts, bg, ip, strict=True).ok if ip < 0 else True
+        ok1 = theorem_322_check(ts, ip, strict=False).ok
+        ok2 = theorem_322_check(ts, ip, strict=True).ok if ip < 0 else True
         per_level[ip] = (ok1, ok2)
         part1 = part1 and ok1
         if ip < 0:

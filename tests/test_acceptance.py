@@ -274,8 +274,8 @@ def test_criterion_9e_strict_implies_non_strict():
         for _ in range(_CASES):
             ts = _random_support(rng)
             ip = rng.randint(-3, -1)
-            if theorem_322_check(ts, bg, ip, strict=True).ok:
-                assert theorem_322_check(ts, bg, ip, strict=False).ok
+            if theorem_322_check(ts, ip, strict=True).ok:
+                assert theorem_322_check(ts, ip, strict=False).ok
             cor = corollary_33_check(ts, bg)
             if cor.part2:
                 assert cor.part1

@@ -1,6 +1,8 @@
 """Command-line behavior: output lines, JSON determinism, exit codes."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -228,6 +230,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "dim M = 7" in proc.stdout
+
+
+def test_cli_import_pulls_in_no_numpy():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import relbgg.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_listed_runs_complete_quickly(capsys):

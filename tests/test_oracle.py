@@ -3,7 +3,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from relbgg import (
@@ -15,7 +14,8 @@ from relbgg import (
     commutator_audit,
     p_plus_action_audit,
 )
-from relbgg.oracle import basis_with_bidegrees, commutator
+from relbgg import oracle
+from relbgg.oracle import basis_with_bidegrees, bracket
 
 
 def _pair(rank, sq, sp):
@@ -71,14 +71,24 @@ def test_transpose_antisymmetry():
             assert bs.bidegree_of_block[(b, a)] == (-bd[0], -bd[1])
 
 
+def _add(*mats):
+    out = {}
+    for mat in mats:
+        for k, c in mat.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _trace(mat):
+    return sum(c for (u, w), c in mat.items() if u == w)
+
+
 def test_diagonal_commutator_lands_in_cartan():
-    m = 3
-    e12 = np.zeros((m, m), dtype=np.int64)
-    e12[0, 1] = 1
-    e21 = e12.T.copy()
-    c = commutator(e12, e21)
-    assert (c == np.diag([1, -1, 0])).all()
-    assert c.trace() == 0
+    e12, e21 = {(0, 1): 1}, {(1, 0): 1}
+    c = bracket(e12, e21)
+    assert c == {(0, 0): 1, (1, 1): -1}
+    assert _trace(c) == 0
+    assert bracket(e21, e12) == {(0, 0): -1, (1, 1): 1}
 
 
 @pytest.mark.parametrize(
@@ -119,21 +129,18 @@ def test_jacobi_identity_sampled():
     rng = random.Random(5)
     for _ in range(200):
         a, b, c = (x[rng.randrange(len(x))] for _ in range(3))
-        lhs = (
-            commutator(commutator(a, b), c)
-            + commutator(commutator(b, c), a)
-            + commutator(commutator(c, a), b)
-        )
-        assert not lhs.any()
+        lhs = _add(bracket(bracket(a, b), c), bracket(bracket(b, c), a), bracket(bracket(c, a), b))
+        assert lhs == {}
 
 
 def test_basis_is_traceless_and_sized():
     bs = block_structure_from_pair(_pair(3, {1, 3}, {1}))
     x, bidegs, names = basis_with_bidegrees(bs)
     m = bs.m
-    assert x.shape == (m * m - 1, m, m)
-    assert (np.trace(x, axis1=1, axis2=2) == 0).all()
-    assert len(names) == len(bidegs) == m * m - 1
+    assert len(x) == len(bidegs) == len(names) == m * m - 1
+    assert all(0 <= u < m and 0 <= w < m for mat in x for u, w in mat)
+    assert all(_trace(mat) == 0 for mat in x)
+    assert len(set(names)) == len(names)
     cartan = [n for n in names if n.startswith("H")]
     assert len(cartan) == m - 1
 
@@ -144,5 +151,41 @@ def test_cartan_to_root_dim_cross_check():
     bs = block_structure_from_pair(pair)
     _, bidegs, _ = basis_with_bidegrees(bs)
     for bd in bg.components:
-        block_dim = int((bidegs == np.array(bd)).all(1).sum())
+        block_dim = sum(1 for b in bidegs if b == bd)
         assert block_dim == bg.dim_component(Bidegree(*bd))
+
+
+def test_wrong_bracket_is_caught(monkeypatch):
+    """A bracket that transposes its result breaks every nonzero-degree pair."""
+    pair = _pair(4, {1, 4}, {1})
+    bs = block_structure_from_pair(pair)
+    bg = bigrade(pair)
+
+    def transposed(x, y):
+        return {(w, u): c for (u, w), c in bracket(x, y).items()}
+
+    monkeypatch.setattr(oracle, "bracket", transposed)
+    rep = commutator_audit(bs, bg)
+    assert not rep.ok
+    assert rep.pairs_checked == 24 * 24
+    assert rep.dim_mismatches == ()
+    assert len(rep.violations) == 156
+    # [E12, E23] = E13 has degree (1, 0); its transpose E31 has (-1, 0)
+    assert rep.violations[0] == "[E[1,2],E[2,3]]"
+    assert "[E[1,2],E[2,1]]" not in rep.violations  # diagonal results are degree (0, 0) both ways
+    assert not p_plus_action_audit(bs, -1).ok
+
+
+def test_mismatched_grading_is_caught():
+    """Blocks of the Legendrean pair against the root grading of the path pair."""
+    bs = block_structure_from_pair(_pair(4, {1, 4}, {1}))
+    bg = bigrade(_pair(4, {1, 2}, {1}))
+    rep = commutator_audit(bs, bg)
+    assert not rep.ok
+    assert rep.violations == ()
+    assert rep.dim_mismatches == (
+        "(-1, -1): block dim 1 vs root dim 3",
+        "(-1, 0): block dim 3 vs root dim 1",
+        "(1, 0): block dim 3 vs root dim 1",
+        "(1, 1): block dim 1 vs root dim 3",
+    )

@@ -67,18 +67,16 @@ def test_boundary_case_strict_vs_non_strict():
         in1=Bidegree(0, -1), in2=Bidegree(-1, 0), out=Bidegree(-1, -1)
     )
     ts = TorsionSupport(components=frozenset({comp}))
-    bg = bigrade(legendrean_catalog(3).pair)
-    assert theorem_322_check(ts, bg, -1, strict=False).ok
-    assert not theorem_322_check(ts, bg, -1, strict=True).ok
+    assert theorem_322_check(ts, -1, strict=False).ok
+    assert not theorem_322_check(ts, -1, strict=True).ok
 
 
 def test_theorem_checks_validate_i_prime():
     ts = TorsionSupport(components=frozenset())
-    bg = bigrade(path_geometry_catalog(2).pair)
     with pytest.raises(ValueError):
-        theorem_322_check(ts, bg, 1, strict=False)
+        theorem_322_check(ts, 1, strict=False)
     with pytest.raises(ValueError):
-        theorem_322_check(ts, bg, 0, strict=True)
+        theorem_322_check(ts, 0, strict=True)
 
 
 def test_component_validation():
@@ -151,8 +149,8 @@ def test_strict_implies_non_strict_and_part2_implies_part1():
     for _ in range(300):
         ts = _random_support(rng)
         ip = rng.randint(-3, -1)
-        if theorem_322_check(ts, bg, ip, strict=True).ok:
-            assert theorem_322_check(ts, bg, ip, strict=False).ok
+        if theorem_322_check(ts, ip, strict=True).ok:
+            assert theorem_322_check(ts, ip, strict=False).ok
         cor = corollary_33_check(ts, bg)
         if cor.part2:
             assert cor.part1
