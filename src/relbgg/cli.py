@@ -27,7 +27,6 @@ from .roots import build_root_system
 from .torsion import (
     catalog,
     corollary_33_check,
-    involutivity_check,
     support_from_json,
     support_to_json,
 )
@@ -227,9 +226,8 @@ def cmd_check_torsion(args) -> int:
         with open(args.support, encoding="utf-8") as fh:
             support = support_from_json(json.load(fh))
         name = support.geometry_tag or "custom"
-    bg = bigrade(pair)
-    inv = involutivity_check(support)
-    cor = corollary_33_check(support, bg)
+    cor = corollary_33_check(support, bigrade(pair))
+    inv = cor.involutivity
     if args.json:
         result = {
             "geometry": name,

@@ -73,9 +73,6 @@ class Bigrading:
     def bidegrees(self) -> list[Bidegree]:
         return sorted(self.components)
 
-    def dims(self) -> dict[Bidegree, int]:
-        return {bd: comp.dim for bd, comp in sorted(self.components.items())}
-
     def dim_component(self, bd: Bidegree) -> int:
         comp = self.components.get(Bidegree(*bd))
         return comp.dim if comp is not None else 0

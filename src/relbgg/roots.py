@@ -5,16 +5,18 @@ Node indices (simple roots, fundamental weights, reflections) are 1-based,
 matching the usual Dynkin-diagram numbering.
 
 Type A is the fully supported case; the B/C/D constructors are provided as
-extensions and go through the same generic machinery (root enumeration by
-root chains, pairings via the symmetrized Cartan matrix).
+extensions and go through the same generic machinery: positive roots come
+from a walk up from the simple roots by simple reflections, and pairings use
+the symmetrizer that the Cartan matrix construction writes alongside it.
+Ranks above ``MAX_RANK`` are refused, so every accepted input is small.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
+
+MAX_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,6 @@ class Root:
     @property
     def is_positive(self) -> bool:
         return any(c > 0 for c in self.coeffs)
-
-    @property
-    def height(self) -> int:
-        return sum(self.coeffs)
 
     def support(self) -> tuple[int, ...]:
         """1-based indices of the nonzero coefficients."""
@@ -63,9 +61,6 @@ class Weight:
             raise ValueError("weight length mismatch")
         return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> Weight:
-        return Weight(tuple(-c for c in self.coeffs))
-
 
 @dataclass(frozen=True)
 class RootSystem:
@@ -74,6 +69,9 @@ class RootSystem:
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
     simple coroot (0-based storage for 1-based nodes).  ``rho`` is the
     half-sum of the positive roots, i.e. the all-ones weight.
+    ``symmetrizer`` holds the minimal positive integers d with
+    d[i]*C[i][j] == d[j]*C[j][i]; d[i] is proportional to the squared length
+    of the i-th simple root, all ones in the simply-laced case.
     """
 
     type_tag: str
@@ -81,6 +79,7 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     rho: Weight
+    symmetrizer: tuple[int, ...]
 
     @cached_property
     def _root_coeff_set(self) -> frozenset[tuple[int, ...]]:
@@ -96,49 +95,19 @@ class RootSystem:
         self._check_node(i)
         return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the Lie algebra: all root spaces plus the Cartan."""
-        return 2 * len(self.positive_roots) + self.rank
-
-    @cached_property
-    def symmetrizer(self) -> tuple[int, ...]:
-        """Minimal positive integers d with d[i]*C[i][j] == d[j]*C[j][i].
-
-        d[i] is proportional to the squared length of the i-th simple root;
-        all ones in the simply-laced case.
-        """
-        r = self.rank
-        d: list[Fraction | None] = [None] * r
-        for seed in range(r):
-            if d[seed] is not None:
-                continue
-            d[seed] = Fraction(1)
-            stack = [seed]
-            while stack:
-                i = stack.pop()
-                for j in range(r):
-                    if self.cartan[i][j] != 0 and i != j and d[j] is None:
-                        # d_j = d_i * C[i][j] / C[j][i] along a diagram edge
-                        d[j] = d[i] * self.cartan[i][j] / self.cartan[j][i]
-                        stack.append(j)
-        denom = 1
-        for x in d:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in d]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
-        return tuple(x // g for x in ints)
-
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise ValueError(f"node index {i} out of range 1..{self.rank}")
 
 
-def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
+def _cartan_matrix(
+    type_tag: str, rank: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The Cartan matrix and its symmetrizer (see ``RootSystem``)."""
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    if rank > MAX_RANK:
+        raise ValueError(f"rank {rank} is above the supported maximum {MAX_RANK}")
     if type_tag == "A":
         pass
     elif type_tag in ("B", "C"):
@@ -151,6 +120,7 @@ def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
         raise ValueError(f"unsupported type tag {type_tag!r}")
 
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    d = [1] * rank
 
     def join(i: int, j: int) -> None:
         c[i][j] = -1
@@ -164,43 +134,35 @@ def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
     else:
         for i in range(rank - 1):
             join(i, i + 1)
-        if type_tag == "B" and rank >= 2:
+        if type_tag == "B":
             c[rank - 1][rank - 2] = -2  # last simple root short
-        if type_tag == "C" and rank >= 2:
+            d = [2] * (rank - 1) + [1]
+        elif type_tag == "C":
             c[rank - 2][rank - 1] = -2  # last simple root long
-    return tuple(tuple(row) for row in c)
+            d[rank - 1] = 2
+    return tuple(tuple(row) for row in c), tuple(d)
 
 
 def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """All positive roots by closure under simple-root addition.
+    """All positive roots by a walk up from the simple roots.
 
-    Root-chain criterion: beta + alpha_i is a root iff p > <beta, alpha_i^vee>
-    where p is the number of times alpha_i can be subtracted from beta.
-    Processing level-by-level in height keeps every chain fully known.
+    A positive root beta that is not simple has k = <beta, alpha_i^vee> > 0
+    for some i, and s_i beta = beta - k alpha_i is a lower positive root.  So
+    reflecting every root found at each node where its pairing is negative
+    reaches them all.
     """
     rank = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    found: set[tuple[int, ...]] = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(rank):
-                pair = sum(cartan[i][j] * c[j] for j in range(rank))
-                p = 0
-                probe = list(c)
-                probe[i] -= 1
-                while tuple(probe) in found:
-                    p += 1
-                    probe[i] -= 1
-                if p - pair > 0:
-                    up = list(c)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in found:
-                        found.add(t)
-                        nxt.append(t)
-        frontier = nxt
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    found = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    seen = set(found)
+    for c in found:
+        for i, row in enumerate(rows):
+            k = sum(a * c[j] for j, a in row)
+            if k < 0:
+                t = c[:i] + (c[i] - k,) + c[i + 1:]
+                if t not in seen:
+                    seen.add(t)
+                    found.append(t)
     return sorted(found, key=lambda t: (sum(t), t))
 
 
@@ -210,7 +172,7 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     Type A is the primary supported family; B, C and D are accepted
     extensions (B/C need rank >= 2, D needs rank >= 3).
     """
-    cartan = _cartan_matrix(type_tag, rank)
+    cartan, symmetrizer = _cartan_matrix(type_tag, rank)
     positive = tuple(Root(c) for c in _enumerate_positive_roots(cartan))
     return RootSystem(
         type_tag=type_tag,
@@ -218,6 +180,7 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
         cartan=cartan,
         positive_roots=positive,
         rho=Weight((1,) * rank),
+        symmetrizer=symmetrizer,
     )
 
 

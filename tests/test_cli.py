@@ -143,6 +143,22 @@ def test_unknown_catalog_exits_two(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "A100000", "--sq", "1", "--sp", "1"),
+        ("check-torsion", "--catalog", "legendrean(100000)"),
+        ("bgg", "A33[x" + ",o" * 32 + "](0" + ",0" * 32 + ")", "--sq", "1", "--sp", "1"),
+    ],
+)
+def test_rank_above_cap_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "above the supported maximum 32" in err
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"components": [',
@@ -234,8 +250,9 @@ def test_module_entry_point():
 
 def test_cli_import_pulls_in_no_numpy():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    check = "for m in ('numpy', 'fractions', 'decimal'): assert m not in sys.modules, m"
     proc = subprocess.run(
-        [sys.executable, "-c", "import relbgg.cli, sys; assert 'numpy' not in sys.modules"],
+        [sys.executable, "-c", f"import relbgg.cli, sys\n{check}"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},

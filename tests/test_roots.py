@@ -2,16 +2,57 @@
 
 Core claims:
     - positive-root counts match the closed forms for types A, B, C, D
+    - the reflection walk yields exactly the root-chain closure, in order
+    - the symmetrizer is minimal, positive and symmetrizes the Cartan matrix
     - every positive root of A_r has contiguous all-ones support
     - basis changes and reflections reproduce hand-computed values
     - simple reflections are involutions on arbitrary integer weights
     - pairing(root_to_weight(beta), beta) = 2 for every positive root
 """
 
+from math import gcd
+
 import pytest
 from hypothesis import given, strategies as st
 
 from relbgg import Root, Weight, build_root_system, pairing, reflect, root_to_weight
+from relbgg.roots import MAX_RANK
+
+ALL_TYPES = (("A", 1), ("B", 2), ("C", 2), ("D", 3))  # (tag, smallest rank)
+
+
+def root_chain_reference(cartan):
+    """Positive roots by closure under simple-root addition (the previous
+    algorithm, kept as an independent reference).
+
+    Root-chain criterion: beta + alpha_i is a root iff p > <beta, alpha_i^vee>
+    where p is the number of times alpha_i can be subtracted from beta.
+    Processing level by level in height keeps every chain fully known.
+    """
+    rank = len(cartan)
+    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    found = set(simples)
+    frontier = list(simples)
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for i in range(rank):
+                pair = sum(cartan[i][j] * c[j] for j in range(rank))
+                p = 0
+                probe = list(c)
+                probe[i] -= 1
+                while tuple(probe) in found:
+                    p += 1
+                    probe[i] -= 1
+                if p - pair > 0:
+                    up = list(c)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in found:
+                        found.add(t)
+                        nxt.append(t)
+        frontier = nxt
+    return sorted(found, key=lambda t: (sum(t), t))
 
 
 # -- construction ------------------------------------------------------------
@@ -51,6 +92,21 @@ def test_type_a_roots_are_contiguous_intervals(rank):
 def test_other_type_root_counts(tag, rank, count):
     rs = build_root_system(tag, rank)
     assert len(rs.positive_roots) == count
+
+
+@pytest.mark.parametrize(
+    "tag,rank", [(tag, n) for tag, lo in ALL_TYPES for n in range(lo, 13)]
+)
+def test_walk_matches_root_chain_reference(tag, rank):
+    rs = build_root_system(tag, rank)
+    assert [r.coeffs for r in rs.positive_roots] == root_chain_reference(rs.cartan)
+
+
+def test_rank_cap():
+    assert len(build_root_system("A", MAX_RANK).positive_roots) == MAX_RANK * (MAX_RANK + 1) // 2
+    for tag in "ABCD":
+        with pytest.raises(ValueError, match="above the supported maximum"):
+            build_root_system(tag, MAX_RANK + 1)
 
 
 def test_bad_construction_rejected():
@@ -149,3 +205,18 @@ def test_symmetrizer_values():
     assert build_root_system("A", 4).symmetrizer == (1, 1, 1, 1)
     assert build_root_system("B", 3).symmetrizer == (2, 2, 1)
     assert build_root_system("C", 3).symmetrizer == (1, 1, 2)
+    assert build_root_system("D", 4).symmetrizer == (1, 1, 1, 1)
+    assert build_root_system("B", 2).symmetrizer == (2, 1)
+    assert build_root_system("C", 2).symmetrizer == (1, 2)
+
+
+def test_symmetrizer_symmetrizes_every_cartan_matrix():
+    for tag, lo in ALL_TYPES:
+        for rank in range(lo, 25):
+            rs = build_root_system(tag, rank)
+            d, c = rs.symmetrizer, rs.cartan
+            assert len(d) == rank and all(x > 0 for x in d)
+            assert gcd(*d) == 1
+            for i in range(rank):
+                for j in range(rank):
+                    assert d[i] * c[i][j] == d[j] * c[j][i], (tag, rank, i, j)
