@@ -161,9 +161,6 @@ class BGGSequence:
     source: DynkinLabel
     entries: tuple[BGGEntry, ...]
 
-    def labels(self) -> tuple[DynkinLabel, ...]:
-        return tuple(e.label for e in self.entries)
-
     def orders(self) -> tuple[int, ...]:
         return tuple(e.order_to_next for e in self.entries if e.order_to_next is not None)
 

@@ -1,5 +1,9 @@
 """Command-line front end: human-readable tables or deterministic JSON.
 
+Each ``cmd_*`` builds one result dict and returns ``(inputs, result, text
+lines)``, the lines read from that result; ``main`` prints the JSON report
+under ``--json`` and the lines otherwise.
+
 Exit codes: 0 success, 2 bad input, 3 a violated internal invariant
 (a failed audit or an inconsistency the library guarantees against).
 """
@@ -14,22 +18,10 @@ import sys
 from . import __version__
 from .bgg import InternalCheckError, relative_bgg_sequence
 from .dynkin import parse_label, print_label
-from .grading import (
-    Bigrading,
-    ParabolicPair,
-    bigrade,
-    filtration,
-    subalgebra_profile,
-    tangent_ranks,
-)
+from .grading import ParabolicPair, bigrade, filtration, subalgebra_profile, tangent_ranks
 from .oracle import block_structure_from_pair, commutator_audit, p_plus_action_audit
 from .roots import build_root_system
-from .torsion import (
-    catalog,
-    corollary_33_check,
-    support_from_json,
-    support_to_json,
-)
+from .torsion import catalog, corollary_33_check, support_from_json, support_to_json
 
 _TYPE_RE = re.compile(r"^([A-Z])(\d+)$")
 
@@ -55,16 +47,6 @@ def _pair_from_args(args) -> ParabolicPair:
     return ParabolicPair(rs=rs, sigma_q=_parse_nodes(args.sq), sigma_p=_parse_nodes(args.sp))
 
 
-def _emit_json(command: str, inputs: dict, result: dict) -> None:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "version": __version__,
-    }
-    print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False))
-
-
 def _pair_inputs(pair: ParabolicPair) -> dict:
     return {
         "type": f"{pair.rs.type_tag}{pair.rs.rank}",
@@ -77,20 +59,7 @@ def _fmt_bd(bd) -> str:
     return f"({bd[0]},{bd[1]})"
 
 
-def _components_json(bg: Bigrading) -> list[dict]:
-    return [
-        {
-            "bidegree": list(bd),
-            "dim": comp.dim,
-            "includes_cartan": comp.includes_cartan,
-            "roots": [list(r.coeffs) for r in comp.roots],
-        }
-        for bd, comp in sorted(bg.components.items())
-    ]
-
-
-def _block_matrix_lines(pair: ParabolicPair) -> list[str]:
-    bs = block_structure_from_pair(pair)
+def _block_matrix_lines(bs) -> list[str]:
     n = bs.num_blocks
     bidegs = bs.bidegree_of_block
     cells = [[_fmt_bd(bidegs[(a, b)]) for b in range(1, n + 1)] for a in range(1, n + 1)]
@@ -101,125 +70,122 @@ def _block_matrix_lines(pair: ParabolicPair) -> list[str]:
     return lines
 
 
-def cmd_bigrade(args) -> int:
+def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
     bg = bigrade(pair)
     prof = subalgebra_profile(bg)
-    if args.json:
-        result = {
-            "components": _components_json(bg),
-            "dim_g": bg.dim_g,
-            "subalgebras": {
-                name: {"bidegrees": [list(bd) for bd in info.bidegrees], "dim": info.dim}
-                for name, info in sorted(prof.items())
-            },
-        }
-        if pair.rs.type_tag == "A":
-            bs = block_structure_from_pair(pair)
-            result["block_sizes"] = list(bs.block_sizes)
-        _emit_json("bigrade", _pair_inputs(pair), result)
-        return 0
-    print(
-        f"bigrading of {pair.rs.type_tag}{pair.rs.rank} for "
-        f"sigma_q={{{','.join(map(str, sorted(pair.sigma_q)))}}}, "
-        f"sigma_p={{{','.join(map(str, sorted(pair.sigma_p)))}}}"
-    )
-    for bd, comp in sorted(bg.components.items()):
-        cartan = " (includes Cartan)" if comp.includes_cartan else ""
-        print(f"{_fmt_bd(bd)}: dim {comp.dim}{cartan}")
-    print(f"total dim {bg.dim_g}")
+    result = {
+        "components": [
+            {
+                "bidegree": list(bd),
+                "dim": comp.dim,
+                "includes_cartan": comp.includes_cartan,
+                "roots": [list(r.coeffs) for r in comp.roots],
+            }
+            for bd, comp in sorted(bg.components.items())
+        ],
+        "dim_g": bg.dim_g,
+        "subalgebras": {
+            name: {"bidegrees": [list(bd) for bd in info.bidegrees], "dim": info.dim}
+            for name, info in sorted(prof.items())
+        },
+    }
+    inputs = _pair_inputs(pair)
+    lines = [
+        f"bigrading of {inputs['type']} for "
+        f"sigma_q={{{','.join(map(str, inputs['sigma_q']))}}}, "
+        f"sigma_p={{{','.join(map(str, inputs['sigma_p']))}}}"
+    ]
+    for c in result["components"]:
+        cartan = " (includes Cartan)" if c["includes_cartan"] else ""
+        lines.append(f"{_fmt_bd(c['bidegree'])}: dim {c['dim']}{cartan}")
+    lines.append(f"total dim {result['dim_g']}")
     if pair.rs.type_tag == "A":
-        for line in _block_matrix_lines(pair):
-            print(line)
-    print("subalgebras:")
+        bs = block_structure_from_pair(pair)
+        result["block_sizes"] = list(bs.block_sizes)
+        lines += _block_matrix_lines(bs)
+    lines.append("subalgebras:")
     for name in ("p", "p_plus", "p_0", "q", "q_plus", "q_0"):
-        print(f"  {name}: dim {prof[name].dim}")
-    return 0
+        lines.append(f"  {name}: dim {result['subalgebras'][name]['dim']}")
+    return inputs, result, lines
 
 
-def cmd_bgg(args) -> int:
+def cmd_bgg(args) -> tuple[dict, dict, list[str]]:
     src = parse_label(args.label)
     pair = ParabolicPair(
         rs=src.rs, sigma_q=_parse_nodes(args.sq), sigma_p=_parse_nodes(args.sp)
     )
     seq = relative_bgg_sequence(src, pair)
-    if args.json:
-        result = {
-            "source": print_label(src),
-            "entries": [
-                {
-                    "word": list(e.word.gens),
-                    "label": print_label(e.label),
-                    "coeffs": list(e.label.coeffs.coeffs),
-                    "order_to_next": e.order_to_next,
-                }
-                for e in seq.entries
-            ],
-            "hasse_size": len(seq.entries),
-        }
-        _emit_json("bgg", {**_pair_inputs(pair), "label": print_label(src)}, result)
-        return 0
-    for e in seq.entries:
-        arrow = f" --[order {e.order_to_next}]-->" if e.order_to_next is not None else ""
-        print(f"{print_label(e.label)}{arrow}")
-    return 0
+    result = {
+        "source": print_label(src),
+        "entries": [
+            {
+                "word": list(e.word.gens),
+                "label": print_label(e.label),
+                "coeffs": list(e.label.coeffs.coeffs),
+                "order_to_next": e.order_to_next,
+            }
+            for e in seq.entries
+        ],
+        "hasse_size": len(seq.entries),
+    }
+    lines = [
+        e["label"] + ("" if e["order_to_next"] is None else f" --[order {e['order_to_next']}]-->")
+        for e in result["entries"]
+    ]
+    return {**_pair_inputs(pair), "label": result["source"]}, result, lines
 
 
-def cmd_filtration(args) -> int:
+def cmd_filtration(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
     rep = filtration(bigrade(pair))
-    if args.json:
-        result = {
-            "i_prime_range": list(rep.i_prime_range),
-            "components": [
-                {"i_prime": ip, "bidegrees": [list(bd) for bd in rep.components[ip]]}
-                for ip in rep.i_prime_range
-            ],
-            "modules": [
-                {
-                    "i_prime": m.i_prime,
-                    "dim": m.dim,
-                    "steps": [{"i_dprime": idp, "dim": d} for idp, d in m.filtration_steps],
-                }
-                for m in (rep.modules[ip] for ip in rep.i_prime_range)
-            ],
-        }
-        _emit_json("filtration", _pair_inputs(pair), result)
-        return 0
-    lo, hi = rep.i_prime_range[0], rep.i_prime_range[-1]
-    print(f"i' range: {lo}..{hi}")
-    for ip in rep.i_prime_range:
-        m = rep.modules[ip]
-        steps = " ".join(f"(i''={idp}: {d})" for idp, d in m.filtration_steps)
-        print(f"V_{ip}: dim {m.dim}, steps: {steps}")
-    return 0
+    result = {
+        "i_prime_range": list(rep.i_prime_range),
+        "components": [
+            {"i_prime": ip, "bidegrees": [list(bd) for bd in rep.components[ip]]}
+            for ip in rep.i_prime_range
+        ],
+        "modules": [
+            {
+                "i_prime": m.i_prime,
+                "dim": m.dim,
+                "steps": [{"i_dprime": idp, "dim": d} for idp, d in m.filtration_steps],
+            }
+            for m in (rep.modules[ip] for ip in rep.i_prime_range)
+        ],
+    }
+    ips = result["i_prime_range"]
+    lines = [f"i' range: {ips[0]}..{ips[-1]}"]
+    for m in result["modules"]:
+        steps = " ".join(f"(i''={s['i_dprime']}: {s['dim']})" for s in m["steps"])
+        lines.append(f"V_{m['i_prime']}: dim {m['dim']}, steps: {steps}")
+    return _pair_inputs(pair), result, lines
 
 
-def cmd_ranks(args) -> int:
+def cmd_ranks(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
     rep = tangent_ranks(bigrade(pair))
-    if args.json:
-        result = {
-            "dim_M": rep.dim_M,
-            "rank_T_rho": rep.rank_T_rho,
-            "ranks_T_P": [{"i_prime": ip, "rank": r} for ip, r in sorted(rep.ranks_T_P.items())],
-            "ranks_V": [{"i_prime": ip, "rank": r} for ip, r in sorted(rep.ranks_V.items())],
-        }
-        _emit_json("ranks", _pair_inputs(pair), result)
-        return 0
-    parts = [f"dim M = {rep.dim_M}", f"rank T_rho = {rep.rank_T_rho}"]
-    for ip in sorted(rep.ranks_V, reverse=True):
-        parts.append(f"rank V_{ip} = {rep.ranks_V[ip]}")
-    print(", ".join(parts))
-    return 0
+    result = {
+        "dim_M": rep.dim_M,
+        "rank_T_rho": rep.rank_T_rho,
+        "ranks_T_P": [{"i_prime": ip, "rank": r} for ip, r in sorted(rep.ranks_T_P.items())],
+        "ranks_V": [{"i_prime": ip, "rank": r} for ip, r in sorted(rep.ranks_V.items())],
+    }
+    parts = [f"dim M = {result['dim_M']}", f"rank T_rho = {result['rank_T_rho']}"]
+    parts += [f"rank V_{v['i_prime']} = {v['rank']}" for v in reversed(result["ranks_V"])]
+    return _pair_inputs(pair), result, [", ".join(parts)]
 
 
-def cmd_check_torsion(args) -> int:
+def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
     if args.catalog:
+        if any(v is not None for v in (args.type, args.sq, args.sp, args.support)):
+            raise ValueError("--catalog does not combine with --type, --sq, --sp or --support")
         geom = catalog(args.catalog, assume_involutive_f=args.assume_involutive_f)
         pair, support = geom.pair, geom.support
         name = support.geometry_tag or geom.name
     else:
+        if args.assume_involutive_f:
+            raise ValueError("--assume-involutive-F applies only to --catalog")
         if not (args.type and args.support):
             raise ValueError("need either --catalog or --type/--sq/--sp with --support")
         pair = _pair_from_args(args)
@@ -228,79 +194,69 @@ def cmd_check_torsion(args) -> int:
         name = support.geometry_tag or "custom"
     cor = corollary_33_check(support, bigrade(pair))
     inv = cor.involutivity
-    if args.json:
-        result = {
-            "geometry": name,
-            "support": support_to_json(support),
-            "involutivity": {
-                "ok": inv.ok,
-                "violators": [c.tag or _fmt_bd(c.out) for c in inv.violators],
-            },
-            "part1": cor.part1,
-            "part2": cor.part2,
-            "per_level": [
-                {"i_prime": ip, "non_strict": a, "strict": b}
-                for ip, (a, b) in sorted(cor.per_level.items())
-            ],
-        }
-        _emit_json("check-torsion", _pair_inputs(pair), result)
-        return 0
-    print(f"geometry: {name}")
-    if inv.ok:
-        print("involutivity: PASS")
-    else:
-        tags = ", ".join(c.tag or _fmt_bd(c.out) for c in inv.violators)
-        print(f"involutivity: FAIL ({tags})")
-    print(f"part1: {'PASS' if cor.part1 else 'FAIL'} part2: {'PASS' if cor.part2 else 'FAIL'}")
-    return 0
+    result = {
+        "geometry": name,
+        "support": support_to_json(support),
+        "involutivity": {
+            "ok": inv.ok,
+            "violators": [c.tag or _fmt_bd(c.out) for c in inv.violators],
+        },
+        "part1": cor.part1,
+        "part2": cor.part2,
+        "per_level": [
+            {"i_prime": ip, "non_strict": a, "strict": b}
+            for ip, (a, b) in sorted(cor.per_level.items())
+        ],
+    }
+    verdict = result["involutivity"]
+    lines = [
+        f"geometry: {result['geometry']}",
+        "involutivity: PASS" if verdict["ok"]
+        else f"involutivity: FAIL ({', '.join(verdict['violators'])})",
+        f"part1: {'PASS' if result['part1'] else 'FAIL'} "
+        f"part2: {'PASS' if result['part2'] else 'FAIL'}",
+    ]
+    return _pair_inputs(pair), result, lines
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
     bg = bigrade(pair)
     bs = block_structure_from_pair(pair)
     comm = commutator_audit(bs, bg)
-    levels = sorted(bg.first_index_values())
-    p_plus_reports = {ip: p_plus_action_audit(bs, ip) for ip in levels}
-    total = (
-        len(comm.violations)
+    p_plus = {ip: p_plus_action_audit(bs, ip) for ip in sorted(bg.first_index_values())}
+    result = {
+        "violations": len(comm.violations)
         + len(comm.dim_mismatches)
-        + sum(len(r.violations) for r in p_plus_reports.values())
-    )
-    if args.json:
-        result = {
-            "violations": total,
-            "commutator": {
-                "pairs_checked": comm.pairs_checked,
-                "violations": list(comm.violations),
-                "dim_mismatches": list(comm.dim_mismatches),
-            },
-            "p_plus_raising": [
-                {
-                    "i_prime": ip,
-                    "pairs_checked": rep.pairs_checked,
-                    "violations": list(rep.violations),
-                }
-                for ip, rep in sorted(p_plus_reports.items())
-            ],
-        }
-        _emit_json("audit", _pair_inputs(pair), result)
-        return 3 if total else 0
-    print(
-        f"commutator audit: {comm.pairs_checked} pairs, "
-        f"{len(comm.violations)} violations, {len(comm.dim_mismatches)} dim mismatches"
-    )
-    for ip, rep in sorted(p_plus_reports.items()):
-        print(f"p_plus raising at i'={ip}: {rep.pairs_checked} pairs, {len(rep.violations)} violations")
-    print(f"{total} violations")
-    return 3 if total else 0
+        + sum(len(r.violations) for r in p_plus.values()),
+        "commutator": {
+            "pairs_checked": comm.pairs_checked,
+            "violations": list(comm.violations),
+            "dim_mismatches": list(comm.dim_mismatches),
+        },
+        "p_plus_raising": [
+            {"i_prime": ip, "pairs_checked": r.pairs_checked, "violations": list(r.violations)}
+            for ip, r in p_plus.items()
+        ],
+    }
+    c = result["commutator"]
+    lines = [
+        f"commutator audit: {c['pairs_checked']} pairs, "
+        f"{len(c['violations'])} violations, {len(c['dim_mismatches'])} dim mismatches"
+    ]
+    for r in result["p_plus_raising"]:
+        lines.append(
+            f"p_plus raising at i'={r['i_prime']}: {r['pairs_checked']} pairs, "
+            f"{len(r['violations'])} violations"
+        )
+    lines.append(f"{result['violations']} violations")
+    return _pair_inputs(pair), result, lines
 
 
-def _add_pair_options(sub, with_type: bool = True) -> None:
-    if with_type:
-        sub.add_argument("type", help="diagram type and rank, e.g. A4")
-    sub.add_argument("--sq", required=with_type, help="sigma_q nodes, e.g. 1,4")
-    sub.add_argument("--sp", required=with_type, help="sigma_p nodes, e.g. 1")
+def _add_pair_options(sub) -> None:
+    sub.add_argument("type", help="diagram type and rank, e.g. A4")
+    sub.add_argument("--sq", required=True, help="sigma_q nodes, e.g. 1,4")
+    sub.add_argument("--sp", required=True, help="sigma_p nodes, e.g. 1")
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
@@ -355,16 +311,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs, result, lines = args.func(args)
     except InternalCheckError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json:
+        report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+        print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False))
+    else:
+        print("\n".join(lines))
+    return 3 if result.get("violations") else 0
 
 
 if __name__ == "__main__":

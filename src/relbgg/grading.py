@@ -66,10 +66,6 @@ class Bigrading:
     pair: ParabolicPair
     components: dict[Bidegree, BigradedComponent]
 
-    @property
-    def rs(self) -> RootSystem:
-        return self.pair.rs
-
     def bidegrees(self) -> list[Bidegree]:
         return sorted(self.components)
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .grading import Bidegree, Bigrading, ParabolicPair
-from .roots import build_root_system
+from .roots import MAX_RANK, build_root_system
 
 
 def _valid_bidegree(bd: Bidegree) -> bool:
@@ -160,6 +160,18 @@ class Geometry:
     support: TorsionSupport
 
 
+def _catalog_root_system(kind: str, n: int):
+    """sl(n+2), the algebra of catalog ``kind(n)``; n runs over 1..MAX_RANK - 1."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > MAX_RANK - 1:
+        raise ValueError(
+            f"catalog {kind}({n}) needs n <= {MAX_RANK - 1}: "
+            f"sl(n+2) has rank n+1, above the supported maximum {MAX_RANK}"
+        )
+    return build_root_system("A", n + 1)
+
+
 def legendrean_catalog(n: int, assume_involutive_f: bool = False) -> Geometry:
     """Contact structure with two transverse rank-n integrable-candidate
     distributions E, F; blocks 1, n, 1 on sl(n+2).
@@ -169,9 +181,7 @@ def legendrean_catalog(n: int, assume_involutive_f: bool = False) -> Geometry:
     ``assume_involutive_f`` drops the F-obstruction, which is the hypothesis
     under which the relative directions integrate.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rs = build_root_system("A", n + 1)
+    rs = _catalog_root_system("legendrean", n)
     pair = ParabolicPair(rs=rs, sigma_q=frozenset({1, n + 1}), sigma_p=frozenset({1}))
     comps = {
         TorsionComponent(
@@ -203,9 +213,7 @@ def path_geometry_catalog(n: int) -> Geometry:
     direction, so it never touches a pair of relative directions; the other
     harmonic component is curvature and lands inside q.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rs = build_root_system("A", n + 1)
+    rs = _catalog_root_system("path-geometry", n)
     pair = ParabolicPair(rs=rs, sigma_q=frozenset({1, 2}), sigma_p=frozenset({1}))
     comps = frozenset(
         {

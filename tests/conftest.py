@@ -14,7 +14,7 @@ def pytest_addoption(parser):
         "--regen-golden",
         action="store_true",
         default=False,
-        help="rewrite the golden JSON files instead of comparing against them",
+        help="rewrite the golden files instead of comparing against them",
     )
 
 

@@ -158,6 +158,45 @@ def test_rank_above_cap_exits_two(capsys, argv):
     assert "above the supported maximum 32" in err
 
 
+@pytest.mark.parametrize("kind", ["legendrean", "path-geometry"])
+def test_catalog_above_cap_names_the_catalog(capsys, kind):
+    code, out, err = run_cli(capsys, "check-torsion", "--catalog", f"{kind}(32)")
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert f"catalog {kind}(32) needs n <= 31" in err
+    assert "above the supported maximum 32" in err
+
+
+def test_catalog_at_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "check-torsion", "--catalog", "legendrean(31)")
+    assert code == 0
+    assert out.startswith("geometry: legendrean(31)\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--catalog", "legendrean(3)", "--type", "A4"),
+        ("--catalog", "legendrean(3)", "--sq", "1"),
+        ("--catalog", "legendrean(3)", "--sp", ""),
+        ("--catalog", "legendrean(3)", "--support", "support.json"),
+        ("--catalog", "legendrean(31)", "--type", "A4", "--sq", "1", "--sp", "1",
+         "--support", "/nonexistent"),
+        ("--type", "A4", "--sq", "1,2", "--sp", "1", "--support", "support.json",
+         "--assume-involutive-F"),
+    ],
+)
+def test_conflicting_check_torsion_inputs_exit_two(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "support.json").write_text('{"components": []}')
+    monkeypatch.chdir(tmp_path)
+    for flag in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "check-torsion", *argv, *flag)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -219,6 +258,27 @@ def test_golden_ranks(capsys, golden):
 def test_golden_check_torsion(capsys, golden):
     _, out, _ = run_cli(capsys, "check-torsion", "--catalog", "legendrean(3)", "--json")
     golden("check_torsion_legendrean3.json", out)
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("filtration_a4_legendrean.json", ("filtration", "A4", "--sq", "1,4", "--sp", "1", "--json")),
+        ("audit_a4_legendrean.json", ("audit", "A4", "--sq", "1,4", "--sp", "1", "--json")),
+        ("bigrade_a4_legendrean.txt", ("bigrade", "A4", "--sq", "1,4", "--sp", "1")),
+        ("bigrade_b3.txt", ("bigrade", "B3", "--sq", "1,3", "--sp", "1")),
+        ("filtration_a4_legendrean.txt", ("filtration", "A4", "--sq", "1,4", "--sp", "1")),
+        ("ranks_path_a4.txt", ("ranks", "A4", "--sq", "1,2", "--sp", "1")),
+        ("ranks_a5_two_levels.txt", ("ranks", "A5", "--sq", "1,3,5", "--sp", "1,5")),
+        ("bgg_dual_standard.txt", ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1")),
+        ("check_torsion_legendrean3.txt", ("check-torsion", "--catalog", "legendrean(3)")),
+        ("audit_a4_legendrean.txt", ("audit", "A4", "--sq", "1,4", "--sp", "1")),
+    ],
+)
+def test_golden_reports(capsys, golden, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    golden(name, out)
 
 
 def test_bgg_json_payload(capsys):
