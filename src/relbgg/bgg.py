@@ -14,11 +14,10 @@ differential operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
-from .roots import Root, RootSystem, Weight, pairing, reflect, root_to_weight
+from .roots import Root, RootSystem, Weight, pairing, reflect
 
 
 class InternalCheckError(RuntimeError):
@@ -49,42 +48,8 @@ def _reflect_root_coords(
 class HasseDiagram:
     pair: ParabolicPair
     elements: tuple[WeylWord, ...]
-    connecting_roots: dict[int, Root]  # k -> beta with w_{k+1} = s_beta o w_k
+    connecting_roots: tuple[Root, ...]  # beta_k with w_{k+1} = s_beta o w_k; () off a chain
     is_chain: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-
-def _rho_shift(rs: RootSystem, w: WeylWord) -> tuple[int, ...]:
-    """w(rho) - rho in simple-root coordinates, via s_g w'(rho) - rho = s_g(x') - alpha_g."""
-    x = (0,) * rs.rank
-    for g in reversed(w.gens):
-        shifted = list(_reflect_root_coords(rs.cartan, g - 1, x))
-        shifted[g - 1] -= 1
-        x = tuple(shifted)
-    return x
-
-
-def _connecting_root(rs: RootSystem, wk: WeylWord, wk1: WeylWord) -> Root | None:
-    """Positive beta with w_{k+1} = s_beta o w_k, if one exists.
-
-    If w_{k+1} = s_beta w_k then w_k(rho) - w_{k+1}(rho) = n beta with
-    n = <w_k(rho), beta^vee>; rho is regular and roots are primitive, so
-    the converse test below is exact.
-    """
-    if wk1.length != wk.length + 1:
-        return None
-    xk = _rho_shift(rs, wk)
-    d = tuple(a - b for a, b in zip(xk, _rho_shift(rs, wk1)))
-    n = gcd(*d)
-    beta = tuple(c // n for c in d)
-    if not rs.is_root(beta) or not any(c > 0 for c in beta):
-        return None
-    root = Root(beta)
-    wk_rho = rs.rho + root_to_weight(rs, Root(xk))
-    return root if pairing(wk_rho, root, rs) == n else None
 
 
 def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
@@ -97,6 +62,12 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
     the elements w = v^{-1} with w^{-1}(alpha_j) positive for every node j
     outside sigma_q.  Elements are sorted by length, then lexicographically
     by word.
+
+    The diagram is a chain when it has one element per length.  Each word
+    then extends the previous one by one generator i (the peel below builds
+    every word from one a step shorter), so w_{k+1} = w_k s_i and the
+    connecting root is beta_k = w_k(alpha_i), positive because the length
+    goes up.  A diagram that is not a chain gets no connecting roots.
     """
     rs = pair.rs
     levi = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_p]
@@ -122,17 +93,18 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
                 break
     words = [WeylWord(tuple(reversed(v_words[nu]))) for nu in orbit]
     words.sort(key=lambda w: (w.length, w.gens))
-    connecting: dict[int, Root] = {}
-    for k in range(len(words) - 1):
-        beta = _connecting_root(rs, words[k], words[k + 1])
-        if beta is not None:
-            connecting[k] = beta
-    lengths = [w.length for w in words]
-    is_chain = lengths == list(range(len(words))) and len(connecting) == max(
-        len(words) - 1, 0
-    )
+    is_chain = [w.length for w in words] == list(range(len(words)))
+    connecting: list[Root] = []
+    if is_chain:
+        for wk, wk1 in zip(words, words[1:]):
+            beta = tuple(1 if j == wk1.gens[-1] else 0 for j in range(1, rs.rank + 1))
+            for g in reversed(wk.gens):
+                beta = _reflect_root_coords(rs.cartan, g - 1, beta)
+            if not rs.is_root(beta) or min(beta) < 0:
+                raise InternalCheckError(f"connecting root {beta} after {wk.gens} is not positive")
+            connecting.append(Root(beta))
     return HasseDiagram(
-        pair=pair, elements=tuple(words), connecting_roots=connecting, is_chain=is_chain
+        pair=pair, elements=tuple(words), connecting_roots=tuple(connecting), is_chain=is_chain
     )
 
 
@@ -160,9 +132,6 @@ class BGGEntry:
 class BGGSequence:
     source: DynkinLabel
     entries: tuple[BGGEntry, ...]
-
-    def orders(self) -> tuple[int, ...]:
-        return tuple(e.order_to_next for e in self.entries if e.order_to_next is not None)
 
 
 def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
@@ -197,7 +166,7 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
                 f"entry {k} produced the Q-invalid label {print_label(label)}"
             )
         order = None
-        if k in diagram.connecting_roots:
+        if k < len(diagram.connecting_roots):
             order = operator_order(coeffs, diagram.connecting_roots[k], rs)
         entries.append(BGGEntry(word=word, label=label, order_to_next=order))
     return BGGSequence(source=src, entries=tuple(entries))

@@ -186,8 +186,8 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
     else:
         if args.assume_involutive_f:
             raise ValueError("--assume-involutive-F applies only to --catalog")
-        if not (args.type and args.support):
-            raise ValueError("need either --catalog or --type/--sq/--sp with --support")
+        if any(v is None for v in (args.type, args.sq, args.sp, args.support)):
+            raise ValueError("need either --catalog or --type, --sq, --sp and --support")
         pair = _pair_from_args(args)
         with open(args.support, encoding="utf-8") as fh:
             support = support_from_json(json.load(fh))

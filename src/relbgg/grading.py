@@ -55,6 +55,11 @@ def sigma_height(root: Root, sigma: Iterable[int]) -> int:
     return sum(root.coeffs[i - 1] for i in sigma)
 
 
+def in_relative_range(bd: Bidegree) -> bool:
+    """Whether a bidegree is a relative tangent direction."""
+    return bd.i_prime == 0 and bd.i_dprime < 0
+
+
 def bidegree_of_root(pair: ParabolicPair, root: Root) -> Bidegree:
     hp = sigma_height(root, pair.sigma_p)
     hq = sigma_height(root, pair.sigma_q)
@@ -79,10 +84,6 @@ class Bigrading:
 
     def first_index_values(self) -> list[int]:
         return sorted({bd.i_prime for bd in self.components})
-
-    def dim_filtration_piece(self, i_prime: int) -> int:
-        """Dimension of the sum of all components with first index >= i_prime."""
-        return sum(c.dim for bd, c in self.components.items() if bd.i_prime >= i_prime)
 
 
 def bigrade(pair: ParabolicPair) -> Bigrading:
@@ -190,16 +191,15 @@ class RankReport:
 def tangent_ranks(bg: Bigrading) -> RankReport:
     if not bg.pair.sigma_p:
         raise ValueError("tangent ranks need a nonempty sigma_p (no relative directions otherwise)")
-    prof = subalgebra_profile(bg)
-    dim_q = prof["q"].dim
-    dim_m = bg.dim_g - dim_q
-    rank_t_rho = prof["p"].dim - dim_q
-    negatives = sorted(ip for ip in bg.first_index_values() if ip < 0)
-    ranks_t_p = {ip: bg.dim_filtration_piece(ip) - dim_q for ip in negatives}
-    ranks_v = {}
-    for ip in negatives:
-        above = rank_t_rho if ip + 1 == 0 else ranks_t_p[ip + 1]
-        ranks_v[ip] = ranks_t_p[ip] - above
+    levels: dict[int, int] = {}  # first index -> dim V_{i'}
+    for bd, comp in bg.components.items():
+        levels[bd.i_prime] = levels.get(bd.i_prime, 0) + comp.dim
+    ranks_v = {ip: levels[ip] for ip in sorted(levels) if ip < 0}
+    rank_t_rho = sum(c.dim for bd, c in bg.components.items() if in_relative_range(bd))
+    ranks_t_p = {ip: rank_t_rho + sum(r for j, r in ranks_v.items() if j >= ip) for ip in ranks_v}
+    # dim M comes from q directly, so the ranks above must telescope to it.
+    in_q = _SUBALGEBRA_PREDICATES["q"]
+    dim_m = bg.dim_g - sum(c.dim for bd, c in bg.components.items() if in_q(bd))
     return RankReport(
         dim_M=dim_m,
         rank_T_rho=rank_t_rho,

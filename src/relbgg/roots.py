@@ -37,10 +37,6 @@ class Root:
     def is_positive(self) -> bool:
         return any(c > 0 for c in self.coeffs)
 
-    def support(self) -> tuple[int, ...]:
-        """1-based indices of the nonzero coefficients."""
-        return tuple(i + 1 for i, c in enumerate(self.coeffs) if c != 0)
-
     def __neg__(self) -> Root:
         return Root(tuple(-c for c in self.coeffs))
 
@@ -89,11 +85,6 @@ class RootSystem:
 
     def is_root(self, coeffs: tuple[int, ...]) -> bool:
         return coeffs in self._root_coeff_set
-
-    def simple_root(self, i: int) -> Root:
-        """The i-th simple root (1-based)."""
-        self._check_node(i)
-        return Root(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .grading import Bidegree, Bigrading, ParabolicPair
+from .grading import Bidegree, Bigrading, ParabolicPair, in_relative_range
 from .roots import MAX_RANK, build_root_system
 
 
@@ -26,14 +26,12 @@ def _in_q(bd: Bidegree) -> bool:
     return bd.i_prime >= 0 and bd.i_dprime >= 0
 
 
-def in_relative_range(bd: Bidegree) -> bool:
-    """Whether a bidegree is a relative tangent direction."""
-    return bd.i_prime == 0 and bd.i_dprime < 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class TorsionComponent:
-    """One torsion (or curvature) component; the two inputs are unordered."""
+    """One torsion (or curvature) component; the two inputs are unordered.
+
+    Components sort by (in1, in2, out, tag), the order every report lists them in.
+    """
 
     in1: Bidegree
     in2: Bidegree
@@ -72,16 +70,7 @@ class TorsionSupport:
         object.__setattr__(self, "components", frozenset(self.components))
 
     def torsion_components(self) -> tuple[TorsionComponent, ...]:
-        return tuple(
-            sorted((c for c in self.components if c.is_torsion), key=lambda c: (c.in1, c.in2, c.out, c.tag))
-        )
-
-    def with_component(self, comp: TorsionComponent) -> TorsionSupport:
-        return TorsionSupport(
-            components=self.components | {comp},
-            geometry_tag=self.geometry_tag,
-            kappa_vanishes_on_relative_pair=None,
-        )
+        return tuple(sorted(c for c in self.components if c.is_torsion))
 
 
 @dataclass(frozen=True)
@@ -307,7 +296,7 @@ def support_to_json(ts: TorsionSupport) -> dict:
                 "out": list(c.out),
                 "tag": c.tag,
             }
-            for c in sorted(ts.components, key=lambda c: (c.in1, c.in2, c.out, c.tag))
+            for c in sorted(ts.components)
         ],
         "geometry_tag": ts.geometry_tag,
         "kappa_vanishes_on_relative_pair": ts.kappa_vanishes_on_relative_pair,

@@ -83,7 +83,7 @@ def test_criterion_1_dual_standard_sequence():
             (2, -5, 1, 0),
         ]
         assert all(e.label.crossed == {1, 2} for e in seq.entries)
-        assert seq.orders() == (2, 1, 1)
+        assert tuple(e.order_to_next for e in seq.entries[:-1]) == (2, 1, 1)
 
 
 def test_criterion_2_deformation_sequence_partial_exact():
@@ -91,7 +91,7 @@ def test_criterion_2_deformation_sequence_partial_exact():
         seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-3,0,1,0)"), path_pair())
         labels = [e.label.coeffs.coeffs for e in seq.entries]
         assert labels == [(-3, 0, 1, 0), (-2, -2, 2, 0), (0, -4, 0, 2), (1, -5, 0, 1)]
-        assert seq.orders() == (1, 2, 1)
+        assert tuple(e.order_to_next for e in seq.entries[:-1]) == (1, 2, 1)
 
 
 def test_criterion_3_symmetric_power_order_law():
@@ -99,7 +99,7 @@ def test_criterion_3_symmetric_power_order_law():
         for k in range(1, 7):
             src = parse_label(f"A4[x,o,o,o]({-2 * k},{k},0,0)")
             seq = relative_bgg_sequence(src, path_pair())
-            orders = seq.orders()
+            orders = tuple(e.order_to_next for e in seq.entries[:-1])
             assert orders[0] == k + 1, k
             assert all(o == 1 for o in orders[1:]), k
             assert seq.entries[1].label.coeffs.coeffs == (-k + 1, -k - 2, k + 1, 0)
@@ -115,11 +115,11 @@ def test_criterion_4_legendrean_line_bundle_shape():
             src = DynkinLabel(
                 rs=pair.rs, crossed=frozenset({1}), coeffs=Weight(tuple(coeffs))
             )
-            assert relative_hasse(pair).size == n + 1, n
+            assert len(relative_hasse(pair).elements) == n + 1, n
             seq = relative_bgg_sequence(src, pair)
             first = seq.entries[0].label
             assert all(c == 0 for _, c in first.uncrossed_coeffs()), n
-            orders = seq.orders()
+            orders = tuple(e.order_to_next for e in seq.entries[:-1])
             assert orders[0] == 2, n
             assert all(o == 1 for o in orders[1:]), n
 
@@ -250,13 +250,12 @@ def test_criterion_9d_torsion_monotonicity():
         bg = bigrade(legendrean_pair(4))
         for _ in range(_CASES):
             ts = _random_support(rng)
-            bigger = ts.with_component(
-                TorsionComponent(
-                    in1=rng.choice(_NEG_BIDEGREES),
-                    in2=rng.choice(_NEG_BIDEGREES),
-                    out=rng.choice(_OUT_BIDEGREES),
-                )
+            extra = TorsionComponent(
+                in1=rng.choice(_NEG_BIDEGREES),
+                in2=rng.choice(_NEG_BIDEGREES),
+                out=rng.choice(_OUT_BIDEGREES),
             )
+            bigger = TorsionSupport(components=ts.components | {extra})
             if involutivity_check(bigger).ok:
                 assert involutivity_check(ts).ok
             cor_small = corollary_33_check(ts, bg)

@@ -55,7 +55,7 @@ def test_path_hasse_words():
     hd = relative_hasse(path_pair())
     assert [w.gens for w in hd.elements] == [(), (2,), (2, 3), (2, 3, 4)]
     assert hd.is_chain
-    assert [hd.connecting_roots[k].coeffs for k in range(3)] == [
+    assert [b.coeffs for b in hd.connecting_roots] == [
         (0, 1, 0, 0),
         (0, 1, 1, 0),
         (0, 1, 1, 1),
@@ -71,32 +71,45 @@ def test_equal_sets_give_identity_diagram():
 def test_legendrean_hasse_sizes_and_lengths():
     hd = relative_hasse(legendrean_pair(2))
     assert [w.length for w in hd.elements] == [0, 1, 2]
-    assert hd.size == 3
+    assert len(hd.elements) == 3
 
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_legendrean_hasse_size_is_n_plus_one(n):
-    assert relative_hasse(legendrean_pair(n)).size == n + 1
+    assert len(relative_hasse(legendrean_pair(n)).elements) == n + 1
 
 
 def test_hasse_size_matches_coset_index():
     # |W_L| / |W_{L & q}| with L the Levi nodes of p
     hd = relative_hasse(path_pair())
-    assert hd.size == 24 // 6
+    assert len(hd.elements) == 24 // 6
 
 
 def test_rank_one_relative_directions_give_two_bundles():
     # sigma_q = {1,2}, sigma_p = {2}: a single operator in every sequence
     for n in range(2, 5):
         hd = relative_hasse(_pair(n + 1, {1, 2}, {2}))
-        assert hd.size == 2
+        assert len(hd.elements) == 2
+
+
+def test_broken_reflection_trips_connecting_root_guard(monkeypatch):
+    import relbgg.bgg as bgg
+
+    def flipped(cartan, i0, v):
+        k = sum(cartan[i0][j] * v[j] for j in range(len(v)))
+        return v[:i0] + (v[i0] + k,) + v[i0 + 1:]
+
+    monkeypatch.setattr(bgg, "_reflect_root_coords", flipped)
+    with pytest.raises(bgg.InternalCheckError, match="connecting root"):
+        relative_hasse(path_pair())
 
 
 def test_non_linear_diagram_detected():
     hd = relative_hasse(_pair(4, {1, 3}, {1}))
-    assert hd.size == 6
+    assert len(hd.elements) == 6
     assert [w.length for w in hd.elements] == [0, 1, 2, 2, 3, 4]
     assert not hd.is_chain
+    assert hd.connecting_roots == ()
 
 
 # -- shifted action ----------------------------------------------------------
@@ -133,7 +146,7 @@ def test_dual_standard_sequence():
         (1, -4, 1, 1),
         (2, -5, 1, 0),
     ]
-    assert seq.orders() == (2, 1, 1)
+    assert tuple(e.order_to_next for e in seq.entries[:-1]) == (2, 1, 1)
     assert all(e.label.crossed == {1, 2} for e in seq.entries)
 
 
@@ -151,7 +164,7 @@ def test_two_form_sequence_and_known_mismatch():
     seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-3,0,1,0)"), path_pair())
     labels = [e.label.coeffs.coeffs for e in seq.entries]
     assert labels[:3] == [(-3, 0, 1, 0), (-2, -2, 2, 0), (0, -4, 0, 2)]
-    assert seq.orders() == (1, 2, 1)
+    assert tuple(e.order_to_next for e in seq.entries[:-1]) == (1, 2, 1)
     assert labels[3] == (1, -5, 0, 1)
     assert labels[3][2:] == (0, 1)
 
@@ -160,7 +173,7 @@ def test_two_form_sequence_and_known_mismatch():
 def test_symmetric_power_order_law(k):
     src = parse_label(f"A4[x,o,o,o]({-2 * k},{k},0,0)")
     seq = relative_bgg_sequence(src, path_pair())
-    orders = seq.orders()
+    orders = tuple(e.order_to_next for e in seq.entries[:-1])
     assert orders[0] == k + 1
     assert set(orders[1:]) <= {1}
     assert seq.entries[1].label.coeffs.coeffs == (-k + 1, -k - 2, k + 1, 0)
@@ -177,7 +190,7 @@ def test_legendrean_line_bundle_sequence(n):
     assert len(seq.entries) == n + 1
     first = seq.entries[0].label
     assert all(c == 0 for _, c in first.uncrossed_coeffs())
-    orders = seq.orders()
+    orders = tuple(e.order_to_next for e in seq.entries[:-1])
     assert orders[0] == 2
     assert set(orders[1:]) == {1}
 
@@ -232,7 +245,7 @@ def test_sequence_entries_are_q_dominant_for_random_sources():
         marks = ",".join("x" if i in pair.sigma_p else "o" for i in range(1, rank + 1))
         src = parse_label(f"A{rank}[{marks}]({src_coeffs})")
         seq = relative_bgg_sequence(src, pair)
-        assert len(seq.entries) == relative_hasse(pair).size
+        assert len(seq.entries) == len(relative_hasse(pair).elements)
         for entry in seq.entries:
             assert all(c >= 0 for _, c in entry.label.uncrossed_coeffs())
 
@@ -246,7 +259,7 @@ def test_orders_match_source_coefficients():
         pair = _chain_pairs(rng)
         rs = pair.rs
         hd = relative_hasse(pair)
-        for k, beta in hd.connecting_roots.items():
+        for k, beta in enumerate(hd.connecting_roots):
             wk = hd.elements[k]
             back = beta.coeffs
             for g in wk.gens:  # w_k^{-1} applies the generators left to right
@@ -278,7 +291,7 @@ def _reference_hasse(pair):
     """
     rs = pair.rs
     levi = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_p]
-    identity = tuple(rs.simple_root(j).coeffs for j in range(1, rs.rank + 1))
+    identity = tuple(tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank))
 
     def times_simple(imgs, i):
         """Images under v s_i from those under v: v(a_j) - C[i][j] v(a_i)."""
@@ -334,14 +347,20 @@ def _nested_pairs(type_tag, rank):
 def test_hasse_matches_brute_force_reference():
     diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                 ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
-    checked = 0
+    checked = chains = 0
     for type_tag, rank in diagrams:
         for pair in _nested_pairs(type_tag, rank):
             hd = relative_hasse(pair)
             words, connecting, is_chain = _reference_hasse(pair)
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
             assert [w.gens for w in hd.elements] == words, where
-            assert {k: b.coeffs for k, b in hd.connecting_roots.items()} == connecting, where
             assert hd.is_chain == is_chain, where
+            if is_chain:
+                assert [b.coeffs for b in hd.connecting_roots] == list(connecting.values()), where
+                chains += 1
+            else:
+                # Off a chain the reference may still find roots between sort
+                # neighbours; the diagram carries none.
+                assert hd.connecting_roots == (), where
             checked += 1
-    assert checked == 300
+    assert (checked, chains) == (300, 186)

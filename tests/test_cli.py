@@ -185,6 +185,8 @@ def test_catalog_at_cap_runs(capsys):
          "--support", "/nonexistent"),
         ("--type", "A4", "--sq", "1,2", "--sp", "1", "--support", "support.json",
          "--assume-involutive-F"),
+        ("--type", "A4", "--support", "support.json"),
+        ("--type", "A4", "--sq", "1,2", "--support", "support.json"),
     ],
 )
 def test_conflicting_check_torsion_inputs_exit_two(capsys, tmp_path, monkeypatch, argv):

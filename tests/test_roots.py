@@ -79,7 +79,7 @@ def test_a3_contains_highest_root():
 def test_type_a_roots_are_contiguous_intervals(rank):
     rs = build_root_system("A", rank)
     for root in rs.positive_roots:
-        supp = root.support()
+        supp = tuple(i + 1 for i, c in enumerate(root.coeffs) if c)
         assert supp == tuple(range(supp[0], supp[-1] + 1))
         assert all(c in (0, 1) for c in root.coeffs)
 
@@ -122,8 +122,8 @@ def test_bad_construction_rejected():
 
 def test_root_to_weight_simple_roots():
     rs = build_root_system("A", 4)
-    assert root_to_weight(rs, rs.simple_root(2)) == Weight((-1, 2, -1, 0))
-    assert root_to_weight(rs, rs.simple_root(4)) == Weight((0, 0, -1, 2))
+    assert root_to_weight(rs, Root((0, 1, 0, 0))) == Weight((-1, 2, -1, 0))
+    assert root_to_weight(rs, Root((0, 0, 0, 1))) == Weight((0, 0, -1, 2))
 
 
 def test_root_to_weight_highest_root_a3():
@@ -179,9 +179,9 @@ def test_reflect_is_involution(rank, data):
 
 def test_pairing_worked_examples():
     rs = build_root_system("A", 4)
-    assert pairing(Weight((-1, 2, 1, 1)), rs.simple_root(2), rs) == 2
+    assert pairing(Weight((-1, 2, 1, 1)), Root((0, 1, 0, 0)), rs) == 2
     assert pairing(Weight((1, -2, 3, 1)), Root((0, 1, 1, 0)), rs) == 1
-    assert pairing(Weight((9, 0, 4, -3)), rs.simple_root(2), rs) == 0
+    assert pairing(Weight((9, 0, 4, -3)), Root((0, 1, 0, 0)), rs) == 0
 
 
 def test_pairing_rejects_non_roots():

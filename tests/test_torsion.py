@@ -132,7 +132,7 @@ def test_monotone_under_adding_components():
     bg = bigrade(legendrean_catalog(4).pair)
     for _ in range(300):
         ts = _random_support(rng)
-        bigger = ts.with_component(_random_component(rng))
+        bigger = TorsionSupport(components=ts.components | {_random_component(rng)})
         if involutivity_check(bigger).ok:
             assert involutivity_check(ts).ok
         cor_small = corollary_33_check(ts, bg)
