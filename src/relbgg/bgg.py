@@ -13,7 +13,7 @@ differential operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
@@ -24,8 +24,7 @@ class InternalCheckError(RuntimeError):
     """A structural invariant the engine guarantees was violated."""
 
 
-@dataclass(frozen=True)
-class WeylWord:
+class WeylWord(NamedTuple):
     """A reduced word in simple reflections; rightmost generator applied first."""
 
     gens: tuple[int, ...]
@@ -44,8 +43,7 @@ def _reflect_root_coords(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class HasseDiagram:
+class HasseDiagram(NamedTuple):
     pair: ParabolicPair
     elements: tuple[WeylWord, ...]
     connecting_roots: tuple[Root, ...]  # beta_k with w_{k+1} = s_beta o w_k; () off a chain
@@ -121,15 +119,13 @@ def operator_order(lambda_k: Weight, beta: Root, rs: RootSystem) -> int:
     return pairing(lambda_k + rs.rho, beta, rs)
 
 
-@dataclass(frozen=True)
-class BGGEntry:
+class BGGEntry(NamedTuple):
     word: WeylWord
     label: DynkinLabel
     order_to_next: int | None
 
 
-@dataclass(frozen=True)
-class BGGSequence:
+class BGGSequence(NamedTuple):
     source: DynkinLabel
     entries: tuple[BGGEntry, ...]
 

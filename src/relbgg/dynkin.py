@@ -10,8 +10,7 @@ role (P- or Q-representation) is a separate check.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .grading import ParabolicPair
 from .roots import RootSystem, Weight, build_root_system
@@ -23,20 +22,22 @@ _LABEL_RE = re.compile(
 Role = Literal["P", "Q"]
 
 
-@dataclass(frozen=True)
-class DynkinLabel:
+class _LabelFields(NamedTuple):
     rs: RootSystem
     crossed: frozenset[int]
     coeffs: Weight
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "crossed", frozenset(self.crossed))
+
+class DynkinLabel(_LabelFields):
+    __slots__ = ()
+
+    def __new__(cls, rs: RootSystem, crossed: Iterable[int], coeffs: Weight):
+        self = super().__new__(cls, rs, frozenset(crossed), coeffs)
         for i in self.crossed:
-            self.rs._check_node(i)
-        if len(self.coeffs.coeffs) != self.rs.rank:
-            raise ValueError(
-                f"{len(self.coeffs.coeffs)} coefficients for rank {self.rs.rank}"
-            )
+            rs._check_node(i)
+        if len(coeffs.coeffs) != rs.rank:
+            raise ValueError(f"{len(coeffs.coeffs)} coefficients for rank {rs.rank}")
+        return self
 
     def uncrossed_coeffs(self) -> tuple[tuple[int, int], ...]:
         """(node, coefficient) over the uncrossed nodes."""
@@ -73,8 +74,7 @@ def print_label(lbl: DynkinLabel) -> str:
     return f"{lbl.rs.type_tag}{lbl.rs.rank}[{marks}]({coeffs})"
 
 
-@dataclass(frozen=True)
-class LabelVerdict:
+class LabelVerdict(NamedTuple):
     ok: bool
     negative_uncrossed: tuple[int, ...]  # offending node indices
 

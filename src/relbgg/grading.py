@@ -9,7 +9,6 @@ tangent-bundle subquotient ranks) are pure functions of that decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .roots import Root, RootSystem
@@ -23,27 +22,29 @@ class Bidegree(NamedTuple):
         return Bidegree(-self.i_prime, -self.i_dprime)
 
 
-@dataclass(frozen=True)
-class ParabolicPair:
-    """Nested node sets sigma_p <= sigma_q inside 1..rank."""
-
+class _PairFields(NamedTuple):
     rs: RootSystem
     sigma_q: frozenset[int]
     sigma_p: frozenset[int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_q", frozenset(self.sigma_q))
-        object.__setattr__(self, "sigma_p", frozenset(self.sigma_p))
+
+class ParabolicPair(_PairFields):
+    """Nested node sets sigma_p <= sigma_q inside 1..rank."""
+
+    __slots__ = ()
+
+    def __new__(cls, rs: RootSystem, sigma_q: Iterable[int], sigma_p: Iterable[int]):
+        self = super().__new__(cls, rs, frozenset(sigma_q), frozenset(sigma_p))
         for i in self.sigma_q:
-            self.rs._check_node(i)
+            rs._check_node(i)
         if not self.sigma_p <= self.sigma_q:
             raise ValueError(
                 f"sigma_p {sorted(self.sigma_p)} is not contained in sigma_q {sorted(self.sigma_q)}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class BigradedComponent:
+class BigradedComponent(NamedTuple):
     degree: Bidegree
     roots: tuple[Root, ...]
     includes_cartan: bool
@@ -60,14 +61,18 @@ def in_relative_range(bd: Bidegree) -> bool:
     return bd.i_prime == 0 and bd.i_dprime < 0
 
 
+def in_q(bd: Bidegree) -> bool:
+    """Whether a bidegree lies in q (both indices >= 0)."""
+    return bd.i_prime >= 0 and bd.i_dprime >= 0
+
+
 def bidegree_of_root(pair: ParabolicPair, root: Root) -> Bidegree:
     hp = sigma_height(root, pair.sigma_p)
     hq = sigma_height(root, pair.sigma_q)
     return Bidegree(hp, hq - hp)
 
 
-@dataclass
-class Bigrading:
+class Bigrading(NamedTuple):
     pair: ParabolicPair
     components: dict[Bidegree, BigradedComponent]
 
@@ -108,8 +113,7 @@ def bigrade(pair: ParabolicPair) -> Bigrading:
     return Bigrading(pair=pair, components=components)
 
 
-@dataclass(frozen=True)
-class SubalgebraInfo:
+class SubalgebraInfo(NamedTuple):
     bidegrees: tuple[Bidegree, ...]
     dim: int
 
@@ -118,7 +122,7 @@ _SUBALGEBRA_PREDICATES = {
     "p": lambda bd: bd.i_prime >= 0,
     "p_plus": lambda bd: bd.i_prime > 0,
     "p_0": lambda bd: bd.i_prime == 0,
-    "q": lambda bd: bd.i_prime >= 0 and bd.i_dprime >= 0,
+    "q": in_q,
     "q_plus": lambda bd: bd.i_prime + bd.i_dprime > 0,
     "q_0": lambda bd: bd == (0, 0),
 }
@@ -133,8 +137,7 @@ def subalgebra_profile(bg: Bigrading) -> dict[str, SubalgebraInfo]:
     return out
 
 
-@dataclass(frozen=True)
-class ModuleDescriptor:
+class ModuleDescriptor(NamedTuple):
     """One graded module V_{i'} with its second-index filtration step dims."""
 
     i_prime: int
@@ -142,8 +145,7 @@ class ModuleDescriptor:
     filtration_steps: tuple[tuple[int, int], ...]  # (i'', dim of the image), i'' ascending
 
 
-@dataclass(frozen=True)
-class FiltrationReport:
+class FiltrationReport(NamedTuple):
     i_prime_range: tuple[int, ...]
     components: dict[int, tuple[Bidegree, ...]]  # i' -> bidegrees of the filtration piece
     modules: dict[int, ModuleDescriptor]
@@ -172,8 +174,7 @@ def filtration(bg: Bigrading) -> FiltrationReport:
     return FiltrationReport(i_prime_range=tuple(values), components=components, modules=modules)
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Ranks of the tangent-bundle subquotients attached to the pair.
 
     dim_M is the dimension of the underlying space g/q, rank_T_rho the rank
@@ -184,8 +185,8 @@ class RankReport:
 
     dim_M: int
     rank_T_rho: int
-    ranks_T_P: dict[int, int] = field(default_factory=dict)
-    ranks_V: dict[int, int] = field(default_factory=dict)
+    ranks_T_P: dict[int, int]
+    ranks_V: dict[int, int]
 
 
 def tangent_ranks(bg: Bigrading) -> RankReport:
@@ -198,7 +199,6 @@ def tangent_ranks(bg: Bigrading) -> RankReport:
     rank_t_rho = sum(c.dim for bd, c in bg.components.items() if in_relative_range(bd))
     ranks_t_p = {ip: rank_t_rho + sum(r for j, r in ranks_v.items() if j >= ip) for ip in ranks_v}
     # dim M comes from q directly, so the ranks above must telescope to it.
-    in_q = _SUBALGEBRA_PREDICATES["q"]
     dim_m = bg.dim_g - sum(c.dim for bd, c in bg.components.items() if in_q(bd))
     return RankReport(
         dim_M=dim_m,

@@ -15,16 +15,15 @@ indices; every basis element has at most two entries.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, groupby
+from typing import NamedTuple
 
 from .grading import Bidegree, Bigrading, ParabolicPair
 
 Matrix = dict[tuple[int, int], int]
 
 
-@dataclass(frozen=True)
-class BlockStructure:
+class BlockStructure(NamedTuple):
     """Eigenvalues of Z_p and Z_q on C^m for a nested pair on type A (0-based)."""
 
     z_p: tuple[int, ...]
@@ -105,8 +104,7 @@ def bracket(x: Matrix, y: Matrix) -> Matrix:
     return {k: c for k, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
     pairs_checked: int

@@ -13,25 +13,54 @@ Ranks above ``MAX_RANK`` are refused, so every accepted input is small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 MAX_RANK = 32
 
 
-@dataclass(frozen=True)
-class Root:
+class _Coeffs:
+    """An immutable integer vector, equal only to a vector of the same type."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return type(self), (self.coeffs,)
+
+
+class Root(_Coeffs):
     """A root in simple-root coordinates.
 
     Coefficients are all >= 0 (positive root) or all <= 0 (negative root);
     mixed signs are rejected.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(c > 0 for c in self.coeffs) and any(c < 0 for c in self.coeffs):
-            raise ValueError(f"mixed-sign coefficients do not form a root: {self.coeffs}")
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
+            raise ValueError(f"mixed-sign coefficients do not form a root: {coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def is_positive(self) -> bool:
@@ -41,11 +70,10 @@ class Root:
         return Root(tuple(-c for c in self.coeffs))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(_Coeffs):
     """A weight in fundamental-weight coordinates."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
     def __add__(self, other: Weight) -> Weight:
         if len(self.coeffs) != len(other.coeffs):
@@ -58,8 +86,16 @@ class Weight:
         return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class _RootSystemFields(NamedTuple):
+    type_tag: str
+    rank: int
+    cartan: tuple[tuple[int, ...], ...]
+    positive_roots: tuple[Root, ...]
+    rho: Weight
+    symmetrizer: tuple[int, ...]
+
+
+class RootSystem(_RootSystemFields):
     """A root system given by its Cartan matrix.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
@@ -67,15 +103,10 @@ class RootSystem:
     half-sum of the positive roots, i.e. the all-ones weight.
     ``symmetrizer`` holds the minimal positive integers d with
     d[i]*C[i][j] == d[j]*C[j][i]; d[i] is proportional to the squared length
-    of the i-th simple root, all ones in the simply-laced case.
+    of the i-th simple root, all ones in the simply-laced case.  The fields
+    are read-only; the instance keeps a ``__dict__`` only for the cached
+    root set below.
     """
-
-    type_tag: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    rho: Weight
-    symmetrizer: tuple[int, ...]
 
     @cached_property
     def _root_coeff_set(self) -> frozenset[tuple[int, ...]]:

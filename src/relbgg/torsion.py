@@ -12,9 +12,9 @@ The relative directions are exactly the bidegrees (0, i'') with i'' < 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .grading import Bidegree, Bigrading, ParabolicPair, in_relative_range
+from .grading import Bidegree, Bigrading, ParabolicPair, in_q, in_relative_range
 from .roots import MAX_RANK, build_root_system
 
 
@@ -22,59 +22,54 @@ def _valid_bidegree(bd: Bidegree) -> bool:
     return bd.i_prime * bd.i_dprime >= 0
 
 
-def _in_q(bd: Bidegree) -> bool:
-    return bd.i_prime >= 0 and bd.i_dprime >= 0
-
-
-@dataclass(frozen=True, order=True)
-class TorsionComponent:
-    """One torsion (or curvature) component; the two inputs are unordered.
-
-    Components sort by (in1, in2, out, tag), the order every report lists them in.
-    """
-
+class _ComponentFields(NamedTuple):
     in1: Bidegree
     in2: Bidegree
     out: Bidegree
     tag: str = ""
 
-    def __post_init__(self) -> None:
-        in1, in2 = sorted((Bidegree(*self.in1), Bidegree(*self.in2)))
-        object.__setattr__(self, "in1", in1)
-        object.__setattr__(self, "in2", in2)
-        object.__setattr__(self, "out", Bidegree(*self.out))
+
+class TorsionComponent(_ComponentFields):
+    """One torsion (or curvature) component; the two inputs are unordered.
+
+    Components sort by (in1, in2, out, tag), the order every report lists them in.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, in1: tuple[int, int], in2: tuple[int, int], out: tuple[int, int], tag: str = ""
+    ):
+        in1, in2 = sorted((Bidegree(*in1), Bidegree(*in2)))
+        self = super().__new__(cls, in1, in2, Bidegree(*out), tag)
         for bd in (self.in1, self.in2, self.out):
             if not _valid_bidegree(bd):
                 raise ValueError(f"mixed-sign bidegree {tuple(bd)}")
         for bd in (self.in1, self.in2):
-            if _in_q(bd):
+            if in_q(bd):
                 raise ValueError(
                     f"input bidegree {tuple(bd)} lies inside q and is not a tangent direction"
                 )
+        return self
 
     @property
     def is_torsion(self) -> bool:
         """False for curvature components whose output dies in the tangent projection."""
-        return not _in_q(self.out)
+        return not in_q(self.out)
 
 
-@dataclass(frozen=True)
-class TorsionSupport:
+class TorsionSupport(NamedTuple):
     components: frozenset[TorsionComponent]
     geometry_tag: str = ""
     # Asserted (never derived) by geometry catalogs: full curvature vanishes
     # on pairs of relative directions.  None means unknown.
     kappa_vanishes_on_relative_pair: bool | None = None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", frozenset(self.components))
-
     def torsion_components(self) -> tuple[TorsionComponent, ...]:
         return tuple(sorted(c for c in self.components if c.is_torsion))
 
 
-@dataclass(frozen=True)
-class TorsionVerdict:
+class TorsionVerdict(NamedTuple):
     ok: bool
     violators: tuple[TorsionComponent, ...]
 
@@ -111,8 +106,7 @@ def theorem_322_check(ts: TorsionSupport, i_prime: int, strict: bool = False) ->
     return TorsionVerdict(ok=not bad, violators=tuple(bad))
 
 
-@dataclass(frozen=True)
-class Corollary33Verdict:
+class Corollary33Verdict(NamedTuple):
     part1: bool  # graded leaf-space tangent pieces exist at every level
     part2: bool  # and parallel sections are exactly pullbacks
     involutivity: TorsionVerdict
@@ -140,8 +134,7 @@ def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
     )
 
 
-@dataclass(frozen=True)
-class Geometry:
+class Geometry(NamedTuple):
     """A named pair plus the torsion support of its harmonic curvature."""
 
     name: str

@@ -312,7 +312,10 @@ def test_module_entry_point():
 
 def test_cli_import_pulls_in_no_numpy():
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    check = "for m in ('numpy', 'fractions', 'decimal'): assert m not in sys.modules, m"
+    check = (
+        "for m in ('numpy', 'fractions', 'decimal', 'dataclasses', 'inspect'):"
+        " assert m not in sys.modules, m"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", f"import relbgg.cli, sys\n{check}"],
         capture_output=True,
