@@ -34,19 +34,30 @@ class WeylWord(NamedTuple):
         return len(self.gens)
 
 
-def _reflect_root_coords(
-    cartan: tuple[tuple[int, ...], ...], i0: int, v: tuple[int, ...]
-) -> tuple[int, ...]:
-    k = sum(cartan[i0][j] * v[j] for j in range(len(v)))
-    out = list(v)
-    out[i0] -= k
-    return tuple(out)
+# Largest relative Hasse diagram walked; B15 with sigma_q = {1, 15} and
+# sigma_p = {1} has 16,384 elements and takes about half a second.
+MAX_HASSE_ELEMENTS = 20_000
+
+
+def hasse_size(pair: ParabolicPair) -> int:
+    """Number of elements of the relative Hasse diagram, |W_L| / |W_{L & q}|.
+
+    By Macdonald's product |W| = prod over positive roots of (ht + 1) / ht,
+    this is the product over the roots of the Levi of p (support outside
+    sigma_p) that are not roots of the Levi of q (support meets sigma_q).
+    """
+    num = den = 1
+    for root in pair.rs.positive_roots:
+        support = {i for i, c in enumerate(root.coeffs, 1) if c}
+        if support & pair.sigma_q and not support & pair.sigma_p:
+            height = sum(root.coeffs)
+            num, den = num * (height + 1), den * height
+    return num // den
 
 
 class HasseDiagram(NamedTuple):
     pair: ParabolicPair
     elements: tuple[WeylWord, ...]
-    connecting_roots: tuple[Root, ...]  # beta_k with w_{k+1} = s_beta o w_k; () off a chain
     is_chain: bool
 
 
@@ -63,10 +74,17 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
 
     The diagram is a chain when it has one element per length.  Each word
     then extends the previous one by one generator i (the peel below builds
-    every word from one a step shorter), so w_{k+1} = w_k s_i and the
-    connecting root is beta_k = w_k(alpha_i), positive because the length
-    goes up.  A diagram that is not a chain gets no connecting roots.
+    every word from one a step shorter), so w_{k+1} = w_k s_i.
+
+    The size |W_L| / |W_{L & q}| is known in closed form before the walk;
+    diagrams above ``MAX_HASSE_ELEMENTS`` are refused with ValueError.
     """
+    size = hasse_size(pair)
+    if size > MAX_HASSE_ELEMENTS:
+        raise ValueError(
+            f"the relative Hasse diagram has {size} elements, "
+            f"above the supported maximum {MAX_HASSE_ELEMENTS}"
+        )
     rs = pair.rs
     levi = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_p]
     relative = pair.sigma_q - pair.sigma_p
@@ -92,18 +110,7 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
     words = [WeylWord(tuple(reversed(v_words[nu]))) for nu in orbit]
     words.sort(key=lambda w: (w.length, w.gens))
     is_chain = [w.length for w in words] == list(range(len(words)))
-    connecting: list[Root] = []
-    if is_chain:
-        for wk, wk1 in zip(words, words[1:]):
-            beta = tuple(1 if j == wk1.gens[-1] else 0 for j in range(1, rs.rank + 1))
-            for g in reversed(wk.gens):
-                beta = _reflect_root_coords(rs.cartan, g - 1, beta)
-            if not rs.is_root(beta) or min(beta) < 0:
-                raise InternalCheckError(f"connecting root {beta} after {wk.gens} is not positive")
-            connecting.append(Root(beta))
-    return HasseDiagram(
-        pair=pair, elements=tuple(words), connecting_roots=tuple(connecting), is_chain=is_chain
-    )
+    return HasseDiagram(pair=pair, elements=tuple(words), is_chain=is_chain)
 
 
 def affine_act(w: WeylWord, lam: Weight, rs: RootSystem) -> Weight:
@@ -134,8 +141,9 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
     """The sequence shape generated by a dominant P-representation label.
 
     Entry k carries the shifted action of the k-th Hasse word on the source
-    weight, crossed at sigma_q; the order to the next entry pairs the
-    current weight (rho-shifted) with the connecting root.
+    weight, crossed at sigma_q.  The order to the next entry is
+    <lambda_k + rho, beta_k^vee> along the connecting root beta_k = w_k(alpha_i),
+    where w_{k+1} = w_k s_i.
     """
     rs = pair.rs
     if (src.rs.type_tag, src.rs.rank) != (rs.type_tag, rs.rank):
@@ -152,8 +160,12 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             "the relative Hasse diagram is not linear for this pair; "
             "a single sequence shape is not defined"
         )
+    ends = [w.gens[-1] for w in diagram.elements[1:]]  # w_{k+1} = w_k s_i
+    simples = [Root(tuple(int(j == i) for j in range(1, rs.rank + 1))) for i in ends]
+    # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>.
+    orders = [operator_order(src.coeffs, alpha, rs) for alpha in simples] + [None]
     entries = []
-    for k, word in enumerate(diagram.elements):
+    for k, (word, order) in enumerate(zip(diagram.elements, orders)):
         coeffs = affine_act(word, src.coeffs, rs)
         label = DynkinLabel(rs=rs, crossed=pair.sigma_q, coeffs=coeffs)
         q_verdict = validate_label(label, "Q", pair)
@@ -161,8 +173,5 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             raise InternalCheckError(
                 f"entry {k} produced the Q-invalid label {print_label(label)}"
             )
-        order = None
-        if k < len(diagram.connecting_roots):
-            order = operator_order(coeffs, diagram.connecting_roots[k], rs)
         entries.append(BGGEntry(word=word, label=label, order_to_next=order))
     return BGGSequence(source=src, entries=tuple(entries))

@@ -6,15 +6,14 @@ matching the usual Dynkin-diagram numbering.
 
 Type A is the fully supported case; the B/C/D constructors are provided as
 extensions and go through the same generic machinery: positive roots come
-from a walk up from the simple roots by simple reflections, and pairings use
-the symmetrizer that the Cartan matrix construction writes alongside it.
+from a walk up from the simple roots by simple reflections, and a coroot
+pairing walks the root back down to a simple root, using Weyl invariance.
 Ranks above ``MAX_RANK`` are refused, so every accepted input is small.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 MAX_RANK = 32
 
@@ -62,10 +61,6 @@ class Root(_Coeffs):
             raise ValueError(f"mixed-sign coefficients do not form a root: {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def is_positive(self) -> bool:
-        return any(c > 0 for c in self.coeffs)
-
     def __neg__(self) -> Root:
         return Root(tuple(-c for c in self.coeffs))
 
@@ -92,7 +87,6 @@ class _RootSystemFields(NamedTuple):
     cartan: tuple[tuple[int, ...], ...]
     positive_roots: tuple[Root, ...]
     rho: Weight
-    symmetrizer: tuple[int, ...]
 
 
 class RootSystem(_RootSystemFields):
@@ -100,32 +94,18 @@ class RootSystem(_RootSystemFields):
 
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
     simple coroot (0-based storage for 1-based nodes).  ``rho`` is the
-    half-sum of the positive roots, i.e. the all-ones weight.
-    ``symmetrizer`` holds the minimal positive integers d with
-    d[i]*C[i][j] == d[j]*C[j][i]; d[i] is proportional to the squared length
-    of the i-th simple root, all ones in the simply-laced case.  The fields
-    are read-only; the instance keeps a ``__dict__`` only for the cached
-    root set below.
+    half-sum of the positive roots, i.e. the all-ones weight.  The fields are
+    read-only and there is no instance ``__dict__``.
     """
 
-    @cached_property
-    def _root_coeff_set(self) -> frozenset[tuple[int, ...]]:
-        pos = {r.coeffs for r in self.positive_roots}
-        neg = {tuple(-c for c in cs) for cs in pos}
-        return frozenset(pos | neg)
-
-    def is_root(self, coeffs: tuple[int, ...]) -> bool:
-        return coeffs in self._root_coeff_set
+    __slots__ = ()
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise ValueError(f"node index {i} out of range 1..{self.rank}")
 
 
-def _cartan_matrix(
-    type_tag: str, rank: int
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The Cartan matrix and its symmetrizer (see ``RootSystem``)."""
+def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if rank > MAX_RANK:
@@ -142,7 +122,6 @@ def _cartan_matrix(
         raise ValueError(f"unsupported type tag {type_tag!r}")
 
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    d = [1] * rank
 
     def join(i: int, j: int) -> None:
         c[i][j] = -1
@@ -158,11 +137,26 @@ def _cartan_matrix(
             join(i, i + 1)
         if type_tag == "B":
             c[rank - 1][rank - 2] = -2  # last simple root short
-            d = [2] * (rank - 1) + [1]
         elif type_tag == "C":
             c[rank - 2][rank - 1] = -2  # last simple root long
-            d[rank - 1] = 2
-    return tuple(tuple(row) for row in c), tuple(d)
+    return tuple(tuple(row) for row in c)
+
+
+def _sparse_rows(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
+    """The nonzero entries (j, C[i][j]) of each Cartan row i."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+
+
+def _reflections(
+    rows: list[list[tuple[int, int]]], c: tuple[int, ...], sign: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(i, s_i c) for each 0-based node i where k = <c, alpha_i^vee> has the
+    given sign, with s_i c = c - k alpha_i in simple-root coordinates and
+    ``rows`` from ``_sparse_rows``: sign 1 lowers c and sign -1 raises it."""
+    for i, row in enumerate(rows):
+        k = sum(a * c[j] for j, a in row)
+        if k * sign > 0:
+            yield i, c[:i] + (c[i] - k,) + c[i + 1:]
 
 
 def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -174,17 +168,14 @@ def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple
     reaches them all.
     """
     rank = len(cartan)
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    rows = _sparse_rows(cartan)
     found = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
     seen = set(found)
     for c in found:
-        for i, row in enumerate(rows):
-            k = sum(a * c[j] for j, a in row)
-            if k < 0:
-                t = c[:i] + (c[i] - k,) + c[i + 1:]
-                if t not in seen:
-                    seen.add(t)
-                    found.append(t)
+        for _, t in _reflections(rows, c, -1):
+            if t not in seen:
+                seen.add(t)
+                found.append(t)
     return sorted(found, key=lambda t: (sum(t), t))
 
 
@@ -194,7 +185,7 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     Type A is the primary supported family; B, C and D are accepted
     extensions (B/C need rank >= 2, D needs rank >= 3).
     """
-    cartan, symmetrizer = _cartan_matrix(type_tag, rank)
+    cartan = _cartan_matrix(type_tag, rank)
     positive = tuple(Root(c) for c in _enumerate_positive_roots(cartan))
     return RootSystem(
         type_tag=type_tag,
@@ -202,7 +193,6 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
         cartan=cartan,
         positive_roots=positive,
         rho=Weight((1,) * rank),
-        symmetrizer=symmetrizer,
     )
 
 
@@ -230,24 +220,20 @@ def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
 def pairing(w: Weight, root: Root, rs: RootSystem) -> int:
     """Pairing <w, beta^vee> of a weight against the coroot of a positive root.
 
-    Computed as sum_i w[i]*c[i]*d[i] divided by the half squared length of
-    beta; in type A this reduces to the sum of w over the support of beta.
+    Simple reflections keep the pairing, so beta and w are reflected together
+    at a node i with <beta, alpha_i^vee> > 0, which lowers the height, until
+    beta is a simple root alpha_j; the pairing is then w[j].  Reflections map
+    non-roots to non-roots, so a vector that is not a positive root never
+    ends on a simple root and is refused.
     """
     if len(w.coeffs) != rs.rank or len(root.coeffs) != rs.rank:
         raise ValueError("length does not match rank")
-    if not root.is_positive or not rs.is_root(root.coeffs):
-        raise ValueError(f"{root.coeffs} is not a positive root of {rs.type_tag}{rs.rank}")
-    d = rs.symmetrizer
+    rows = _sparse_rows(rs.cartan)
     c = root.coeffs
-    num = sum(w.coeffs[i] * c[i] * d[i] for i in range(rs.rank))
-    twice_len = sum(
-        c[i] * d[i] * sum(rs.cartan[i][j] * c[j] for j in range(rs.rank))
-        for i in range(rs.rank)
-    )
-    if twice_len <= 0 or twice_len % 2:
-        raise ArithmeticError(f"bad squared length {twice_len} for root {c}")
-    half = twice_len // 2
-    q, r = divmod(num, half)
-    if r:
-        raise ArithmeticError(f"non-integral coroot pairing for root {c}")
-    return q
+    while not (c.count(0) == rs.rank - 1 and 1 in c):
+        step = next(_reflections(rows, c, 1), None)
+        if step is None:
+            raise ValueError(f"{root.coeffs} is not a positive root of {rs.type_tag}{rs.rank}")
+        i, c = step
+        w = reflect(rs, i + 1, w)
+    return w.coeffs[c.index(1)]

@@ -61,9 +61,6 @@ class TorsionComponent(_ComponentFields):
 class TorsionSupport(NamedTuple):
     components: frozenset[TorsionComponent]
     geometry_tag: str = ""
-    # Asserted (never derived) by geometry catalogs: full curvature vanishes
-    # on pairs of relative directions.  None means unknown.
-    kappa_vanishes_on_relative_pair: bool | None = None
 
     def torsion_components(self) -> tuple[TorsionComponent, ...]:
         return tuple(sorted(c for c in self.components if c.is_torsion))
@@ -182,7 +179,6 @@ def legendrean_catalog(n: int, assume_involutive_f: bool = False) -> Geometry:
     support = TorsionSupport(
         components=frozenset(comps),
         geometry_tag=f"legendrean({n})" + (" involutive-F" if assume_involutive_f else ""),
-        kappa_vanishes_on_relative_pair=True if assume_involutive_f else None,
     )
     return Geometry(name=f"legendrean({n})", pair=pair, support=support)
 
@@ -213,11 +209,7 @@ def path_geometry_catalog(n: int) -> Geometry:
             ),
         }
     )
-    support = TorsionSupport(
-        components=comps,
-        geometry_tag=f"path-geometry({n})",
-        kappa_vanishes_on_relative_pair=True,
-    )
+    support = TorsionSupport(components=comps, geometry_tag=f"path-geometry({n})")
     return Geometry(name=f"path-geometry({n})", pair=pair, support=support)
 
 
@@ -257,9 +249,6 @@ def support_from_json(data) -> TorsionSupport:
     geometry_tag = data.get("geometry_tag", "")
     if not isinstance(geometry_tag, str):
         raise ValueError("support 'geometry_tag' must be a string")
-    kappa = data.get("kappa_vanishes_on_relative_pair")
-    if kappa is not None and not isinstance(kappa, bool):
-        raise ValueError("support 'kappa_vanishes_on_relative_pair' must be true, false or null")
     comps = set()
     for k, c in enumerate(components):
         if not isinstance(c, dict):
@@ -273,11 +262,7 @@ def support_from_json(data) -> TorsionSupport:
         if not isinstance(tag, str):
             raise ValueError(f"support component {k} has a non-string tag")
         comps.add(TorsionComponent(**bidegrees, tag=tag))
-    return TorsionSupport(
-        components=frozenset(comps),
-        geometry_tag=geometry_tag,
-        kappa_vanishes_on_relative_pair=kappa,
-    )
+    return TorsionSupport(components=frozenset(comps), geometry_tag=geometry_tag)
 
 
 def support_to_json(ts: TorsionSupport) -> dict:
@@ -292,5 +277,4 @@ def support_to_json(ts: TorsionSupport) -> dict:
             for c in sorted(ts.components)
         ],
         "geometry_tag": ts.geometry_tag,
-        "kappa_vanishes_on_relative_pair": ts.kappa_vanishes_on_relative_pair,
     }

@@ -10,6 +10,7 @@ import itertools
 import random
 
 import pytest
+from test_roots import pairing_reference
 
 from relbgg import (
     ParabolicPair,
@@ -19,12 +20,12 @@ from relbgg import (
     affine_act,
     build_root_system,
     operator_order,
-    pairing,
     parse_label,
     relative_bgg_sequence,
     relative_hasse,
     root_to_weight,
 )
+from relbgg.bgg import MAX_HASSE_ELEMENTS, hasse_size
 
 
 def _pair(rank, sq, sp, type_tag="A"):
@@ -41,6 +42,18 @@ def _reflect_root(rs, i, v):
     return tuple(out)
 
 
+def _connecting_roots(hd):
+    """beta_k = w_k(alpha_i) with w_{k+1} = w_k s_i, along a chain."""
+    rs = hd.pair.rs
+    roots = []
+    for wk, wk1 in zip(hd.elements, hd.elements[1:]):
+        beta = tuple(int(j == wk1.gens[-1]) for j in range(1, rs.rank + 1))
+        for g in reversed(wk.gens):
+            beta = _reflect_root(rs, g, beta)
+        roots.append(beta)
+    return roots
+
+
 def path_pair(n=3):
     return _pair(n + 1, {1, 2}, {1})
 
@@ -55,7 +68,7 @@ def test_path_hasse_words():
     hd = relative_hasse(path_pair())
     assert [w.gens for w in hd.elements] == [(), (2,), (2, 3), (2, 3, 4)]
     assert hd.is_chain
-    assert [b.coeffs for b in hd.connecting_roots] == [
+    assert _connecting_roots(hd) == [
         (0, 1, 0, 0),
         (0, 1, 1, 0),
         (0, 1, 1, 1),
@@ -92,24 +105,11 @@ def test_rank_one_relative_directions_give_two_bundles():
         assert len(hd.elements) == 2
 
 
-def test_broken_reflection_trips_connecting_root_guard(monkeypatch):
-    import relbgg.bgg as bgg
-
-    def flipped(cartan, i0, v):
-        k = sum(cartan[i0][j] * v[j] for j in range(len(v)))
-        return v[:i0] + (v[i0] + k,) + v[i0 + 1:]
-
-    monkeypatch.setattr(bgg, "_reflect_root_coords", flipped)
-    with pytest.raises(bgg.InternalCheckError, match="connecting root"):
-        relative_hasse(path_pair())
-
-
 def test_non_linear_diagram_detected():
     hd = relative_hasse(_pair(4, {1, 3}, {1}))
     assert len(hd.elements) == 6
     assert [w.length for w in hd.elements] == [0, 1, 2, 2, 3, 4]
     assert not hd.is_chain
-    assert hd.connecting_roots == ()
 
 
 # -- shifted action ----------------------------------------------------------
@@ -259,9 +259,9 @@ def test_orders_match_source_coefficients():
         pair = _chain_pairs(rng)
         rs = pair.rs
         hd = relative_hasse(pair)
-        for k, beta in enumerate(hd.connecting_roots):
+        for k, beta in enumerate(_connecting_roots(hd)):
             wk = hd.elements[k]
-            back = beta.coeffs
+            back = beta
             for g in wk.gens:  # w_k^{-1} applies the generators left to right
                 back = _reflect_root(rs, g, back)
             assert sum(back) == 1 and all(c in (0, 1) for c in back)
@@ -269,7 +269,7 @@ def test_orders_match_source_coefficients():
             assert j not in pair.sigma_p
             lam = Weight(tuple(rng.randint(0, 5) for _ in range(rs.rank)))
             lam_k = affine_act(wk, lam, rs)
-            assert operator_order(lam_k, beta, rs) == lam.coeffs[j - 1] + 1
+            assert operator_order(lam_k, Root(beta), rs) == lam.coeffs[j - 1] + 1
 
 
 def test_operator_order_direct():
@@ -302,7 +302,7 @@ def _reference_hasse(pair):
         )
 
     def s_beta(beta, v):
-        n = pairing(root_to_weight(rs, Root(v)), beta, rs)
+        n = pairing_reference(root_to_weight(rs, Root(v)).coeffs, beta.coeffs, rs.cartan)
         return tuple(a - n * b for a, b in zip(v, beta.coeffs))
 
     seen = {identity: ()}
@@ -344,9 +344,22 @@ def _nested_pairs(type_tag, rank):
             yield _pair(rank, sq, sp, type_tag)
 
 
+def _p_dominant_source(pair, rng):
+    """A seeded label crossed at sigma_p, >= 0 at the other nodes."""
+    rs = pair.rs
+    nodes = range(1, rs.rank + 1)
+    coeffs = [rng.randint(-4, 4) if i in pair.sigma_p else rng.randint(0, 4) for i in nodes]
+    marks = ",".join("x" if i in pair.sigma_p else "o" for i in nodes)
+    return parse_label(f"{rs.type_tag}{rs.rank}[{marks}]({','.join(map(str, coeffs))})")
+
+
 def test_hasse_matches_brute_force_reference():
+    """Words and chain shape against exhaustion; on chains every order equals
+    <lambda_k + rho, beta_k^vee> with beta_k the reference's connecting root
+    and the pairing of the symmetrized-form reference."""
     diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                 ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
+    rng = random.Random(47)
     checked = chains = 0
     for type_tag, rank in diagrams:
         for pair in _nested_pairs(type_tag, rank):
@@ -356,11 +369,33 @@ def test_hasse_matches_brute_force_reference():
             assert [w.gens for w in hd.elements] == words, where
             assert hd.is_chain == is_chain, where
             if is_chain:
-                assert [b.coeffs for b in hd.connecting_roots] == list(connecting.values()), where
+                assert _connecting_roots(hd) == list(connecting.values()), where
+                seq = relative_bgg_sequence(_p_dominant_source(pair, rng), pair)
+                rho = pair.rs.rho.coeffs
+                for k, entry in enumerate(seq.entries[:-1]):
+                    lam_rho = tuple(a + b for a, b in zip(entry.label.coeffs.coeffs, rho))
+                    want = pairing_reference(lam_rho, connecting[k], pair.rs.cartan)
+                    assert entry.order_to_next == want, (where, k)
+                assert seq.entries[-1].order_to_next is None
                 chains += 1
-            else:
-                # Off a chain the reference may still find roots between sort
-                # neighbours; the diagram carries none.
-                assert hd.connecting_roots == (), where
             checked += 1
     assert (checked, chains) == (300, 186)
+
+
+def test_hasse_size_closed_form_matches_walk():
+    diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+                ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("D", 5)]
+    checked = 0
+    for type_tag, rank in diagrams:
+        for pair in _nested_pairs(type_tag, rank):
+            where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
+            assert hasse_size(pair) == len(relative_hasse(pair).elements), where
+            checked += 1
+    assert checked == 948
+
+
+def test_hasse_size_cap_boundary():
+    assert hasse_size(_pair(15, {1, 15}, {1}, "B")) == 2**14 <= MAX_HASSE_ELEMENTS
+    assert hasse_size(_pair(16, {1, 16}, {1}, "B")) == 2**15 > MAX_HASSE_ELEMENTS
+    assert hasse_size(_pair(6, range(1, 7), (), "D")) == 2**5 * 720
+    assert hasse_size(_pair(5, {5}, (), "C")) == 2**5

@@ -158,6 +158,19 @@ def test_rank_above_cap_exits_two(capsys, argv):
     assert "above the supported maximum 32" in err
 
 
+def test_huge_hasse_diagram_exits_two_up_front(capsys):
+    label = "B18[x" + ",o" * 17 + "](0" + ",0" * 17 + ")"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "bgg", label, "--sq", "1,18", "--sp", "1")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: the relative Hasse diagram has 131072 elements, "
+        "above the supported maximum 20000\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["legendrean", "path-geometry"])
 def test_catalog_above_cap_names_the_catalog(capsys, kind):
     code, out, err = run_cli(capsys, "check-torsion", "--catalog", f"{kind}(32)")

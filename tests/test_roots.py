@@ -3,14 +3,20 @@
 Core claims:
     - positive-root counts match the closed forms for types A, B, C, D
     - the reflection walk yields exactly the root-chain closure, in order
-    - the symmetrizer is minimal, positive and symmetrizes the Cartan matrix
+    - every Cartan matrix is symmetrized by the minimal positive integers d
+      of the test-side reference (d[i] is half the squared length of alpha_i)
+    - pairing, a walk down to a simple root, equals the symmetrized-form
+      formula 2(w, beta)/(beta, beta) of the reference on every positive root
     - every positive root of A_r has contiguous all-ones support
     - basis changes and reflections reproduce hand-computed values
     - simple reflections are involutions on arbitrary integer weights
     - pairing(root_to_weight(beta), beta) = 2 for every positive root
+    - a RootSystem is frozen: no attribute can be set and it has no __dict__
 """
 
-from math import gcd
+import random
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +59,38 @@ def root_chain_reference(cartan):
                         nxt.append(t)
         frontier = nxt
     return sorted(found, key=lambda t: (sum(t), t))
+
+
+def symmetrizer_reference(cartan):
+    """The minimal positive integers d with d[i]*C[i][j] == d[j]*C[j][i],
+    propagated along the (connected) Dynkin diagram: d[j] = d[i]*C[i][j]/C[j][i].
+    d[i] is half the squared length of alpha_i in the normalised invariant form."""
+    rank = len(cartan)
+    d = [Fraction(1)] + [Fraction(0)] * (rank - 1)
+    todo = [0]
+    for i in todo:
+        for j in range(rank):
+            if cartan[i][j] and not d[j]:
+                d[j] = d[i] * cartan[i][j] / cartan[j][i]
+                todo.append(j)
+    scaled = [int(x * lcm(*(y.denominator for y in d))) for x in d]
+    return tuple(x // gcd(*scaled) for x in scaled)
+
+
+def pairing_reference(w, beta, cartan):
+    """<w, beta^vee> = 2(w, beta)/(beta, beta) in the invariant form given by
+    the symmetrizer: (omega_i, alpha_j) = d[i] if i == j else 0 and
+    (alpha_i, alpha_j) = d[i]*C[i][j].  ``w`` is in fundamental-weight and
+    ``beta`` in simple-root coordinates, both plain tuples."""
+    d = symmetrizer_reference(cartan)
+    rank = len(cartan)
+    num = sum(w[i] * beta[i] * d[i] for i in range(rank))
+    twice_len = sum(
+        beta[i] * d[i] * cartan[i][j] * beta[j] for i in range(rank) for j in range(rank)
+    )
+    q, r = divmod(2 * num, twice_len)
+    assert twice_len > 0 and r == 0, (w, beta)
+    return q
 
 
 # -- construction ------------------------------------------------------------
@@ -190,6 +228,13 @@ def test_pairing_rejects_non_roots():
         pairing(Weight((1, 1, 1, 1)), Root((1, 0, 1, 0)), rs)
     with pytest.raises(ValueError):
         pairing(Weight((1, 1, 1, 1)), Root((-1, 0, 0, 0)), rs)
+    # zero, non-roots and negative roots in every type; (0, 1, 2) is a root of B3 only
+    for tag, coeffs in [("A", (0, 0, 0)), ("A", (2, 0, 0)), ("A", (1, 2, 1)),
+                        ("B", (0, 2, 1)), ("B", (1, 2, 3)), ("C", (0, 1, 2)),
+                        ("C", (-1, -2, -1)), ("D", (1, 2, 2)), ("D", (0, 0, -1))]:
+        rs = build_root_system(tag, 3)
+        with pytest.raises(ValueError, match="not a positive root"):
+            pairing(Weight((1, 1, 1)), Root(coeffs), rs)
 
 
 @pytest.mark.parametrize(
@@ -202,21 +247,47 @@ def test_pairing_of_root_with_itself_is_two(tag, rank):
 
 
 def test_symmetrizer_values():
-    assert build_root_system("A", 4).symmetrizer == (1, 1, 1, 1)
-    assert build_root_system("B", 3).symmetrizer == (2, 2, 1)
-    assert build_root_system("C", 3).symmetrizer == (1, 1, 2)
-    assert build_root_system("D", 4).symmetrizer == (1, 1, 1, 1)
-    assert build_root_system("B", 2).symmetrizer == (2, 1)
-    assert build_root_system("C", 2).symmetrizer == (1, 2)
+    def d(tag, rank):
+        return symmetrizer_reference(build_root_system(tag, rank).cartan)
+
+    assert d("A", 4) == (1, 1, 1, 1)
+    assert d("B", 3) == (2, 2, 1)
+    assert d("C", 3) == (1, 1, 2)
+    assert d("D", 4) == (1, 1, 1, 1)
+    assert d("B", 2) == (2, 1)
+    assert d("C", 2) == (1, 2)
 
 
 def test_symmetrizer_symmetrizes_every_cartan_matrix():
     for tag, lo in ALL_TYPES:
         for rank in range(lo, 25):
-            rs = build_root_system(tag, rank)
-            d, c = rs.symmetrizer, rs.cartan
+            c = build_root_system(tag, rank).cartan
+            d = symmetrizer_reference(c)
             assert len(d) == rank and all(x > 0 for x in d)
             assert gcd(*d) == 1
             for i in range(rank):
                 for j in range(rank):
                     assert d[i] * c[i][j] == d[j] * c[j][i], (tag, rank, i, j)
+
+
+@pytest.mark.parametrize(
+    "tag,rank", [(tag, n) for tag, lo in ALL_TYPES for n in range(lo, 9)]
+)
+def test_pairing_matches_symmetrizer_reference(tag, rank):
+    rs = build_root_system(tag, rank)
+    rng = random.Random(f"pairing:{tag}{rank}")
+    for beta in rs.positive_roots:
+        for _ in range(3):
+            w = tuple(rng.randint(-9, 9) for _ in range(rank))
+            assert pairing(Weight(w), beta, rs) == pairing_reference(w, beta.coeffs, rs.cartan)
+
+
+# -- immutability ------------------------------------------------------------
+
+def test_root_system_is_frozen():
+    rs = build_root_system("B", 3)
+    assert not hasattr(rs, "__dict__")
+    for name in (*rs._fields, "symmetrizer", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rs, name, None)
+    assert rs == build_root_system("B", 3)

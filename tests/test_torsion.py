@@ -32,7 +32,6 @@ def test_legendrean_involutive_f_passes():
     assert involutivity_check(geom.support).ok
     cor = corollary_33_check(geom.support, bigrade(geom.pair))
     assert cor.part1 and cor.part2
-    assert geom.support.kappa_vanishes_on_relative_pair is True
 
 
 def test_legendrean_full_support_fails_both_parts():
@@ -100,6 +99,14 @@ def test_support_json_round_trip():
     data = support_to_json(support)
     again = support_from_json(data)
     assert again.components == support.components
+    assert sorted(data) == ["components", "geometry_tag"]
+
+
+def test_support_json_with_retired_kappa_key_is_accepted():
+    data = support_to_json(legendrean_catalog(3, assume_involutive_f=True).support)
+    for kappa in (True, False, None):
+        again = support_from_json({**data, "kappa_vanishes_on_relative_pair": kappa})
+        assert support_to_json(again) == data
 
 
 # -- randomized structure ----------------------------------------------------
