@@ -105,6 +105,21 @@ def test_rank_one_relative_directions_give_two_bundles():
         assert len(hd.elements) == 2
 
 
+def test_broken_shifted_action_trips_q_validity_guard(monkeypatch):
+    import relbgg.bgg as bgg
+
+    def wrong_order(w, lam, rs):  # w's letters applied left to right
+        mu = lam + rs.rho
+        for g in w.gens:
+            mu = bgg.reflect(rs, g, mu)
+        return mu - rs.rho
+
+    monkeypatch.setattr(bgg, "affine_act", wrong_order)
+    src = parse_label("A4[x,o,o,o](-2,1,0,0)")
+    with pytest.raises(bgg.InternalCheckError, match="entry 2 produced the Q-invalid label"):
+        relative_bgg_sequence(src, path_pair())
+
+
 def test_non_linear_diagram_detected():
     hd = relative_hasse(_pair(4, {1, 3}, {1}))
     assert len(hd.elements) == 6
