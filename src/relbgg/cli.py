@@ -2,7 +2,9 @@
 
 Each ``cmd_*`` builds one result dict and returns ``(inputs, result, text
 lines)``, the lines read from that result; ``main`` prints the JSON report
-under ``--json`` and the lines otherwise.
+under ``--json`` and the lines otherwise.  The argument parser is built
+once per process and reused by every ``main`` call; parsing keeps no state
+between calls.
 
 Exit codes: 0 success, 2 bad input, 3 a violated internal invariant
 (a failed audit or an inconsistency the library guarantees against).
@@ -11,6 +13,7 @@ Exit codes: 0 success, 2 bad input, 3 a violated internal invariant
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -260,6 +263,7 @@ def _add_pair_options(sub) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relbgg",

@@ -13,7 +13,7 @@ Ranks above ``MAX_RANK`` are refused, so every accepted input is small.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 MAX_RANK = 32
 
@@ -57,7 +57,7 @@ class Root(_Coeffs):
     __slots__ = ()
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
-        if any(c > 0 for c in coeffs) and any(c < 0 for c in coeffs):
+        if coeffs and min(coeffs) < 0 < max(coeffs):
             raise ValueError(f"mixed-sign coefficients do not form a root: {coeffs}")
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -142,21 +142,20 @@ def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _sparse_rows(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
-    """The nonzero entries (j, C[i][j]) of each Cartan row i."""
-    return [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+def _sparse_columns(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
+    """The nonzero entries (m, C[m][i]) of each Cartan column i, at most
+    four: alpha_i in fundamental-weight coordinates."""
+    return [[(m, row[i]) for m, row in enumerate(cartan) if row[i]] for i in range(len(cartan))]
 
 
-def _reflections(
-    rows: list[list[tuple[int, int]]], c: tuple[int, ...], sign: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(i, s_i c) for each 0-based node i where k = <c, alpha_i^vee> has the
-    given sign, with s_i c = c - k alpha_i in simple-root coordinates and
-    ``rows`` from ``_sparse_rows``: sign 1 lowers c and sign -1 raises it."""
-    for i, row in enumerate(rows):
-        k = sum(a * c[j] for j, a in row)
-        if k * sign > 0:
-            yield i, c[:i] + (c[i] - k,) + c[i + 1:]
+def _reflect_coords(cols: list[list[tuple[int, int]]], i: int, v: tuple[int, ...]) -> tuple[int, ...]:
+    """s_i v = v - v[i] alpha_i for v in fundamental-weight coordinates, with
+    ``cols`` from ``_sparse_columns`` and i 0-based."""
+    k = v[i]
+    out = list(v)
+    for m, a in cols[i]:
+        out[m] -= k * a
+    return tuple(out)
 
 
 def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
@@ -165,18 +164,22 @@ def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple
     A positive root beta that is not simple has k = <beta, alpha_i^vee> > 0
     for some i, and s_i beta = beta - k alpha_i is a lower positive root.  So
     reflecting every root found at each node where its pairing is negative
-    reaches them all.
+    reaches them all.  Each root c travels with its pairings p, which are c in
+    fundamental-weight coordinates, so ``_reflect_coords`` updates them.
     """
     rank = len(cartan)
-    rows = _sparse_rows(cartan)
-    found = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen = set(found)
-    for c in found:
-        for _, t in _reflections(rows, c, -1):
-            if t not in seen:
-                seen.add(t)
-                found.append(t)
-    return sorted(found, key=lambda t: (sum(t), t))
+    cols = _sparse_columns(cartan)
+    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    walk = list(zip(simples, zip(*cartan)))
+    seen = set(simples)
+    for c, p in walk:
+        for i, k in enumerate(p):
+            if k < 0:
+                t = c[:i] + (c[i] - k,) + c[i + 1:]
+                if t not in seen:
+                    seen.add(t)
+                    walk.append((t, _reflect_coords(cols, i, p)))
+    return sorted(seen, key=lambda t: (sum(t), t))
 
 
 def build_root_system(type_tag: str, rank: int) -> RootSystem:
@@ -228,12 +231,13 @@ def pairing(w: Weight, root: Root, rs: RootSystem) -> int:
     """
     if len(w.coeffs) != rs.rank or len(root.coeffs) != rs.rank:
         raise ValueError("length does not match rank")
-    rows = _sparse_rows(rs.cartan)
-    c = root.coeffs
+    cols = _sparse_columns(rs.cartan)
+    c, p, v = root.coeffs, root_to_weight(rs, root).coeffs, w.coeffs
     while not (c.count(0) == rs.rank - 1 and 1 in c):
-        step = next(_reflections(rows, c, 1), None)
-        if step is None:
+        i = next((i for i, k in enumerate(p) if k > 0), None)
+        if i is None:
             raise ValueError(f"{root.coeffs} is not a positive root of {rs.type_tag}{rs.rank}")
-        i, c = step
-        w = reflect(rs, i + 1, w)
-    return w.coeffs[c.index(1)]
+        c = c[:i] + (c[i] - p[i],) + c[i + 1:]
+        p = _reflect_coords(cols, i, p)
+        v = _reflect_coords(cols, i, v)
+    return v[c.index(1)]

@@ -1,5 +1,6 @@
 """Command-line behavior: output lines, JSON determinism, exit codes."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -9,7 +10,9 @@ import time
 
 import pytest
 
-from relbgg.cli import main
+from relbgg.cli import build_parser, main
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -275,21 +278,27 @@ def test_golden_check_torsion(capsys, golden):
     golden("check_torsion_legendrean3.json", out)
 
 
-@pytest.mark.parametrize(
-    "name, argv",
-    [
-        ("filtration_a4_legendrean.json", ("filtration", "A4", "--sq", "1,4", "--sp", "1", "--json")),
-        ("audit_a4_legendrean.json", ("audit", "A4", "--sq", "1,4", "--sp", "1", "--json")),
-        ("bigrade_a4_legendrean.txt", ("bigrade", "A4", "--sq", "1,4", "--sp", "1")),
-        ("bigrade_b3.txt", ("bigrade", "B3", "--sq", "1,3", "--sp", "1")),
-        ("filtration_a4_legendrean.txt", ("filtration", "A4", "--sq", "1,4", "--sp", "1")),
-        ("ranks_path_a4.txt", ("ranks", "A4", "--sq", "1,2", "--sp", "1")),
-        ("ranks_a5_two_levels.txt", ("ranks", "A5", "--sq", "1,3,5", "--sp", "1,5")),
-        ("bgg_dual_standard.txt", ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1")),
-        ("check_torsion_legendrean3.txt", ("check-torsion", "--catalog", "legendrean(3)")),
-        ("audit_a4_legendrean.txt", ("audit", "A4", "--sq", "1,4", "--sp", "1")),
-    ],
-)
+GOLDEN_REPORTS = [
+    ("filtration_a4_legendrean.json", ("filtration", "A4", "--sq", "1,4", "--sp", "1", "--json")),
+    ("audit_a4_legendrean.json", ("audit", "A4", "--sq", "1,4", "--sp", "1", "--json")),
+    ("bigrade_a4_legendrean.txt", ("bigrade", "A4", "--sq", "1,4", "--sp", "1")),
+    ("bigrade_b3.txt", ("bigrade", "B3", "--sq", "1,3", "--sp", "1")),
+    ("filtration_a4_legendrean.txt", ("filtration", "A4", "--sq", "1,4", "--sp", "1")),
+    ("ranks_path_a4.txt", ("ranks", "A4", "--sq", "1,2", "--sp", "1")),
+    ("ranks_a5_two_levels.txt", ("ranks", "A5", "--sq", "1,3,5", "--sp", "1,5")),
+    ("bgg_dual_standard.txt", ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1")),
+    ("check_torsion_legendrean3.txt", ("check-torsion", "--catalog", "legendrean(3)")),
+    ("audit_a4_legendrean.txt", ("audit", "A4", "--sq", "1,4", "--sp", "1")),
+]
+GOLDEN_JSON = [
+    ("bigrade_a4_legendrean.json", ("bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")),
+    ("bgg_dual_standard.json", ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1", "--json")),
+    ("ranks_path_a4.json", ("ranks", "A4", "--sq", "1,2", "--sp", "1", "--json")),
+    ("check_torsion_legendrean3.json", ("check-torsion", "--catalog", "legendrean(3)", "--json")),
+]
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_REPORTS)
 def test_golden_reports(capsys, golden, name, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
@@ -309,6 +318,48 @@ def test_bgg_json_payload(capsys):
         "A4[x,x,o,o](2,-5,1,0)",
     ]
     assert [e["order_to_next"] for e in entries] == [2, 1, 1, None]
+
+
+# -- one parser per process ----------------------------------------------------
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    build_parser.cache_clear()
+    for code, argv in [
+        (0, ("ranks", "A4", "--sq", "1,2", "--sp", "1")),
+        (0, ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1", "--json")),
+        (0, ("check-torsion", "--catalog", "legendrean(3)")),
+        (2, ("bigrade", "A4", "--sq", "1", "--sp", "2")),
+        (0, ("ranks", "A4", "--sq", "1,2", "--sp", "1")),
+    ]:
+        assert run_cli(capsys, *argv)[0] == code, argv
+    with pytest.raises(SystemExit):
+        main(["filtration", "A4", "--sq", "1,4"])
+    # the top-level parser and each of the six subparsers, built once
+    assert built.count("relbgg") == 1
+    assert len(built) == len(set(built)) == 7
+
+
+def test_golden_replay_in_one_process_is_byte_identical(capsys, golden):
+    runs = GOLDEN_REPORTS + GOLDEN_JSON
+    assert sorted(name for name, _ in runs) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    for order, sequence in enumerate((runs, runs[::-1])):
+        for name, argv in sequence:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), name
+            golden(name, out)
+        if order == 0:
+            with pytest.raises(SystemExit) as exc:
+                main(["bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2"])
+            assert exc.value.code == 2
+            assert "--sp" in capsys.readouterr().err
 
 
 # -- misc ---------------------------------------------------------------------

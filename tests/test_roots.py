@@ -3,6 +3,8 @@
 Core claims:
     - positive-root counts match the closed forms for types A, B, C, D
     - the reflection walk yields exactly the root-chain closure, in order
+    - carrying pairings through the walk keeps the order of the row-sum walk
+      that recomputes them, for every type up to rank MAX_RANK
     - every Cartan matrix is symmetrized by the minimal positive integers d
       of the test-side reference (d[i] is half the squared length of alpha_i)
     - pairing, a walk down to a simple root, equals the symmetrized-form
@@ -58,6 +60,25 @@ def root_chain_reference(cartan):
                         found.add(t)
                         nxt.append(t)
         frontier = nxt
+    return sorted(found, key=lambda t: (sum(t), t))
+
+
+def row_sum_walk_reference(cartan):
+    """Positive roots by the reflection walk that recomputes every pairing
+    <c, alpha_i^vee> as a Cartan row sum (the previous walk, kept as the
+    reference for the one that carries pairings through each reflection)."""
+    rank = len(cartan)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    found = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    seen = set(found)
+    for c in found:
+        for i, row in enumerate(rows):
+            k = sum(a * c[j] for j, a in row)
+            if k < 0:
+                t = c[:i] + (c[i] - k,) + c[i + 1:]
+                if t not in seen:
+                    seen.add(t)
+                    found.append(t)
     return sorted(found, key=lambda t: (sum(t), t))
 
 
@@ -138,6 +159,13 @@ def test_other_type_root_counts(tag, rank, count):
 def test_walk_matches_root_chain_reference(tag, rank):
     rs = build_root_system(tag, rank)
     assert [r.coeffs for r in rs.positive_roots] == root_chain_reference(rs.cartan)
+
+
+@pytest.mark.parametrize("tag,lo", ALL_TYPES)
+def test_walk_matches_row_sum_walk_up_to_rank_cap(tag, lo):
+    for rank in range(lo, MAX_RANK + 1):
+        rs = build_root_system(tag, rank)
+        assert [r.coeffs for r in rs.positive_roots] == row_sum_walk_reference(rs.cartan), rank
 
 
 def test_rank_cap():
