@@ -35,13 +35,7 @@ from .grading import (
     subalgebra_profile,
     tangent_ranks,
 )
-from .oracle import (
-    BlockStructure,
-    OracleReport,
-    block_structure_from_pair,
-    commutator_audit,
-    p_plus_action_audit,
-)
+from .oracle import BlockStructure, OracleReport, block_structure_from_pair, commutator_audit
 from .roots import (
     Root,
     RootSystem,
@@ -105,7 +99,6 @@ __all__ = [
     "involutivity_check",
     "legendrean_catalog",
     "operator_order",
-    "p_plus_action_audit",
     "pairing",
     "parse_label",
     "path_geometry_catalog",

@@ -22,7 +22,7 @@ from . import __version__
 from .bgg import InternalCheckError, relative_bgg_sequence
 from .dynkin import parse_label, print_label
 from .grading import ParabolicPair, bigrade, filtration, subalgebra_profile, tangent_ranks
-from .oracle import block_structure_from_pair, commutator_audit, p_plus_action_audit
+from .oracle import block_structure_from_pair, commutator_audit
 from .roots import build_root_system
 from .torsion import catalog, corollary_33_check, support_from_json, support_to_json
 
@@ -193,7 +193,11 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
             raise ValueError("need either --catalog or --type, --sq, --sp and --support")
         pair = _pair_from_args(args)
         with open(args.support, encoding="utf-8") as fh:
-            support = support_from_json(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"support JSON {args.support!r} is nested too deeply") from None
+        support = support_from_json(data)
         name = support.geometry_tag or "custom"
     cor = corollary_33_check(support, bigrade(pair))
     inv = cor.involutivity
@@ -224,35 +228,21 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
 
 def cmd_audit(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
-    bg = bigrade(pair)
-    bs = block_structure_from_pair(pair)
-    comm = commutator_audit(bs, bg)
-    p_plus = {ip: p_plus_action_audit(bs, ip) for ip in sorted(bg.first_index_values())}
+    comm = commutator_audit(block_structure_from_pair(pair), bigrade(pair))
     result = {
-        "violations": len(comm.violations)
-        + len(comm.dim_mismatches)
-        + sum(len(r.violations) for r in p_plus.values()),
+        "violations": len(comm.violations) + len(comm.dim_mismatches),
         "commutator": {
             "pairs_checked": comm.pairs_checked,
             "violations": list(comm.violations),
             "dim_mismatches": list(comm.dim_mismatches),
         },
-        "p_plus_raising": [
-            {"i_prime": ip, "pairs_checked": r.pairs_checked, "violations": list(r.violations)}
-            for ip, r in p_plus.items()
-        ],
     }
     c = result["commutator"]
     lines = [
         f"commutator audit: {c['pairs_checked']} pairs, "
-        f"{len(c['violations'])} violations, {len(c['dim_mismatches'])} dim mismatches"
+        f"{len(c['violations'])} violations, {len(c['dim_mismatches'])} dim mismatches",
+        f"{result['violations']} violations",
     ]
-    for r in result["p_plus_raising"]:
-        lines.append(
-            f"p_plus raising at i'={r['i_prime']}: {r['pairs_checked']} pairs, "
-            f"{len(r['violations'])} violations"
-        )
-    lines.append(f"{result['violations']} violations")
     return _pair_inputs(pair), result, lines
 
 

@@ -108,7 +108,7 @@ class OracleReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
     pairs_checked: int
-    dim_mismatches: tuple[str, ...] = ()
+    dim_mismatches: tuple[str, ...]
 
 
 def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
@@ -118,7 +118,8 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     sigma_q-heights z_u - z_w equal to those summed from the inputs'
     bidegrees, i.e. [Z, [X, Y]] = deg * [X, Y] for Z_p and Z_q.
     Component dimensions of the root picture are compared with the counts of
-    basis elements per bidegree as well.
+    basis elements per bidegree as well.  Nilradical raising follows: with
+    X in p_plus, [X, Y] sits at first index i'(X) + i'(Y) > i'(Y).
     """
     mats, bidegs, names = basis_with_bidegrees(bs)
     zp, zq = bs.z_p, bs.z_q
@@ -143,29 +144,4 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
         violations=tuple(violations),
         pairs_checked=len(names) ** 2,
         dim_mismatches=tuple(mismatches),
-    )
-
-
-def p_plus_action_audit(bs: BlockStructure, i_prime: int) -> OracleReport:
-    """Check that bracketing with the nilradical raises the first index.
-
-    For every basis element X with first index > 0 and Y with first index
-    >= i_prime (including the Cartan when i_prime <= 0), each nonzero entry
-    (u, w) of [X, Y] must have first index z_u - z_w >= i_prime + 1; a
-    vacuous pass when the bound exceeds every block index.
-    """
-    mats, bidegs, names = basis_with_bidegrees(bs)
-    left = [a for a, bd in enumerate(bidegs) if bd.i_prime > 0]
-    right = [b for b, bd in enumerate(bidegs) if bd.i_prime >= i_prime]
-    z = bs.z_p
-    violations = tuple(
-        f"[{names[a]},{names[b]}]"
-        for a in left
-        for b in right
-        if any(z[u] - z[w] <= i_prime for u, w in bracket(mats[a], mats[b]))
-    )
-    return OracleReport(
-        ok=not violations,
-        violations=violations,
-        pairs_checked=len(left) * len(right),
     )

@@ -110,7 +110,9 @@ def test_check_torsion_custom_support(capsys, tmp_path):
 def test_audit_reports_zero_violations(capsys):
     code, out, _ = run_cli(capsys, "audit", "A4", "--sq", "1,4", "--sp", "1")
     assert code == 0
-    assert "0 violations" in out
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[-1] == "0 violations"
 
 
 def test_filtration_lines(capsys):
@@ -229,6 +231,7 @@ def test_conflicting_check_torsion_inputs_exit_two(capsys, tmp_path, monkeypatch
         '{"components": [{"in1": [-1, 0.5], "in2": [-1, 0], "out": [0, -1]}]}',
         '{"components": [{"in1": [-1, 0], "in2": [-1, 0], "out": [0, -1], "tag": 7}]}',
         '{"components": [], "geometry_tag": ["x"]}',
+        pytest.param("[" * 100_000 + "]" * 100_000, id="deeply-nested"),
     ],
 )
 def test_malformed_support_exits_two(capsys, tmp_path, text):

@@ -12,7 +12,6 @@ from relbgg import (
     block_structure_from_pair,
     build_root_system,
     commutator_audit,
-    p_plus_action_audit,
 )
 from relbgg import oracle
 from relbgg.oracle import basis_with_bidegrees, bracket
@@ -103,19 +102,6 @@ def test_commutator_audit_clean_on_a4(sq, sp):
     assert rep.dim_mismatches == ()
 
 
-def test_p_plus_raising_on_examples():
-    for sq, sp in (({1, 4}, {1}), ({1, 2}, {1})):
-        pair = _pair(4, sq, sp)
-        bs = block_structure_from_pair(pair)
-        bg = bigrade(pair)
-        for ip in bg.first_index_values():
-            assert p_plus_action_audit(bs, ip).ok
-        # past the top of the filtration the check is vacuous
-        top = max(bg.first_index_values())
-        rep = p_plus_action_audit(bs, top + 1)
-        assert rep.ok
-
-
 def test_dim_agreement_exhaustive_small_ranks():
     for rank in range(1, 5):
         for pair in all_pairs(rank):
@@ -173,7 +159,24 @@ def test_wrong_bracket_is_caught(monkeypatch):
     # [E12, E23] = E13 has degree (1, 0); its transpose E31 has (-1, 0)
     assert rep.violations[0] == "[E[1,2],E[2,3]]"
     assert "[E[1,2],E[2,1]]" not in rep.violations  # diagonal results are degree (0, 0) both ways
-    assert not p_plus_action_audit(bs, -1).ok
+
+
+def test_negated_second_index_is_caught(monkeypatch):
+    """A block bidegree with i'' negated keeps every first index, so only the
+    commutator audit can see it: [E12, E23] = E13 no longer sums, and the
+    per-bidegree counts no longer match the roots."""
+    pair = _pair(4, {1, 4}, {1})
+    bidegree = oracle.BlockStructure.bidegree
+
+    def negated(self, u, w):
+        bd = bidegree(self, u, w)
+        return Bidegree(bd.i_prime, -bd.i_dprime)
+
+    monkeypatch.setattr(oracle.BlockStructure, "bidegree", negated)
+    rep = commutator_audit(block_structure_from_pair(pair), bigrade(pair))
+    assert not rep.ok
+    assert rep.violations
+    assert rep.dim_mismatches
 
 
 def test_mismatched_grading_is_caught():
