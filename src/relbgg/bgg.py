@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
-from .grading import ParabolicPair
-from .roots import Root, RootSystem, Weight, pairing, reflect
+from .grading import ParabolicPair, sigma_height
+from .roots import Root, RootSystem, Weight, _reflect_coords, _sparse_columns, pairing, reflect
 
 
 class InternalCheckError(RuntimeError):
@@ -48,8 +48,7 @@ def hasse_size(pair: ParabolicPair) -> int:
     """
     num = den = 1
     for root in pair.rs.positive_roots:
-        support = {i for i, c in enumerate(root.coeffs, 1) if c}
-        if support & pair.sigma_q and not support & pair.sigma_p:
+        if sigma_height(root, pair.sigma_q) > 0 and sigma_height(root, pair.sigma_p) == 0:
             height = sum(root.coeffs)
             num, den = num * (height + 1), den * height
     return num // den
@@ -66,18 +65,20 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
 
     Walks the orbit of mu = sum of omega_j over sigma_q minus sigma_p under
     the Weyl group of the Levi of p (nodes outside sigma_p), reflecting at a
-    Levi node only where the weight is positive.  The stabilizer of mu is
-    generated by the nodes outside sigma_q, so orbit points nu = v(mu) match
-    the elements w = v^{-1} with w^{-1}(alpha_j) positive for every node j
-    outside sigma_q.  Elements are sorted by length, then lexicographically
-    by word.
+    Levi node only where the weight is positive, which lengthens v by one.
+    The stabilizer of mu is generated by the nodes outside sigma_q, so orbit
+    points nu = v(mu) match the elements w = v^{-1} with w^{-1}(alpha_j)
+    positive for every node j outside sigma_q.  The walk goes by length, so
+    each shorter word is final when it proposes (i,) + word to s_i nu, and a
+    point keeps the smallest proposal: the lexicographically first reduced
+    word of v.  Elements are sorted by length, then by word.
 
     The diagram is a chain when it has one element per length.  Each word
-    then extends the previous one by one generator i (the peel below builds
-    every word from one a step shorter), so w_{k+1} = w_k s_i.
+    then extends the previous one by one generator i, so w_{k+1} = w_k s_i.
 
     The size |W_L| / |W_{L & q}| is known in closed form before the walk;
-    diagrams above ``MAX_HASSE_ELEMENTS`` are refused with ValueError.
+    diagrams above ``MAX_HASSE_ELEMENTS`` are refused with ValueError, and a
+    walk of another size raises InternalCheckError.
     """
     size = hasse_size(pair)
     if size > MAX_HASSE_ELEMENTS:
@@ -86,29 +87,25 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
             f"above the supported maximum {MAX_HASSE_ELEMENTS}"
         )
     rs = pair.rs
-    levi = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_p]
-    relative = pair.sigma_q - pair.sigma_p
-    mu = Weight(tuple(1 if i in relative else 0 for i in range(1, rs.rank + 1)))
+    cols = _sparse_columns(rs.cartan)
+    levi = [i for i in range(rs.rank) if i + 1 not in pair.sigma_p]
+    mu = tuple(int(i in pair.sigma_q and i not in pair.sigma_p) for i in range(1, rs.rank + 1))
+    v_words = {mu: ()}  # orbit point nu = v(mu) -> reduced word of v
     orbit = [mu]
-    seen = {mu}
     for nu in orbit:
         for i in levi:
-            if nu.coeffs[i - 1] > 0:
-                nxt = reflect(rs, i, nu)
-                if nxt not in seen:
-                    seen.add(nxt)
+            if nu[i] > 0:
+                nxt, word = _reflect_coords(cols, i, nu), (i + 1,) + v_words[nu]
+                if nxt not in v_words:
                     orbit.append(nxt)
-    # The walk visits orbit points by length, so peeling the smallest Levi
-    # node where nu is negative reaches a point whose word is known; this
-    # spells the lexicographically smallest reduced word of v.
-    v_words = {mu: ()}
-    for nu in orbit[1:]:
-        for i in levi:
-            if nu.coeffs[i - 1] < 0:
-                v_words[nu] = (i,) + v_words[reflect(rs, i, nu)]
-                break
-    words = [WeylWord(tuple(reversed(v_words[nu]))) for nu in orbit]
-    words.sort(key=lambda w: (w.length, w.gens))
+                v_words[nxt] = min(word, v_words.get(nxt, word))
+    if len(orbit) != size:
+        raise InternalCheckError(
+            f"the relative Hasse walk reached {len(orbit)} points, not |W_L|/|W_(L&q)| = {size}, "
+            f"on {rs.type_tag}{rs.rank} sigma_q={sorted(pair.sigma_q)} "
+            f"sigma_p={sorted(pair.sigma_p)}"
+        )
+    words = sorted((WeylWord(v[::-1]) for v in v_words.values()), key=lambda w: (w.length, w.gens))
     is_chain = [w.length for w in words] == list(range(len(words)))
     return HasseDiagram(pair=pair, elements=tuple(words), is_chain=is_chain)
 
@@ -161,9 +158,9 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             "a single sequence shape is not defined"
         )
     ends = [w.gens[-1] for w in diagram.elements[1:]]  # w_{k+1} = w_k s_i
-    simples = [Root(tuple(int(j == i) for j in range(1, rs.rank + 1))) for i in ends]
-    # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>.
-    orders = [operator_order(src.coeffs, alpha, rs) for alpha in simples] + [None]
+    # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>,
+    # which is src_i + 1 since rho is the all-ones weight.
+    orders = [src.coeffs.coeffs[i - 1] + 1 for i in ends] + [None]
     entries = []
     for k, (word, order) in enumerate(zip(diagram.elements, orders)):
         coeffs = affine_act(word, src.coeffs, rs)

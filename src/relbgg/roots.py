@@ -81,15 +81,7 @@ class Weight(_Coeffs):
         return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
 
-class _RootSystemFields(NamedTuple):
-    type_tag: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
-    rho: Weight
-
-
-class RootSystem(_RootSystemFields):
+class RootSystem(NamedTuple):
     """A root system given by its Cartan matrix.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
@@ -98,7 +90,11 @@ class RootSystem(_RootSystemFields):
     read-only and there is no instance ``__dict__``.
     """
 
-    __slots__ = ()
+    type_tag: str
+    rank: int
+    cartan: tuple[tuple[int, ...], ...]
+    positive_roots: tuple[Root, ...]
+    rho: Weight
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:

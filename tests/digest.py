@@ -141,34 +141,38 @@ def all_diagrams() -> list[tuple[str, int]]:
     return DIAGRAMS + catalogs
 
 
+def all_buckets() -> dict[str, str]:
+    out = {}
+    for type_tag, rank in all_diagrams():
+        out.update(buckets(type_tag, rank))
+    return out
+
+
 def load() -> dict[str, str]:
     return json.loads(DIGEST_PATH.read_text(encoding="utf-8"))
 
 
 def write() -> None:
     """Recompute every bucket and rewrite the digest file."""
-    digest = {}
-    for type_tag, rank in all_diagrams():
-        digest.update(buckets(type_tag, rank))
-    DIGEST_PATH.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(all_buckets(), indent=1, sort_keys=True) + "\n"
+    DIGEST_PATH.write_text(text, encoding="utf-8")
 
 
-def mismatches(type_tag: str, rank: int, stored: dict[str, str]) -> list[str]:
-    """Names of the buckets of one diagram that differ from, or are missing in,
-    the stored digest (or are stored but no longer computed)."""
-    got = buckets(type_tag, rank)
-    want = {k: v for k, v in stored.items() if k.startswith(f"{type_tag}{rank} ")}
+def _differ(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """Bucket names whose sums differ or that only one side has."""
     return sorted(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
 
 
+def mismatches(type_tag: str, rank: int, stored: dict[str, str]) -> list[str]:
+    """The differing buckets of one diagram."""
+    want = {k: v for k, v in stored.items() if k.startswith(f"{type_tag}{rank} ")}
+    return _differ(buckets(type_tag, rank), want)
+
+
 def check_all() -> int:
-    """Check every bucket; print the mismatched ones.  Returns an exit code."""
+    """Check every bucket; print the differing ones.  Returns an exit code."""
     stored = load()
-    bad = []
-    for type_tag, rank in all_diagrams():
-        bad += mismatches(type_tag, rank, stored)
-    known = {f"{t}{r} " for t, r in all_diagrams()}
-    bad += sorted(k for k in stored if k[: k.index(" ") + 1] not in known)
+    bad = _differ(all_buckets(), stored)
     for name in bad:
         print(f"digest mismatch: {name}")
     print(f"{len(bad)} mismatched of {len(stored)} stored buckets")

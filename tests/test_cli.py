@@ -176,6 +176,23 @@ def test_huge_hasse_diagram_exits_two_up_front(capsys):
     )
 
 
+def test_broken_hasse_walk_exits_three(capsys, monkeypatch):
+    import relbgg.bgg as bgg
+    from relbgg.roots import _reflect_coords
+
+    def skip_node_3(cols, i, v):  # s_3 acts as the identity
+        return v if i == 2 else _reflect_coords(cols, i, v)
+
+    monkeypatch.setattr(bgg, "_reflect_coords", skip_node_3)
+    code, out, err = run_cli(capsys, "bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1")
+    assert code == 3
+    assert out == ""
+    assert err == (
+        "internal invariant violated: the relative Hasse walk reached 2 points, "
+        "not |W_L|/|W_(L&q)| = 4, on A4 sigma_q=[1, 2] sigma_p=[1]\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["legendrean", "path-geometry"])
 def test_catalog_above_cap_names_the_catalog(capsys, kind):
     code, out, err = run_cli(capsys, "check-torsion", "--catalog", f"{kind}(32)")
