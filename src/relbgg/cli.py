@@ -18,15 +18,18 @@ import json
 import re
 import sys
 
+# Every module is imported eagerly: perfbench/tracer.py wraps only the relbgg
+# modules already loaded after `import relbgg.cli`, so lazy imports would hide layers.
 from . import __version__
 from .bgg import InternalCheckError, relative_bgg_sequence
 from .dynkin import parse_label, print_label
-from .grading import ParabolicPair, bigrade, filtration, subalgebra_profile, tangent_ranks
+from .grading import ParabolicPair, bidegree_of_root, bigrade, filtration, subalgebra_profile, tangent_ranks
 from .oracle import block_structure_from_pair, commutator_audit
-from .roots import build_root_system
+from .roots import Root, build_root_system
 from .torsion import catalog, corollary_33_check, support_from_json, support_to_json
 
 _TYPE_RE = re.compile(r"^([A-Z])(\d+)$")
+MAX_SUPPORT_BYTES = 64 * 1024  # longer --support files are refused unparsed
 
 
 def _parse_type(token: str):
@@ -62,15 +65,22 @@ def _fmt_bd(bd) -> str:
     return f"({bd[0]},{bd[1]})"
 
 
-def _block_matrix_lines(bs) -> list[str]:
-    n = bs.num_blocks
-    bidegs = bs.bidegree_of_block
-    cells = [[_fmt_bd(bidegs[(a, b)]) for b in range(1, n + 1)] for a in range(1, n + 1)]
+def _block_display(pair: ParabolicPair) -> tuple[list[int], list[str]]:
+    """Type-A block sizes and block matrix, read off the grading: cell (u, w) of
+    two block starts is the bidegree of the root on the nodes between them,
+    negated below the diagonal."""
+    m = pair.rs.rank + 1
+    starts = [0, *sorted(pair.sigma_q)]
+
+    def between(u: int, w: int):  # the root on nodes u+1..w; (0,0) when u == w
+        return bidegree_of_root(pair, Root(tuple(int(u < k <= w) for k in range(1, m))))
+
+    cells = [[_fmt_bd(between(u, w) if u <= w else -between(w, u)) for w in starts] for u in starts]
     width = max(len(c) for row in cells for c in row)
-    lines = [f"block sizes: {','.join(str(s) for s in bs.block_sizes)}"]
-    for row in cells:
-        lines.append("  [ " + "  ".join(c.ljust(width) for c in row) + " ]")
-    return lines
+    sizes = [b - a for a, b in zip(starts, [*starts[1:], m])]
+    lines = [f"block sizes: {','.join(map(str, sizes))}"]
+    lines += ["  [ " + "  ".join(c.ljust(width) for c in row) + " ]" for row in cells]
+    return sizes, lines
 
 
 def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
@@ -104,9 +114,8 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
         lines.append(f"{_fmt_bd(c['bidegree'])}: dim {c['dim']}{cartan}")
     lines.append(f"total dim {result['dim_g']}")
     if pair.rs.type_tag == "A":
-        bs = block_structure_from_pair(pair)
-        result["block_sizes"] = list(bs.block_sizes)
-        lines += _block_matrix_lines(bs)
+        result["block_sizes"], block_lines = _block_display(pair)
+        lines += block_lines
     lines.append("subalgebras:")
     for name in ("p", "p_plus", "p_0", "q", "q_plus", "q_0"):
         lines.append(f"  {name}: dim {result['subalgebras'][name]['dim']}")
@@ -192,11 +201,14 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
         if any(v is None for v in (args.type, args.sq, args.sp, args.support)):
             raise ValueError("need either --catalog or --type, --sq, --sp and --support")
         pair = _pair_from_args(args)
-        with open(args.support, encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except RecursionError:
-                raise ValueError(f"support JSON {args.support!r} is nested too deeply") from None
+        with open(args.support, "rb") as fh:
+            raw = fh.read(MAX_SUPPORT_BYTES + 1)
+        if len(raw) > MAX_SUPPORT_BYTES:
+            raise ValueError(f"support file {args.support!r} is over {MAX_SUPPORT_BYTES} bytes")
+        try:
+            data = json.loads(raw.decode("utf-8"))
+        except RecursionError:
+            raise ValueError(f"support JSON {args.support!r} is nested too deeply") from None
         support = support_from_json(data)
         name = support.geometry_tag or "custom"
     cor = corollary_33_check(support, bigrade(pair))
@@ -253,9 +265,16 @@ def _add_pair_options(sub) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit 2; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relbgg",
         description="Exact bigrading, filtration, torsion and relative BGG computations "
         "for nested parabolic pairs.",

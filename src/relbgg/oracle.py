@@ -15,7 +15,6 @@ indices; every basis element has at most two entries.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, groupby
 from typing import NamedTuple
 
 from .grading import Bidegree, Bigrading, ParabolicPair
@@ -33,29 +32,10 @@ class BlockStructure(NamedTuple):
     def m(self) -> int:
         return len(self.z_q)
 
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        """Runs of equal z_q: the sigma_q cuts split C^m into blocks."""
-        return tuple(len(list(run)) for _, run in groupby(self.z_q))
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.block_sizes)
-
     def bidegree(self, u: int, w: int) -> Bidegree:
         """Bidegree of the matrix entry (u, w) from the two height differences."""
         hp = self.z_p[u] - self.z_p[w]
         return Bidegree(hp, self.z_q[u] - self.z_q[w] - hp)
-
-    @property
-    def bidegree_of_block(self) -> dict[tuple[int, int], Bidegree]:
-        """Bidegree of every (row block, column block), 1-based, read at block starts."""
-        starts = list(accumulate(self.block_sizes[:-1], initial=0))
-        return {
-            (a, b): self.bidegree(u, w)
-            for a, u in enumerate(starts, start=1)
-            for b, w in enumerate(starts, start=1)
-        }
 
 
 def block_structure_from_pair(pair: ParabolicPair) -> BlockStructure:

@@ -4,13 +4,14 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
 
 import pytest
 
-from relbgg.cli import build_parser, main
+from relbgg.cli import MAX_SUPPORT_BYTES, build_parser, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -41,6 +42,69 @@ def test_bigrade_rank_one(capsys):
     assert code == 0
     for needle in ("(-1,0): dim 1", "(0,0): dim 1", "(1,0): dim 1"):
         assert needle in out
+
+
+def block_display(capsys, *pair_args):
+    """Block sizes and matrix cells of a bigrade report; the JSON sizes must agree."""
+    code, out, _ = run_cli(capsys, "bigrade", *pair_args)
+    assert code == 0
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("block sizes: "))
+    sizes = tuple(int(s) for s in lines[at].removeprefix("block sizes: ").split(","))
+    cells = [
+        [(int(a), int(b)) for a, b in re.findall(r"\((-?\d+),(-?\d+)\)", line)]
+        for line in lines[at + 1 : at + 1 + len(sizes)]
+    ]
+    assert all(len(row) == len(sizes) for row in cells)
+    _, out, _ = run_cli(capsys, "bigrade", *pair_args, "--json")
+    assert tuple(json.loads(out)["result"]["block_sizes"]) == sizes
+    return sizes, cells
+
+
+def test_legendrean_block_display(capsys):
+    sizes, cells = block_display(capsys, "A4", "--sq", "1,4", "--sp", "1")
+    assert sizes == (1, 3, 1)
+    assert cells[2][0] == (-1, -1)
+    assert cells[1][0] == (-1, 0)
+    assert cells[2][1] == (0, -1)
+    assert cells[0][1] == (1, 0)
+    assert cells[0][2] == (1, 1)
+
+
+def test_path_block_display(capsys):
+    sizes, cells = block_display(capsys, "A4", "--sq", "1,2", "--sp", "1")
+    assert sizes == (1, 1, 3)
+    # same bidegree pattern, but the (-1,-1) block is now 3-dimensional
+    assert cells[2][0] == (-1, -1)
+    assert sizes[2] * sizes[0] == 3
+
+
+def test_smallest_block_display(capsys):
+    assert block_display(capsys, "A1", "--sq", "1", "--sp", "1")[0] == (1, 1)
+
+
+@pytest.mark.parametrize("pair", [("A4", "1,4", "1"), ("A4", "1,2", "1"), ("A5", "2,3,5", "3")])
+def test_block_display_transpose_antisymmetry(capsys, pair):
+    t, sq, sp = pair
+    _, cells = block_display(capsys, t, "--sq", sq, "--sp", sp)
+    for a, row in enumerate(cells):
+        for b, (ip, idp) in enumerate(row):
+            assert cells[b][a] == (-ip, -idp)
+
+
+def test_block_display_does_not_call_the_oracle(capsys, golden, monkeypatch):
+    import relbgg.cli as cli
+
+    def refuse(pair):
+        raise AssertionError("the block display called the matrix oracle")
+
+    monkeypatch.setattr(cli, "block_structure_from_pair", refuse)
+    with pytest.raises(AssertionError):
+        main(["audit", "A4", "--sq", "1,4", "--sp", "1"])
+    for name, flags in (("bigrade_a4_legendrean.txt", ()), ("bigrade_a4_legendrean.json", ("--json",))):
+        code, out, err = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", *flags)
+        assert (code, err) == (0, "")
+        golden(name, out)
 
 
 def test_bgg_sequence_lines(capsys):
@@ -145,6 +209,26 @@ def test_bad_node_list_exits_two(capsys):
 def test_unknown_catalog_exits_two(capsys):
     code, _, err = run_cli(capsys, "check-torsion", "--catalog", "nope(3)")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "A4", "--sq", "1,2"),
+        ("bogus",),
+        (),
+        ("ranks", "A4", "--sq", "1,2", "--sp", "1", "--bogus"),
+    ],
+    ids=["missing-option", "unknown-subcommand", "no-arguments", "unknown-flag"],
+)
+def test_usage_error_is_one_stderr_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
@@ -262,6 +346,37 @@ def test_malformed_support_exits_two(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+CUSTOM_PAIR = ("check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1", "--support")
+
+
+def test_support_over_the_cap_is_refused_unparsed(capsys, tmp_path):
+    path = tmp_path / "support.json"
+    path.write_text('{"components": []}'.ljust(MAX_SUPPORT_BYTES))
+    assert run_cli(capsys, *CUSTOM_PAIR, str(path))[0] == 0
+    path.write_text('{"components": []}'.ljust(MAX_SUPPORT_BYTES + 1))
+    code, out, err = run_cli(capsys, *CUSTOM_PAIR, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: support file {str(path)!r} is over {MAX_SUPPORT_BYTES} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_support_is_refused(capsys):
+    code, out, err = run_cli(capsys, *CUSTOM_PAIR, "/dev/zero")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: support file '/dev/zero' is over {MAX_SUPPORT_BYTES} bytes\n"
+
+
+def test_deep_nesting_under_the_cap_is_refused(capsys, tmp_path):
+    path = tmp_path / "support.json"
+    path.write_text("[" * 30_000 + "]" * 30_000)
+    code, out, err = run_cli(capsys, *CUSTOM_PAIR, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: support JSON {str(path)!r} is nested too deeply\n"
 
 
 # -- JSON reports -------------------------------------------------------------

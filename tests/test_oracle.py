@@ -33,27 +33,40 @@ def all_pairs(rank):
             yield _pair(rank, sq, sp)
 
 
+def _runs(z):
+    """Lengths of the runs of equal eigenvalues: the block sizes."""
+    return tuple(len(list(run)) for _, run in itertools.groupby(z))
+
+
+def _starts(z):
+    """First row of each run of equal eigenvalues: the block starts."""
+    return [u for u in range(len(z)) if u == 0 or z[u] != z[u - 1]]
+
+
 def test_legendrean_blocks():
     bs = block_structure_from_pair(_pair(4, {1, 4}, {1}))
-    assert bs.block_sizes == (1, 3, 1)
-    assert bs.bidegree_of_block[(3, 1)] == (-1, -1)
-    assert bs.bidegree_of_block[(2, 1)] == (-1, 0)
-    assert bs.bidegree_of_block[(3, 2)] == (0, -1)
-    assert bs.bidegree_of_block[(1, 2)] == (1, 0)
-    assert bs.bidegree_of_block[(1, 3)] == (1, 1)
+    assert _runs(bs.z_q) == (1, 3, 1)
+    assert _starts(bs.z_q) == [0, 1, 4]
+    assert bs.bidegree(4, 0) == (-1, -1)
+    assert bs.bidegree(1, 0) == (-1, 0)
+    assert bs.bidegree(4, 1) == (0, -1)
+    assert bs.bidegree(0, 1) == (1, 0)
+    assert bs.bidegree(0, 4) == (1, 1)
 
 
 def test_path_blocks():
     bs = block_structure_from_pair(_pair(4, {1, 2}, {1}))
-    assert bs.block_sizes == (1, 1, 3)
+    sizes = _runs(bs.z_q)
+    assert sizes == (1, 1, 3)
+    assert _starts(bs.z_q) == [0, 1, 2]
     # same bidegree pattern, but the (-1,-1) block is now 3-dimensional
-    assert bs.bidegree_of_block[(3, 1)] == (-1, -1)
-    assert bs.block_sizes[2] * bs.block_sizes[0] == 3
+    assert bs.bidegree(2, 0) == (-1, -1)
+    assert sizes[2] * sizes[0] == 3
 
 
 def test_smallest_split():
     bs = block_structure_from_pair(_pair(1, {1}, {1}))
-    assert bs.block_sizes == (1, 1)
+    assert _runs(bs.z_q) == (1, 1)
 
 
 def test_non_type_a_rejected():
@@ -66,8 +79,11 @@ def test_non_type_a_rejected():
 def test_transpose_antisymmetry():
     for pair in (_pair(4, {1, 4}, {1}), _pair(4, {1, 2}, {1}), _pair(5, {2, 3, 5}, {3})):
         bs = block_structure_from_pair(pair)
-        for (a, b), bd in bs.bidegree_of_block.items():
-            assert bs.bidegree_of_block[(b, a)] == (-bd[0], -bd[1])
+        starts = _starts(bs.z_q)
+        assert len(starts) == len(pair.sigma_q) + 1
+        for u, w in itertools.product(starts, repeat=2):
+            bd = bs.bidegree(u, w)
+            assert bs.bidegree(w, u) == (-bd[0], -bd[1])
 
 
 def _add(*mats):
