@@ -13,10 +13,11 @@ differential operators.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
-from .grading import ParabolicPair, sigma_height
+from .grading import ParabolicPair
 from .roots import Root, RootSystem, Weight, _reflect_coords, _sparse_columns, pairing, reflect
 
 
@@ -39,6 +40,19 @@ class WeylWord(NamedTuple):
 MAX_HASSE_ELEMENTS = 20_000
 
 
+def _levi_quotient_heights(pair: ParabolicPair) -> list[int]:
+    """Heights of the positive roots of the Levi of p (support outside
+    sigma_p) that are not roots of the Levi of q (support meets sigma_q)."""
+    q_nodes = [i - 1 for i in pair.sigma_q]
+    p_nodes = [i - 1 for i in pair.sigma_p]
+    heights = []
+    for root in pair.rs.positive_roots:
+        get = root.coeffs.__getitem__
+        if any(map(get, q_nodes)) and not any(map(get, p_nodes)):
+            heights.append(sum(root.coeffs))
+    return heights
+
+
 def hasse_size(pair: ParabolicPair) -> int:
     """Number of elements of the relative Hasse diagram, |W_L| / |W_{L & q}|.
 
@@ -46,12 +60,11 @@ def hasse_size(pair: ParabolicPair) -> int:
     this is the product over the roots of the Levi of p (support outside
     sigma_p) that are not roots of the Levi of q (support meets sigma_q).
     """
-    num = den = 1
-    for root in pair.rs.positive_roots:
-        if sigma_height(root, pair.sigma_q) > 0 and sigma_height(root, pair.sigma_p) == 0:
-            height = sum(root.coeffs)
-            num, den = num * (height + 1), den * height
-    return num // den
+    return _macdonald_quotient(_levi_quotient_heights(pair))
+
+
+def _macdonald_quotient(heights: list[int]) -> int:
+    return math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 class HasseDiagram(NamedTuple):
@@ -151,11 +164,19 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             f"source label {print_label(src)} is not P-dominant "
             f"(negative at nodes {list(verdict.negative_uncrossed)})"
         )
-    diagram = relative_hasse(pair)
-    if not diagram.is_chain:
+    # Lengths run over 0..N, N = len(heights) being that of the longest element,
+    # so a chain has N + 1 elements: a non-chain is refused before any walk.  A
+    # diagram above the cap is left to relative_hasse, which refuses it unwalked.
+    heights = _levi_quotient_heights(pair)
+    if len(heights) + 1 < _macdonald_quotient(heights) <= MAX_HASSE_ELEMENTS:
         raise ValueError(
             "the relative Hasse diagram is not linear for this pair; "
             "a single sequence shape is not defined"
+        )
+    diagram = relative_hasse(pair)
+    if not diagram.is_chain:
+        raise InternalCheckError(
+            f"the relative Hasse walk is not a chain though it has N + 1 = {len(heights) + 1} elements"
         )
     ends = [w.gens[-1] for w in diagram.elements[1:]]  # w_{k+1} = w_k s_i
     # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>,

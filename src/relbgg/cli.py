@@ -17,6 +17,7 @@ import functools
 import json
 import re
 import sys
+from json.encoder import encode_basestring as _quote
 
 # Every module is imported eagerly: perfbench/tracer.py wraps only the relbgg
 # modules already loaded after `import relbgg.cli`, so lazy imports would hide layers.
@@ -265,11 +266,16 @@ def _add_pair_options(sub) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON report")
 
 
+# Every character str.splitlines breaks at, as its escape: argparse quotes
+# some values with repr but joins unrecognized arguments raw.
+_ESCAPE_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one stderr line and exit 2; subparsers inherit it."""
 
     def error(self, message: str):
-        self.exit(2, f"error: {message}\n")
+        self.exit(2, f"error: {message.translate(_ESCAPE_LINE_BREAKS)}\n")
 
 
 @functools.cache
@@ -323,6 +329,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dump(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` for the
+    values a report holds: dicts with str keys, lists, str, int, bool, None.
+
+    An indent sends ``json.dumps`` to its pure-Python encoder; here strings
+    go through the C quoting function and a list of ints is one join.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if {*map(type, obj)} == {int}:
+            return "[" + inner + sep.join(map(str, obj)) + pad + "]"
+        return "[" + inner + sep.join([_dump(v, inner) for v in obj]) + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("report keys must be str")
+        items = [_quote(k) + ": " + _dump(obj[k], inner) for k in sorted(obj)]
+        return "{" + inner + sep.join(items) + pad + "}"
+    raise TypeError(f"{type(obj).__name__} is not a report value")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -335,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.json:
         report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
-        print(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False))
+        print(_dump(report))
     else:
         print("\n".join(lines))
     return 3 if result.get("violations") else 0

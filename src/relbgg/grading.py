@@ -9,6 +9,7 @@ tangent-bundle subquotient ranks) are pure functions of that decomposition.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 from .roots import Root, RootSystem
@@ -49,6 +50,9 @@ class BigradedComponent(NamedTuple):
     roots: tuple[Root, ...]
     includes_cartan: bool
     dim: int  # len(roots), plus the rank if the Cartan is included
+
+
+_coeffs = attrgetter("coeffs")
 
 
 def sigma_height(root: Root, sigma: Iterable[int]) -> int:
@@ -92,24 +96,32 @@ class Bigrading(NamedTuple):
 
 
 def bigrade(pair: ParabolicPair) -> Bigrading:
-    """Assign every signed root its bidegree; the Cartan goes to (0, 0)."""
+    """Assign every signed root its bidegree; the Cartan goes to (0, 0).
+
+    Only the positive roots are bucketed and sorted.  A positive root has both
+    indices >= 0, so g_{-bd} holds exactly the negatives of g_{bd}, and
+    negation reverses the lexicographic order of the coefficients.  (0, 0)
+    holds the roots of the Levi of q and their negatives, which sort first.
+    """
     rank = pair.rs.rank
-    buckets: dict[Bidegree, list[Root]] = {}
+    p_nodes = [i - 1 for i in pair.sigma_p]
+    dp_nodes = [i - 1 for i in pair.sigma_q - pair.sigma_p]  # i'' = height over these
+    buckets: dict[tuple[int, int], list[Root]] = {(0, 0): []}
     for root in pair.rs.positive_roots:
-        bd = bidegree_of_root(pair, root)
-        buckets.setdefault(bd, []).append(root)
-        buckets.setdefault(-bd, []).append(-root)
-    buckets.setdefault(Bidegree(0, 0), [])
+        get = root.coeffs.__getitem__
+        buckets.setdefault((sum(map(get, p_nodes)), sum(map(get, dp_nodes))), []).append(root)
     components = {}
-    for bd, roots in buckets.items():
-        roots.sort(key=lambda r: r.coeffs)
-        is_zero = bd == Bidegree(0, 0)
-        components[bd] = BigradedComponent(
-            degree=bd,
-            roots=tuple(roots),
-            includes_cartan=is_zero,
-            dim=len(roots) + (rank if is_zero else 0),
-        )
+    for (ip, idp), roots in buckets.items():
+        roots.sort(key=_coeffs)
+        negatives = tuple([-r for r in reversed(roots)])
+        if ip == idp == 0:
+            zero = Bidegree(0, 0)
+            levi = negatives + tuple(roots)
+            components[zero] = BigradedComponent(zero, levi, True, len(levi) + rank)
+        else:
+            bd, neg = Bidegree(ip, idp), Bidegree(-ip, -idp)
+            components[bd] = BigradedComponent(bd, tuple(roots), False, len(roots))
+            components[neg] = BigradedComponent(neg, negatives, False, len(roots))
     return Bigrading(pair=pair, components=components)
 
 

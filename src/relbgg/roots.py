@@ -62,7 +62,9 @@ class Root(_Coeffs):
         object.__setattr__(self, "coeffs", coeffs)
 
     def __neg__(self) -> Root:
-        return Root(tuple(-c for c in self.coeffs))
+        neg = object.__new__(Root)  # a one-signed vector negates to one: no check
+        object.__setattr__(neg, "coeffs", tuple([-c for c in self.coeffs]))
+        return neg
 
 
 class Weight(_Coeffs):

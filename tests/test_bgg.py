@@ -25,6 +25,7 @@ from relbgg import (
     relative_hasse,
     root_to_weight,
 )
+from relbgg import bgg
 from relbgg.bgg import MAX_HASSE_ELEMENTS, hasse_size
 
 
@@ -231,6 +232,24 @@ def test_sequence_rejects_bad_sources():
 def test_sequence_rejects_non_linear_diagram():
     with pytest.raises(ValueError, match="not linear"):
         relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), _pair(4, {1, 3}, {1}))
+
+
+@pytest.mark.parametrize(
+    "label, pair",
+    [
+        ("A4[x,o,o,o](1,1,1,1)", _pair(4, {1, 3}, {1})),
+        ("B15[x" + ",o" * 14 + "](0" + ",0" * 14 + ")", _pair(15, {1, 15}, {1}, "B")),
+        ("D5[o,o,o,o,o](0,0,0,0,0)", _pair(5, {1, 2, 3, 4, 5}, (), "D")),
+    ],
+    ids=["A4", "B15", "D5"],
+)
+def test_non_chain_is_refused_before_the_walk(monkeypatch, label, pair):
+    def no_walk(pair):
+        raise AssertionError("relative_hasse walked a diagram that is not a chain")
+
+    monkeypatch.setattr(bgg, "relative_hasse", no_walk)
+    with pytest.raises(ValueError, match="not linear"):
+        relative_bgg_sequence(parse_label(label), pair)
 
 
 # -- structural invariants ---------------------------------------------------

@@ -13,6 +13,7 @@ from relbgg import (
     Bidegree,
     ParabolicPair,
     Root,
+    bidegree_of_root,
     bigrade,
     build_root_system,
     filtration,
@@ -22,9 +23,9 @@ from relbgg import (
 )
 
 
-def _pair(rank, sq, sp):
+def _pair(rank, sq, sp, type_tag="A"):
     return ParabolicPair(
-        rs=build_root_system("A", rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
+        rs=build_root_system(type_tag, rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
     )
 
 
@@ -36,14 +37,14 @@ def path_pair(n):
     return _pair(n + 1, {1, 2}, {1})
 
 
-def all_pairs(rank):
+def all_pairs(rank, type_tag="A"):
     nodes = list(range(1, rank + 1))
     for q_mask in itertools.product((0, 1), repeat=rank):
         sq = frozenset(i for i, b in zip(nodes, q_mask) if b)
         members = sorted(sq)
         for p_mask in itertools.product((0, 1), repeat=len(members)):
             sp = frozenset(i for i, b in zip(members, p_mask) if b)
-            yield _pair(rank, sq, sp)
+            yield _pair(rank, sq, sp, type_tag)
 
 
 # -- sigma height ------------------------------------------------------------
@@ -79,6 +80,37 @@ def test_equal_sets_collapse_to_single_grading():
     bg = bigrade(_pair(4, {2}, {2}))
     assert all(bd.i_dprime == 0 for bd in bg.components)
     assert list(bigrade(_pair(3, set(), set())).components) == [(0, 0)]
+
+
+def _reference_components(pair):
+    """Every signed root bucketed by bidegree_of_root, each bucket sorted by coefficients."""
+    buckets = {Bidegree(0, 0): []}
+    for root in pair.rs.positive_roots:
+        for r in (root, Root(tuple(-c for c in root.coeffs))):
+            buckets.setdefault(bidegree_of_root(pair, r), []).append(r)
+    return {bd: sorted(roots, key=lambda r: r.coeffs) for bd, roots in buckets.items()}
+
+
+def test_bigrade_matches_reference_on_every_nested_pair():
+    diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+                ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("D", 5)]
+    checked = 0
+    for type_tag, rank in diagrams:
+        for pair in all_pairs(rank, type_tag):
+            where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
+            bg, ref = bigrade(pair), _reference_components(pair)
+            assert set(bg.components) == set(ref), where
+            assert all(type(bd) is Bidegree for bd in bg.components), where
+            for bd, roots in ref.items():
+                comp = bg.components[bd]
+                zero = bd == (0, 0)
+                assert comp.degree == bd and type(comp.degree) is Bidegree, (where, bd)
+                assert comp.roots == tuple(roots), (where, bd)
+                assert all(type(r) is Root for r in comp.roots), (where, bd)
+                assert comp.includes_cartan == zero, (where, bd)
+                assert comp.dim == len(roots) + (rank if zero else 0), (where, bd)
+            checked += 1
+    assert checked == 948
 
 
 @pytest.mark.parametrize("rank", range(1, 5))
