@@ -21,7 +21,6 @@ from .bgg import (
 from .dynkin import DynkinLabel, LabelVerdict, parse_label, print_label, validate_label
 from .grading import (
     Bidegree,
-    BigradedComponent,
     Bigrading,
     FiltrationReport,
     ModuleDescriptor,
@@ -65,7 +64,6 @@ __all__ = [
     "BGGEntry",
     "BGGSequence",
     "Bidegree",
-    "BigradedComponent",
     "Bigrading",
     "BlockStructure",
     "Corollary33Verdict",

@@ -92,11 +92,11 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
         "components": [
             {
                 "bidegree": list(bd),
-                "dim": comp.dim,
-                "includes_cartan": comp.includes_cartan,
-                "roots": [list(r.coeffs) for r in comp.roots],
+                "dim": dim,
+                "includes_cartan": bd == (0, 0),
+                "roots": [list(r.coeffs) for r in bg.roots(bd)],
             }
-            for bd, comp in sorted(bg.components.items())
+            for bd, dim in sorted(bg.dims.items())
         ],
         "dim_g": bg.dim_g,
         "subalgebras": {

@@ -45,13 +45,6 @@ class ParabolicPair(_PairFields):
         return self
 
 
-class BigradedComponent(NamedTuple):
-    degree: Bidegree
-    roots: tuple[Root, ...]
-    includes_cartan: bool
-    dim: int  # len(roots), plus the rank if the Cartan is included
-
-
 _coeffs = attrgetter("coeffs")
 
 
@@ -77,52 +70,52 @@ def bidegree_of_root(pair: ParabolicPair, root: Root) -> Bidegree:
 
 
 class Bigrading(NamedTuple):
-    pair: ParabolicPair
-    components: dict[Bidegree, BigradedComponent]
+    """Each root space once: ``dims`` maps every bidegree of either sign to the
+    dimension of its component (the Cartan counted at (0, 0)), ``positive``
+    maps the bidegree of each positive root to its bucket, sorted by
+    coefficients.  Both indices of a positive bidegree are >= 0, and (0, 0)
+    holds the roots of the Levi of q."""
 
-    def bidegrees(self) -> list[Bidegree]:
-        return sorted(self.components)
+    pair: ParabolicPair
+    dims: dict[Bidegree, int]
+    positive: dict[Bidegree, tuple[Root, ...]]
+
+    def roots(self, bd: Bidegree) -> tuple[Root, ...]:
+        """The roots of g_bd sorted by coefficients; () if bd does not occur.
+
+        g_{-bd} holds exactly the negatives of g_{bd}, and negation reverses
+        the order, so (0, 0) lists the negated Levi roots first."""
+        ip, idp = bd
+        mirrored = self.positive.get((-ip, -idp), ())
+        return tuple([-r for r in reversed(mirrored)]) + self.positive.get((ip, idp), ())
 
     def dim_component(self, bd: Bidegree) -> int:
-        comp = self.components.get(Bidegree(*bd))
-        return comp.dim if comp is not None else 0
+        return self.dims.get(Bidegree(*bd), 0)
 
     @property
     def dim_g(self) -> int:
-        return sum(comp.dim for comp in self.components.values())
+        return sum(self.dims.values())
 
     def first_index_values(self) -> list[int]:
-        return sorted({bd.i_prime for bd in self.components})
+        return sorted({bd.i_prime for bd in self.dims})
 
 
 def bigrade(pair: ParabolicPair) -> Bigrading:
-    """Assign every signed root its bidegree; the Cartan goes to (0, 0).
-
-    Only the positive roots are bucketed and sorted.  A positive root has both
-    indices >= 0, so g_{-bd} holds exactly the negatives of g_{bd}, and
-    negation reverses the lexicographic order of the coefficients.  (0, 0)
-    holds the roots of the Levi of q and their negatives, which sort first.
-    """
-    rank = pair.rs.rank
+    """Bucket the positive roots by bidegree; g_{-bd} has the dimension of g_{bd}."""
     p_nodes = [i - 1 for i in pair.sigma_p]
     dp_nodes = [i - 1 for i in pair.sigma_q - pair.sigma_p]  # i'' = height over these
     buckets: dict[tuple[int, int], list[Root]] = {(0, 0): []}
     for root in pair.rs.positive_roots:
         get = root.coeffs.__getitem__
         buckets.setdefault((sum(map(get, p_nodes)), sum(map(get, dp_nodes))), []).append(root)
-    components = {}
+    dims, positive = {}, {}
     for (ip, idp), roots in buckets.items():
         roots.sort(key=_coeffs)
-        negatives = tuple([-r for r in reversed(roots)])
-        if ip == idp == 0:
-            zero = Bidegree(0, 0)
-            levi = negatives + tuple(roots)
-            components[zero] = BigradedComponent(zero, levi, True, len(levi) + rank)
-        else:
-            bd, neg = Bidegree(ip, idp), Bidegree(-ip, -idp)
-            components[bd] = BigradedComponent(bd, tuple(roots), False, len(roots))
-            components[neg] = BigradedComponent(neg, negatives, False, len(roots))
-    return Bigrading(pair=pair, components=components)
+        bd = Bidegree(ip, idp)
+        positive[bd] = tuple(roots)
+        dims[bd] = dims[Bidegree(-ip, -idp)] = len(roots)
+    dims[Bidegree(0, 0)] = 2 * len(buckets[0, 0]) + pair.rs.rank
+    return Bigrading(pair=pair, dims=dims, positive=positive)
 
 
 class SubalgebraInfo(NamedTuple):
@@ -143,9 +136,10 @@ _SUBALGEBRA_PREDICATES = {
 def subalgebra_profile(bg: Bigrading) -> dict[str, SubalgebraInfo]:
     """Bidegree supports and dimensions of p, p_+, p_0, q, q_+, q_0."""
     out = {}
+    every = sorted(bg.dims)
     for name, pred in _SUBALGEBRA_PREDICATES.items():
-        bds = tuple(bd for bd in bg.bidegrees() if pred(bd))
-        out[name] = SubalgebraInfo(bidegrees=bds, dim=sum(bg.dim_component(bd) for bd in bds))
+        bds = tuple(bd for bd in every if pred(bd))
+        out[name] = SubalgebraInfo(bidegrees=bds, dim=sum(bg.dims[bd] for bd in bds))
     return out
 
 
@@ -175,11 +169,11 @@ def filtration(bg: Bigrading) -> FiltrationReport:
     components: dict[int, tuple[Bidegree, ...]] = {}
     modules: dict[int, ModuleDescriptor] = {}
     for ip in values:
-        components[ip] = tuple(sorted(bd for bd in bg.components if bd.i_prime >= ip))
-        level = sorted(bd for bd in bg.components if bd.i_prime == ip)
-        total = sum(bg.dim_component(bd) for bd in level)
+        components[ip] = tuple(sorted(bd for bd in bg.dims if bd.i_prime >= ip))
+        level = sorted(bd for bd in bg.dims if bd.i_prime == ip)
+        total = sum(bg.dims[bd] for bd in level)
         steps = tuple(
-            (bd.i_dprime, sum(bg.dim_component(b) for b in level if b.i_dprime >= bd.i_dprime))
+            (bd.i_dprime, sum(bg.dims[b] for b in level if b.i_dprime >= bd.i_dprime))
             for bd in level
         )
         modules[ip] = ModuleDescriptor(i_prime=ip, dim=total, filtration_steps=steps)
@@ -205,13 +199,13 @@ def tangent_ranks(bg: Bigrading) -> RankReport:
     if not bg.pair.sigma_p:
         raise ValueError("tangent ranks need a nonempty sigma_p (no relative directions otherwise)")
     levels: dict[int, int] = {}  # first index -> dim V_{i'}
-    for bd, comp in bg.components.items():
-        levels[bd.i_prime] = levels.get(bd.i_prime, 0) + comp.dim
+    for bd, dim in bg.dims.items():
+        levels[bd.i_prime] = levels.get(bd.i_prime, 0) + dim
     ranks_v = {ip: levels[ip] for ip in sorted(levels) if ip < 0}
-    rank_t_rho = sum(c.dim for bd, c in bg.components.items() if in_relative_range(bd))
+    rank_t_rho = sum(dim for bd, dim in bg.dims.items() if in_relative_range(bd))
     ranks_t_p = {ip: rank_t_rho + sum(r for j, r in ranks_v.items() if j >= ip) for ip in ranks_v}
     # dim M comes from q directly, so the ranks above must telescope to it.
-    dim_m = bg.dim_g - sum(c.dim for bd, c in bg.components.items() if in_q(bd))
+    dim_m = bg.dim_g - sum(dim for bd, dim in bg.dims.items() if in_q(bd))
     return RankReport(
         dim_M=dim_m,
         rank_T_rho=rank_t_rho,

@@ -113,7 +113,7 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
 
     block_counts = Counter(bidegs)
     mismatches = []
-    for bd in sorted(set(block_counts) | set(bg.components)):
+    for bd in sorted(set(block_counts) | set(bg.dims)):
         left = block_counts.get(bd, 0)
         right = bg.dim_component(bd)
         if left != right:

@@ -219,6 +219,7 @@ def path_geometry_catalog(n: int) -> Geometry:
 
 
 _CATALOG_RE = re.compile(r"^([a-z-]+)\((\d+)\)$")
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def catalog(name: str, assume_involutive_f: bool = False) -> Geometry:
@@ -245,6 +246,14 @@ def _bidegree_from_json(value, where: str) -> Bidegree:
     return Bidegree(*value)
 
 
+def _text_from_json(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"support {what} must be a string")
+    if _SURROGATE_RE.search(value):  # no encoding can print a lone surrogate
+        raise ValueError(f"support {what} holds a lone surrogate")
+    return value
+
+
 def support_from_json(data) -> TorsionSupport:
     """Deserialize a support from the CLI's JSON schema; ValueError on a bad shape."""
     if not isinstance(data, dict):
@@ -252,9 +261,7 @@ def support_from_json(data) -> TorsionSupport:
     components = data.get("components", [])
     if not isinstance(components, list):
         raise ValueError("support 'components' must be a list")
-    geometry_tag = data.get("geometry_tag", "")
-    if not isinstance(geometry_tag, str):
-        raise ValueError("support 'geometry_tag' must be a string")
+    geometry_tag = _text_from_json(data.get("geometry_tag", ""), "'geometry_tag'")
     comps = set()
     for k, c in enumerate(components):
         if not isinstance(c, dict):
@@ -264,9 +271,7 @@ def support_from_json(data) -> TorsionSupport:
             if key not in c:
                 raise ValueError(f"support component {k} lacks {key!r}")
             bidegrees[key] = _bidegree_from_json(c[key], f"component {k} {key}")
-        tag = c.get("tag", "")
-        if not isinstance(tag, str):
-            raise ValueError(f"support component {k} has a non-string tag")
+        tag = _text_from_json(c.get("tag", ""), f"component {k} tag")
         comps.add(TorsionComponent(**bidegrees, tag=tag))
     return TorsionSupport(components=frozenset(comps), geometry_tag=geometry_tag)
 

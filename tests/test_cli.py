@@ -108,6 +108,36 @@ def test_block_display_does_not_call_the_oracle(capsys, golden, monkeypatch):
         golden(name, out)
 
 
+DIMS_ONLY_RUNS = [
+    ("ranks", "A6", "--sq", "1,2,6", "--sp", "1"),
+    ("filtration", "A6", "--sq", "1,2,6", "--sp", "1"),
+    ("check-torsion", "--type", "A6", "--sq", "1,6", "--sp", "1", "--support", "support.json"),
+    ("check-torsion", "--catalog", "legendrean(5)"),
+    ("audit", "A6", "--sq", "1,6", "--sp", "1"),
+]
+
+
+def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
+    """Only bigrade lists roots; every other report reads component dims."""
+    from relbgg.roots import Root
+
+    support = {"components": [{"in1": [-1, 0], "in2": [0, -1], "out": [-1, -1], "tag": "t"}]}
+    (tmp_path / "support.json").write_text(json.dumps(support))
+    monkeypatch.chdir(tmp_path)
+    runs = [argv + flag for argv in DIMS_ONLY_RUNS for flag in ((), ("--json",))]
+    unpatched = [run_cli(capsys, *argv) for argv in runs]
+
+    def refuse(self):
+        raise AssertionError("a root was negated")
+
+    monkeypatch.setattr(Root, "__neg__", refuse)
+    with pytest.raises(AssertionError):
+        main(["bigrade", "A6", "--sq", "1,2,6", "--sp", "1"])
+    for argv, before in zip(runs, unpatched):
+        assert before[0] == 0, argv
+        assert run_cli(capsys, *argv) == before, argv
+
+
 def test_bgg_sequence_lines(capsys):
     code, out, _ = run_cli(
         capsys, "bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"
@@ -334,22 +364,28 @@ def test_conflicting_check_torsion_inputs_exit_two(capsys, tmp_path, monkeypatch
         '{"components": [{"in1": [-1, 0.5], "in2": [-1, 0], "out": [0, -1]}]}',
         '{"components": [{"in1": [-1, 0], "in2": [-1, 0], "out": [0, -1], "tag": 7}]}',
         '{"components": [], "geometry_tag": ["x"]}',
+        pytest.param('{"components": [], "geometry_tag": "\\ud800"}', id="surrogate-geometry-tag"),
+        pytest.param(
+            '{"components": [{"in1": [-1, 0], "in2": [-1, 0], "out": [0, -1], "tag": "\\ud800"}]}',
+            id="surrogate-tag",
+        ),
         pytest.param("[" * 20_000 + "]" * 20_000, id="deeply-nested"),
     ],
 )
 def test_malformed_support_exits_two(capsys, tmp_path, text):
     path = tmp_path / "support.json"
     path.write_text(text)
-    code, out, err = run_cli(
-        capsys,
-        "check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1",
-        "--support", str(path),
-    )
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    if text.startswith("[["):  # under the size cap, so refused for its nesting
-        assert err.endswith("is nested too deeply\n")
+    for flag in ([], ["--json"]):
+        code, out, err = run_cli(
+            capsys,
+            "check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1",
+            "--support", str(path), *flag,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        if text.startswith("[["):  # under the size cap, so refused for its nesting
+            assert err.endswith("is nested too deeply\n")
 
 
 CUSTOM_PAIR = ("check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1", "--support")

@@ -63,7 +63,7 @@ def test_legendrean_component_dims(n):
     assert bg.dim_component(Bidegree(-1, 0)) == n
     assert bg.dim_component(Bidegree(0, -1)) == n
     assert bg.dim_component(Bidegree(-1, -1)) == 1
-    assert sorted(bg.components) == [
+    assert sorted(bg.dims) == [
         (-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1),
     ]
 
@@ -78,8 +78,16 @@ def test_path_component_dims(n):
 
 def test_equal_sets_collapse_to_single_grading():
     bg = bigrade(_pair(4, {2}, {2}))
-    assert all(bd.i_dprime == 0 for bd in bg.components)
-    assert list(bigrade(_pair(3, set(), set())).components) == [(0, 0)]
+    assert all(bd.i_dprime == 0 for bd in bg.dims)
+    assert list(bigrade(_pair(3, set(), set())).dims) == [(0, 0)]
+
+
+@pytest.mark.parametrize("bd", [(1, -1), (-1, 1), (9, 9), (-9, -9)])
+def test_absent_bidegree_has_no_roots(bd):
+    bg = bigrade(legendrean_pair(3))
+    assert bd not in bg.dims
+    assert bg.roots(bd) == ()
+    assert bg.dim_component(bd) == 0
 
 
 def _reference_components(pair):
@@ -99,16 +107,13 @@ def test_bigrade_matches_reference_on_every_nested_pair():
         for pair in all_pairs(rank, type_tag):
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
             bg, ref = bigrade(pair), _reference_components(pair)
-            assert set(bg.components) == set(ref), where
-            assert all(type(bd) is Bidegree for bd in bg.components), where
+            assert set(bg.dims) == set(ref), where
+            assert all(type(bd) is Bidegree for bd in bg.dims), where
             for bd, roots in ref.items():
-                comp = bg.components[bd]
-                zero = bd == (0, 0)
-                assert comp.degree == bd and type(comp.degree) is Bidegree, (where, bd)
-                assert comp.roots == tuple(roots), (where, bd)
-                assert all(type(r) is Root for r in comp.roots), (where, bd)
-                assert comp.includes_cartan == zero, (where, bd)
-                assert comp.dim == len(roots) + (rank if zero else 0), (where, bd)
+                got = bg.roots(bd)
+                assert got == tuple(roots), (where, bd)
+                assert all(type(r) is Root for r in got), (where, bd)
+                assert bg.dims[bd] == len(roots) + (rank if bd == (0, 0) else 0), (where, bd)
             checked += 1
     assert checked == 948
 
@@ -118,13 +123,12 @@ def test_partition_duality_and_total_dim(rank):
     for pair in all_pairs(rank):
         bg = bigrade(pair)
         assert bg.dim_g == rank * rank + 2 * rank
-        root_count = sum(len(c.roots) for c in bg.components.values())
+        root_count = sum(len(bg.roots(bd)) for bd in bg.dims)
         assert root_count == 2 * len(pair.rs.positive_roots)
-        for bd, comp in bg.components.items():
-            assert bg.dim_component(Bidegree(-bd.i_prime, -bd.i_dprime)) == comp.dim
-            assert comp.includes_cartan == (bd == (0, 0))
+        for bd, dim in bg.dims.items():
+            assert bg.dim_component(Bidegree(-bd.i_prime, -bd.i_dprime)) == dim
             # signs agree and heights recompute
-            for root in comp.roots:
+            for root in bg.roots(bd):
                 hp = sigma_height(root, pair.sigma_p)
                 hq = sigma_height(root, pair.sigma_q)
                 assert (hp, hq - hp) == tuple(bd)
@@ -185,7 +189,7 @@ def test_filtration_nesting_and_monotone_steps():
     for pair in all_pairs(3):
         bg = bigrade(pair)
         rep = filtration(bg)
-        assert set(rep.components[rep.i_prime_range[0]]) == set(bg.components)
+        assert set(rep.components[rep.i_prime_range[0]]) == set(bg.dims)
         for lo, hi in zip(rep.i_prime_range, rep.i_prime_range[1:]):
             assert set(rep.components[hi]) < set(rep.components[lo])
         for mod in rep.modules.values():

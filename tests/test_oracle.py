@@ -152,7 +152,7 @@ def test_cartan_to_root_dim_cross_check():
     bg = bigrade(pair)
     bs = block_structure_from_pair(pair)
     _, bidegs, _ = basis_with_bidegrees(bs)
-    for bd in bg.components:
+    for bd in bg.dims:
         block_dim = sum(1 for b in bidegs if b == bd)
         assert block_dim == bg.dim_component(Bidegree(*bd))
 

@@ -58,8 +58,7 @@ def _value_instances():
         (pair, "sigma_q"),
         (src, "crossed"),
         (validate_label(src, "P", pair), "ok"),
-        (bg, "components"),
-        (bg.components[Bidegree(0, 0)], "dim"),
+        (bg, "dims"),
         (subalgebra_profile(bg)["q"], "dim"),
         (rep, "modules"),
         (rep.modules[0], "dim"),
