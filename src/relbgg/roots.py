@@ -62,9 +62,14 @@ class Root(_Coeffs):
         object.__setattr__(self, "coeffs", coeffs)
 
     def __neg__(self) -> Root:
-        neg = object.__new__(Root)  # a one-signed vector negates to one: no check
-        object.__setattr__(neg, "coeffs", tuple([-c for c in self.coeffs]))
-        return neg
+        return _one_signed_root(tuple([-c for c in self.coeffs]))
+
+
+def _one_signed_root(coeffs: tuple[int, ...]) -> Root:
+    """A Root from coefficients already known to be one-signed, unchecked."""
+    root = object.__new__(Root)
+    object.__setattr__(root, "coeffs", coeffs)
+    return root
 
 
 class Weight(_Coeffs):
@@ -187,7 +192,8 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     extensions (B/C need rank >= 2, D needs rank >= 3).
     """
     cartan = _cartan_matrix(type_tag, rank)
-    positive = tuple(Root(c) for c in _enumerate_positive_roots(cartan))
+    # the walk starts at the simple roots and only raises coefficients
+    positive = tuple(map(_one_signed_root, _enumerate_positive_roots(cartan)))
     return RootSystem(
         type_tag=type_tag,
         rank=rank,

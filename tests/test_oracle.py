@@ -208,3 +208,93 @@ def test_mismatched_grading_is_caught():
         "(1, 0): block dim 3 vs root dim 1",
         "(1, 1): block dim 1 vs root dim 3",
     )
+
+
+def _supports_meet(x, y):
+    """xy or yx can be nonzero: a column of x is a row of y, or a row of x a
+    column of y."""
+    return any(v == u2 or w == u for u, v in x for u2, w in y)
+
+
+def _recorded_brackets(monkeypatch, pair):
+    """Run the audit on ``pair`` and return the basis positions (i, j) it
+    bracketed, in call order, together with its report."""
+    bs = block_structure_from_pair(pair)
+    mats, _, _ = basis_with_bidegrees(bs)
+    position = {tuple(sorted(mat.items())): i for i, mat in enumerate(mats)}
+    calls = []
+
+    def recording(x, y):
+        calls.append((position[tuple(sorted(x.items()))], position[tuple(sorted(y.items()))]))
+        return bracket(x, y)
+
+    monkeypatch.setattr(oracle, "bracket", recording)
+    rep = commutator_audit(bs, bigrade(pair))
+    monkeypatch.undo()
+    return calls, rep
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_audit_brackets_exactly_the_pairs_whose_supports_meet(monkeypatch, rank):
+    """The support filter is exact: the audit brackets every pair whose
+    supports meet, in x-major, y-minor order, and every pair it skips
+    brackets to zero."""
+    mats, _, _ = basis_with_bidegrees(block_structure_from_pair(_pair(rank, (), ())))
+    n = len(mats)
+    meeting = [(i, j) for i in range(n) for j in range(n) if _supports_meet(mats[i], mats[j])]
+    skipped = set(itertools.product(range(n), repeat=2)) - set(meeting)
+    assert all(bracket(mats[i], mats[j]) == {} for i, j in skipped)
+    for pair in all_pairs(rank):
+        calls, rep = _recorded_brackets(monkeypatch, pair)
+        assert calls == meeting, (sorted(pair.sigma_q), sorted(pair.sigma_p))
+        assert rep.ok and rep.pairs_checked == n * n
+
+
+def test_audit_bracket_count_is_cubic(monkeypatch):
+    """A12: 4,726 brackets instead of (13² − 1)² = 28,224, which is still
+    what ``pairs_checked`` reports."""
+    calls, rep = _recorded_brackets(monkeypatch, _pair(12, {3, 6}, {3}))
+    assert len(calls) == 4726
+    assert rep.ok and rep.pairs_checked == 28224
+
+
+def _dense_mismatches(bracket_fn, m):
+    """Basis pairs of sl(m) on which ``bracket_fn`` differs from XY − YX
+    taken with dense list-of-lists matrices."""
+
+    def dense(mat):
+        out = [[0] * m for _ in range(m)]
+        for (u, w), c in mat.items():
+            out[u][w] = c
+        return out
+
+    def product(a, b):
+        return [[sum(a[u][k] * b[k][w] for k in range(m)) for w in range(m)] for u in range(m)]
+
+    mats, _, names = basis_with_bidegrees(block_structure_from_pair(_pair(m - 1, (), ())))
+    bad = []
+    for (x, nx), (y, ny) in itertools.product(zip(mats, names), repeat=2):
+        xy, yx = product(dense(x), dense(y)), product(dense(y), dense(x))
+        want = {(u, w): xy[u][w] - yx[u][w] for u in range(m) for w in range(m)}
+        if bracket_fn(x, y) != {k: c for k, c in want.items() if c}:
+            bad.append(f"[{nx},{ny}]")
+    return bad
+
+
+@pytest.mark.parametrize("m", range(2, 6))
+def test_bracket_matches_dense_commutator(m):
+    assert _dense_mismatches(bracket, m) == []
+
+
+def test_spurious_disjoint_bracket_is_caught_by_the_dense_check(monkeypatch):
+    """The audit never brackets pairs whose supports are disjoint, so a
+    bracket that is wrong only there passes it; the dense comparison above
+    is what catches such a bracket."""
+
+    def spurious(x, y):
+        return bracket(x, y) if _supports_meet(x, y) else {(0, 0): 1}
+
+    assert "[E[1,2],E[3,4]]" in _dense_mismatches(spurious, 4)
+    pair = _pair(3, {1, 3}, {1})
+    monkeypatch.setattr(oracle, "bracket", spurious)
+    assert commutator_audit(block_structure_from_pair(pair), bigrade(pair)).ok
