@@ -29,7 +29,8 @@ from .oracle import block_structure_from_pair, commutator_audit
 from .roots import Root, build_root_system
 from .torsion import catalog, corollary_33_check, support_from_json, support_to_json
 
-_TYPE_RE = re.compile(r"^([A-Z])(\d+)$")
+_TYPE_RE = re.compile(r"^([A-Z])(\d+)$", re.ASCII)
+_NODE_RE = re.compile(r"\s*\d+\s*", re.ASCII)
 MAX_SUPPORT_BYTES = 64 * 1024  # longer --support files are refused unparsed
 
 
@@ -43,10 +44,10 @@ def _parse_type(token: str):
 def _parse_nodes(text: str | None) -> frozenset[int]:
     if text is None or text.strip() in ("", "none"):
         return frozenset()
-    try:
-        return frozenset(int(t) for t in text.split(","))
-    except ValueError:
-        raise ValueError(f"malformed node list {text!r}; expected e.g. 1,4") from None
+    tokens = text.split(",")
+    if not all(_NODE_RE.fullmatch(t) for t in tokens):
+        raise ValueError(f"malformed node list {text!r}; expected e.g. 1,4")
+    return frozenset(map(int, tokens))
 
 
 def _pair_from_args(args) -> ParabolicPair:

@@ -16,7 +16,7 @@ from .grading import ParabolicPair
 from .roots import RootSystem, Weight, build_root_system
 
 _LABEL_RE = re.compile(
-    r"^([A-Z])(\d+)\[([xo](?:,[xo])*)\]\((-?\d+(?:,-?\d+)*)\)$"
+    r"^([A-Z])(\d+)\[([xo](?:,[xo])*)\]\((-?\d+(?:,-?\d+)*)\)$", re.ASCII
 )
 
 Role = Literal["P", "Q"]

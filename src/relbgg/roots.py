@@ -9,10 +9,17 @@ extensions and go through the same generic machinery: positive roots come
 from a walk up from the simple roots by simple reflections, and a coroot
 pairing walks the root back down to a simple root, using Weyl invariance.
 Ranks above ``MAX_RANK`` are refused, so every accepted input is small.
+
+Each process walks a root system once: the walk's output is cached as one
+packed ``bytes`` per Cartan matrix, one byte per coefficient.  The cache is
+bounded by ``MAX_RANK``: all 124 A-D systems hold 970,018 bytes.  It holds no
+``Root`` objects; every ``build_root_system`` call unpacks fresh ones.
 """
 
 from __future__ import annotations
 
+import struct
+from functools import cache
 from typing import NamedTuple
 
 MAX_RANK = 32
@@ -185,15 +192,29 @@ def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple
     return sorted(seen, key=lambda t: (sum(t), t))
 
 
+@cache
+def _packed_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> bytes:
+    """The walk's positive roots, coefficients row by row in its sorted order.
+
+    A-D coefficients are at most 2, so each takes one byte; ``bytes`` raises
+    on any that would not fit.
+    """
+    return bytes(c for root in _enumerate_positive_roots(cartan) for c in root)
+
+
 def build_root_system(type_tag: str, rank: int) -> RootSystem:
     """Construct a root system of the given type and rank.
 
     Type A is the primary supported family; B, C and D are accepted
-    extensions (B/C need rank >= 2, D needs rank >= 3).
+    extensions (B/C need rank >= 2, D needs rank >= 3).  Type and rank are
+    validated before the cache is read, so a refused input adds no entry.
+    The positive roots are walked once per process and kept packed; each
+    call returns fresh ``Root`` objects, so callers share none.
     """
     cartan = _cartan_matrix(type_tag, rank)
+    packed = _packed_positive_roots(cartan)
     # the walk starts at the simple roots and only raises coefficients
-    positive = tuple(map(_one_signed_root, _enumerate_positive_roots(cartan)))
+    positive = tuple(map(_one_signed_root, struct.iter_unpack(f"{rank}B", packed)))
     return RootSystem(
         type_tag=type_tag,
         rank=rank,

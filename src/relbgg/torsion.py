@@ -218,7 +218,7 @@ def path_geometry_catalog(n: int) -> Geometry:
     return Geometry(name=f"path-geometry({n})", pair=pair, support=support)
 
 
-_CATALOG_RE = re.compile(r"^([a-z-]+)\((\d+)\)$")
+_CATALOG_RE = re.compile(r"^([a-z-]+)\((\d+)\)$", re.ASCII)
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 

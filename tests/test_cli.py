@@ -245,6 +245,27 @@ def test_unknown_catalog_exits_two(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("ranks", "A\u0661\u0662", "--sq", "1,10", "--sp", "10"),
+        ("ranks", "A12", "--sq", "1_0", "--sp", "10"),
+        ("ranks", "A12", "--sq", "10", "--sp", "\u0661\u0660"),
+        ("ranks", "A12", "--sq", "+1,10", "--sp", "10"),
+        ("bgg", "A4[x,o,o,o](-\u0662,1,0,0)", "--sq", "1,2", "--sp", "1"),
+        ("bgg", "A\uff14[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"),
+        ("check-torsion", "--catalog", "legendrean(\u0663)"),
+    ],
+    ids=["type-rank", "node-underscore", "node-digits", "node-sign", "label-coeff", "label-rank", "catalog-n"],
+)
+def test_non_ascii_digits_exit_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: malformed ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("ranks", "A4", "--sq", "1,2"),
         ("bogus",),
         (),

@@ -14,6 +14,9 @@ Core claims:
     - simple reflections are involutions on arbitrary integer weights
     - pairing(root_to_weight(beta), beta) = 2 for every positive root
     - a RootSystem is frozen: no attribute can be set and it has no __dict__
+    - each system is walked once per process and cached packed, within a
+      bound set by MAX_RANK; calls share no Root object, and a refused type
+      or rank adds no cache entry
 """
 
 import random
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from relbgg import Root, Weight, build_root_system, pairing, reflect, root_to_weight
+from relbgg import roots
 from relbgg.roots import MAX_RANK
 
 ALL_TYPES = (("A", 1), ("B", 2), ("C", 2), ("D", 3))  # (tag, smallest rank)
@@ -163,9 +167,12 @@ def test_walk_matches_root_chain_reference(tag, rank):
 
 @pytest.mark.parametrize("tag,lo", ALL_TYPES)
 def test_walk_matches_row_sum_walk_up_to_rank_cap(tag, lo):
+    # the first call walks and packs, the second unpacks the cached entry
+    roots._packed_positive_roots.cache_clear()
     for rank in range(lo, MAX_RANK + 1):
-        rs = build_root_system(tag, rank)
-        assert [r.coeffs for r in rs.positive_roots] == row_sum_walk_reference(rs.cartan), rank
+        for _ in range(2):
+            rs = build_root_system(tag, rank)
+            assert [r.coeffs for r in rs.positive_roots] == row_sum_walk_reference(rs.cartan), rank
 
 
 def test_rank_cap():
@@ -182,6 +189,46 @@ def test_bad_construction_rejected():
         build_root_system("A", 0)
     with pytest.raises(ValueError):
         Root((1, -1))
+
+
+# -- the per-process cache -----------------------------------------------------
+
+def test_each_system_is_walked_once(monkeypatch):
+    walk, walked = roots._enumerate_positive_roots, []
+
+    def counting_walk(cartan):
+        walked.append(len(cartan))
+        return walk(cartan)
+
+    monkeypatch.setattr(roots, "_enumerate_positive_roots", counting_walk)
+    roots._packed_positive_roots.cache_clear()
+    for tag in "AAAB":
+        build_root_system(tag, 5)
+    assert walked == [5, 5]
+
+
+def test_calls_share_no_root_object():
+    first, second = build_root_system("C", 6), build_root_system("C", 6)
+    assert first == second
+    assert {id(r) for r in first.positive_roots}.isdisjoint(map(id, second.positive_roots))
+
+
+def test_cache_is_bounded_by_the_rank_cap():
+    roots._packed_positive_roots.cache_clear()
+    size = 0
+    for tag, lo in ALL_TYPES:
+        for rank in range(lo, MAX_RANK + 1):
+            size += len(roots._packed_positive_roots(build_root_system(tag, rank).cartan))
+    assert roots._packed_positive_roots.cache_info().currsize == 124
+    assert size < 1_000_000
+
+
+@pytest.mark.parametrize("tag,rank", [("E", 6), ("A", 0), ("A", MAX_RANK + 1)])
+def test_refused_system_adds_no_cache_entry(tag, rank):
+    before = roots._packed_positive_roots.cache_info().currsize
+    with pytest.raises(ValueError):
+        build_root_system(tag, rank)
+    assert roots._packed_positive_roots.cache_info().currsize == before
 
 
 # -- basis change ------------------------------------------------------------
