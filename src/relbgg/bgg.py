@@ -43,14 +43,10 @@ MAX_HASSE_ELEMENTS = 20_000
 def _levi_quotient_heights(pair: ParabolicPair) -> list[int]:
     """Heights of the positive roots of the Levi of p (support outside
     sigma_p) that are not roots of the Levi of q (support meets sigma_q)."""
-    q_nodes = [i - 1 for i in pair.sigma_q]
-    p_nodes = [i - 1 for i in pair.sigma_p]
-    heights = []
-    for root in pair.rs.positive_roots:
-        get = root.coeffs.__getitem__
-        if any(map(get, q_nodes)) and not any(map(get, p_nodes)):
-            heights.append(sum(root.coeffs))
-    return heights
+    rs = pair.rs
+    by_q, by_p = rs.sigma_heights(pair.sigma_q), rs.sigma_heights(pair.sigma_p)
+    heights = rs.sigma_heights(range(1, rs.rank + 1))
+    return [h for q, p, h in zip(by_q, by_p, heights) if q and not p]
 
 
 def hasse_size(pair: ParabolicPair) -> int:

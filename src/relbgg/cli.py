@@ -89,13 +89,14 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
     bg = bigrade(pair)
     prof = subalgebra_profile(bg)
+    spaces = bg.root_spaces()
     result = {
         "components": [
             {
                 "bidegree": list(bd),
                 "dim": dim,
                 "includes_cartan": bd == (0, 0),
-                "roots": [list(r.coeffs) for r in bg.roots(bd)],
+                "roots": [list(r.coeffs) for r in spaces[bd]],
             }
             for bd, dim in sorted(bg.dims.items())
         ],

@@ -9,8 +9,10 @@ tangent-bundle subquotient ranks) are pure functions of that decomposition.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import attrgetter
-from typing import Iterable, NamedTuple
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple
 
 from .roots import Root, RootSystem
 
@@ -48,6 +50,16 @@ class ParabolicPair(_PairFields):
 _coeffs = attrgetter("coeffs")
 
 
+def _reduce_report(self):
+    """Pickle and copy a report through plain dicts, since a mappingproxy
+    cannot be pickled; ``_load_report`` wraps them read-only again."""
+    return _load_report, (type(self), *[dict(f) if type(f) is MappingProxyType else f for f in self])
+
+
+def _load_report(cls, *fields):
+    return cls(*[MappingProxyType(f) if type(f) is dict else f for f in fields])
+
+
 def sigma_height(root: Root, sigma: Iterable[int]) -> int:
     """Sum of the root's coefficients over the nodes in sigma (1-based)."""
     return sum(root.coeffs[i - 1] for i in sigma)
@@ -71,23 +83,34 @@ def bidegree_of_root(pair: ParabolicPair, root: Root) -> Bidegree:
 
 class Bigrading(NamedTuple):
     """Each root space once: ``dims`` maps every bidegree of either sign to the
-    dimension of its component (the Cartan counted at (0, 0)), ``positive``
-    maps the bidegree of each positive root to its bucket, sorted by
-    coefficients.  Both indices of a positive bidegree are >= 0, and (0, 0)
-    holds the roots of the Levi of q."""
+    dimension of its component (the Cartan counted at (0, 0)), read-only.
+    Both indices of a positive root's bidegree are >= 0, and (0, 0) holds
+    the roots of the Levi of q."""
 
     pair: ParabolicPair
-    dims: dict[Bidegree, int]
-    positive: dict[Bidegree, tuple[Root, ...]]
+    dims: Mapping[Bidegree, int]
 
-    def roots(self, bd: Bidegree) -> tuple[Root, ...]:
-        """The roots of g_bd sorted by coefficients; () if bd does not occur.
+    __reduce__ = _reduce_report
+
+    def root_spaces(self) -> dict[Bidegree, tuple[Root, ...]]:
+        """The roots of every component, keyed like ``dims`` and sorted by
+        coefficients, from one pass over the positive roots.
 
         g_{-bd} holds exactly the negatives of g_{bd}, and negation reverses
         the order, so (0, 0) lists the negated Levi roots first."""
-        ip, idp = bd
-        mirrored = self.positive.get((-ip, -idp), ())
-        return tuple([-r for r in reversed(mirrored)]) + self.positive.get((ip, idp), ())
+        positive: dict[tuple[int, int], list[Root]] = {}
+        for key, root in zip(zip(*_height_strings(self.pair)), self.pair.rs.positive_roots):
+            positive.setdefault(key, []).append(root)
+        for roots in positive.values():
+            roots.sort(key=_coeffs)
+        return {
+            bd: tuple([-r for r in reversed(positive.get(-bd, ()))]) + tuple(positive.get(bd, ()))
+            for bd in self.dims
+        }
+
+    def roots(self, bd: Bidegree) -> tuple[Root, ...]:
+        """The roots of g_bd as in ``root_spaces``; () if bd does not occur."""
+        return self.root_spaces().get(bd, ())
 
     def dim_component(self, bd: Bidegree) -> int:
         return self.dims.get(Bidegree(*bd), 0)
@@ -100,22 +123,19 @@ class Bigrading(NamedTuple):
         return sorted({bd.i_prime for bd in self.dims})
 
 
+def _height_strings(pair: ParabolicPair) -> tuple[bytes, bytes]:
+    """i' and i'' of every positive root, one byte each in the walk's order."""
+    rs = pair.rs
+    return rs.sigma_heights(pair.sigma_p), rs.sigma_heights(pair.sigma_q - pair.sigma_p)
+
+
 def bigrade(pair: ParabolicPair) -> Bigrading:
-    """Bucket the positive roots by bidegree; g_{-bd} has the dimension of g_{bd}."""
-    p_nodes = [i - 1 for i in pair.sigma_p]
-    dp_nodes = [i - 1 for i in pair.sigma_q - pair.sigma_p]  # i'' = height over these
-    buckets: dict[tuple[int, int], list[Root]] = {(0, 0): []}
-    for root in pair.rs.positive_roots:
-        get = root.coeffs.__getitem__
-        buckets.setdefault((sum(map(get, p_nodes)), sum(map(get, dp_nodes))), []).append(root)
-    dims, positive = {}, {}
-    for (ip, idp), roots in buckets.items():
-        roots.sort(key=_coeffs)
-        bd = Bidegree(ip, idp)
-        positive[bd] = tuple(roots)
-        dims[bd] = dims[Bidegree(-ip, -idp)] = len(roots)
-    dims[Bidegree(0, 0)] = 2 * len(buckets[0, 0]) + pair.rs.rank
-    return Bigrading(pair=pair, dims=dims, positive=positive)
+    """Count the positive roots by bidegree; g_{-bd} has the dimension of g_{bd}."""
+    counts = Counter(zip(*_height_strings(pair)))
+    dims = {Bidegree(0, 0): 2 * counts.pop((0, 0), 0) + pair.rs.rank}
+    for (ip, idp), n in counts.items():
+        dims[Bidegree(ip, idp)] = dims[Bidegree(-ip, -idp)] = n
+    return Bigrading(pair=pair, dims=MappingProxyType(dims))
 
 
 class SubalgebraInfo(NamedTuple):
@@ -153,8 +173,10 @@ class ModuleDescriptor(NamedTuple):
 
 class FiltrationReport(NamedTuple):
     i_prime_range: tuple[int, ...]
-    components: dict[int, tuple[Bidegree, ...]]  # i' -> bidegrees of the filtration piece
-    modules: dict[int, ModuleDescriptor]
+    components: Mapping[int, tuple[Bidegree, ...]]  # i' -> bidegrees of the filtration piece
+    modules: Mapping[int, ModuleDescriptor]
+
+    __reduce__ = _reduce_report
 
 
 def filtration(bg: Bigrading) -> FiltrationReport:
@@ -177,7 +199,7 @@ def filtration(bg: Bigrading) -> FiltrationReport:
             for bd in level
         )
         modules[ip] = ModuleDescriptor(i_prime=ip, dim=total, filtration_steps=steps)
-    return FiltrationReport(i_prime_range=tuple(values), components=components, modules=modules)
+    return FiltrationReport(tuple(values), MappingProxyType(components), MappingProxyType(modules))
 
 
 class RankReport(NamedTuple):
@@ -191,8 +213,10 @@ class RankReport(NamedTuple):
 
     dim_M: int
     rank_T_rho: int
-    ranks_T_P: dict[int, int]
-    ranks_V: dict[int, int]
+    ranks_T_P: Mapping[int, int]
+    ranks_V: Mapping[int, int]
+
+    __reduce__ = _reduce_report
 
 
 def tangent_ranks(bg: Bigrading) -> RankReport:
@@ -209,6 +233,6 @@ def tangent_ranks(bg: Bigrading) -> RankReport:
     return RankReport(
         dim_M=dim_m,
         rank_T_rho=rank_t_rho,
-        ranks_T_P=ranks_t_p,
-        ranks_V=ranks_v,
+        ranks_T_P=MappingProxyType(ranks_t_p),
+        ranks_V=MappingProxyType(ranks_v),
     )

@@ -11,17 +11,22 @@ pairing walks the root back down to a simple root, using Weyl invariance.
 Ranks above ``MAX_RANK`` are refused, so every accepted input is small.
 
 Each process walks a root system once: the walk's output is cached as one
-packed ``bytes`` per Cartan matrix, one byte per coefficient.  The cache is
-bounded by ``MAX_RANK``: all 124 A-D systems hold 970,018 bytes.  It holds no
-``Root`` objects; every ``build_root_system`` call unpacks fresh ones.
+packed ``bytes`` per Cartan matrix, column-major, one byte per coefficient.
+The cache is bounded by ``MAX_RANK``: all 124 A-D systems hold 970,018 bytes.
+It holds no ``Root`` objects, and neither does a ``RootSystem``: the
+sigma-heights of all positive roots come out of the columns as one ``bytes``
+by big-integer addition, and ``positive_roots`` unpacks fresh ``Root``
+objects only when it is read.
 """
 
 from __future__ import annotations
 
-import struct
 from functools import cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
+# A sigma-height is at most the height of the highest root, 2 * MAX_RANK - 1
+# = 63 (B and C), so it fits one byte: ``RootSystem.sigma_heights`` adds packed
+# byte columns as big integers and no byte ever carries into the next.
 MAX_RANK = 32
 
 
@@ -99,20 +104,43 @@ class RootSystem(NamedTuple):
     """A root system given by its Cartan matrix.
 
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
-    simple coroot (0-based storage for 1-based nodes).  ``rho`` is the
-    half-sum of the positive roots, i.e. the all-ones weight.  The fields are
-    read-only and there is no instance ``__dict__``.
+    simple coroot (0-based storage for 1-based nodes).  ``columns`` holds the
+    positive roots column-major, one byte per coefficient: column i (0-based)
+    is coefficient i of every positive root in the walk's order.  ``rho`` is
+    the half-sum of the positive roots, i.e. the all-ones weight.  The fields
+    are read-only and there is no instance ``__dict__``.
     """
 
     type_tag: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
-    positive_roots: tuple[Root, ...]
+    columns: bytes
     rho: Weight
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise ValueError(f"node index {i} out of range 1..{self.rank}")
+
+    def _column(self, i: int) -> bytes:
+        n = len(self.columns) // self.rank
+        return self.columns[i * n:(i + 1) * n]
+
+    @property
+    def positive_roots(self) -> tuple[Root, ...]:
+        """The positive roots in the walk's order, as fresh ``Root`` objects
+        unpacked on each read."""
+        # the walk starts at the simple roots and only raises coefficients
+        return tuple(map(_one_signed_root, zip(*map(self._column, range(self.rank)))))
+
+    def sigma_heights(self, nodes: Iterable[int]) -> bytes:
+        """The sigma-height of every positive root over the 1-based ``nodes``,
+        one byte each in the walk's order: the sum of their columns read as
+        big integers (no byte carries, see ``MAX_RANK``)."""
+        total = 0
+        for i in nodes:
+            self._check_node(i)
+            total += int.from_bytes(self._column(i - 1), "big")
+        return total.to_bytes(len(self.columns) // self.rank, "big")
 
 
 def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -193,13 +221,14 @@ def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple
 
 
 @cache
-def _packed_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> bytes:
-    """The walk's positive roots, coefficients row by row in its sorted order.
+def _packed_root_columns(cartan: tuple[tuple[int, ...], ...]) -> bytes:
+    """The walk's positive roots column by column: coefficient i of every
+    root in its sorted order, then coefficient i + 1.
 
     A-D coefficients are at most 2, so each takes one byte; ``bytes`` raises
     on any that would not fit.
     """
-    return bytes(c for root in _enumerate_positive_roots(cartan) for c in root)
+    return b"".join(map(bytes, zip(*_enumerate_positive_roots(cartan))))
 
 
 def build_root_system(type_tag: str, rank: int) -> RootSystem:
@@ -208,18 +237,16 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     Type A is the primary supported family; B, C and D are accepted
     extensions (B/C need rank >= 2, D needs rank >= 3).  Type and rank are
     validated before the cache is read, so a refused input adds no entry.
-    The positive roots are walked once per process and kept packed; each
-    call returns fresh ``Root`` objects, so callers share none.
+    The positive roots are walked once per process and kept packed; no
+    ``Root`` is built until ``positive_roots`` is read, and each read builds
+    fresh ones, so callers share none.
     """
     cartan = _cartan_matrix(type_tag, rank)
-    packed = _packed_positive_roots(cartan)
-    # the walk starts at the simple roots and only raises coefficients
-    positive = tuple(map(_one_signed_root, struct.iter_unpack(f"{rank}B", packed)))
     return RootSystem(
         type_tag=type_tag,
         rank=rank,
         cartan=cartan,
-        positive_roots=positive,
+        columns=_packed_root_columns(cartan),
         rho=Weight((1,) * rank),
     )
 

@@ -12,9 +12,10 @@ The relative directions are exactly the bidegrees (0, i'') with i'' < 0.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
-from .grading import Bidegree, Bigrading, ParabolicPair, in_q, in_relative_range
+from .grading import Bidegree, Bigrading, ParabolicPair, _reduce_report, in_q, in_relative_range
 from .roots import MAX_RANK, build_root_system
 
 
@@ -107,7 +108,9 @@ class Corollary33Verdict(NamedTuple):
     part1: bool  # graded leaf-space tangent pieces exist at every level
     part2: bool  # and parallel sections are exactly pullbacks
     involutivity: TorsionVerdict
-    per_level: dict[int, tuple[bool, bool]]  # i' -> (non-strict ok, strict ok or None-as-True)
+    per_level: Mapping[int, tuple[bool, bool]]  # i' -> (non-strict ok, strict ok or None-as-True)
+
+    __reduce__ = _reduce_report
 
 
 def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
@@ -127,7 +130,7 @@ def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
         if ip < 0:
             part2 = part2 and ok2
     return Corollary33Verdict(
-        part1=part1, part2=part2, involutivity=inv, per_level=per_level
+        part1=part1, part2=part2, involutivity=inv, per_level=MappingProxyType(per_level)
     )
 
 

@@ -114,11 +114,14 @@ DIMS_ONLY_RUNS = [
     ("check-torsion", "--type", "A6", "--sq", "1,6", "--sp", "1", "--support", "support.json"),
     ("check-torsion", "--catalog", "legendrean(5)"),
     ("audit", "A6", "--sq", "1,6", "--sp", "1"),
+    ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"),
 ]
 
 
 def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
-    """Only bigrade lists roots; every other report reads component dims."""
+    """Only bigrade lists roots; every other report reads component dims or
+    packed heights, so no Root is built, unpacked or negated."""
+    from relbgg import roots
     from relbgg.roots import Root
 
     support = {"components": [{"in1": [-1, 0], "in2": [0, -1], "out": [-1, -1], "tag": "t"}]}
@@ -127,10 +130,12 @@ def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
     runs = [argv + flag for argv in DIMS_ONLY_RUNS for flag in ((), ("--json",))]
     unpatched = [run_cli(capsys, *argv) for argv in runs]
 
-    def refuse(self):
-        raise AssertionError("a root was negated")
+    def refuse(*args):
+        raise AssertionError("a root was built")
 
     monkeypatch.setattr(Root, "__neg__", refuse)
+    monkeypatch.setattr(Root, "__init__", refuse)
+    monkeypatch.setattr(roots, "_one_signed_root", refuse)
     with pytest.raises(AssertionError):
         main(["bigrade", "A6", "--sq", "1,2,6", "--sp", "1"])
     for argv, before in zip(runs, unpatched):

@@ -13,6 +13,7 @@ from relbgg import (
     Bidegree,
     ParabolicPair,
     Root,
+    RootSystem,
     bidegree_of_root,
     bigrade,
     build_root_system,
@@ -88,6 +89,31 @@ def test_absent_bidegree_has_no_roots(bd):
     assert bd not in bg.dims
     assert bg.roots(bd) == ()
     assert bg.dim_component(bd) == 0
+
+
+def test_dims_come_from_packed_heights_alone(monkeypatch):
+    """build_root_system and bigrade build, unpack and read no Root, and the
+    reports on dims follow suit."""
+    from relbgg import roots
+
+    pairs = [_pair(24, {1, 8, 24}, {8}, "B"), _pair(6, {1, 2, 6}, {1}), _pair(5, {2, 5}, {2, 5}, "D")]
+    want = []
+    for pair in pairs:
+        bg = bigrade(pair)
+        want.append((bg, filtration(bg), tangent_ranks(bg)))
+
+    def refuse(*args):
+        raise AssertionError("a root was built or read")
+
+    monkeypatch.setattr(Root, "__init__", refuse)
+    monkeypatch.setattr(roots, "_one_signed_root", refuse)
+    monkeypatch.setattr(RootSystem, "positive_roots", property(refuse))
+    for pair, expected in zip(pairs, want):
+        rs = build_root_system(pair.rs.type_tag, pair.rs.rank)
+        bg = bigrade(ParabolicPair(rs, pair.sigma_q, pair.sigma_p))
+        assert (bg, filtration(bg), tangent_ranks(bg)) == expected
+    with pytest.raises(AssertionError):
+        bg.roots((0, 0))
 
 
 def _reference_components(pair):

@@ -17,6 +17,9 @@ Core claims:
     - each system is walked once per process and cached packed, within a
       bound set by MAX_RANK; calls share no Root object, and a refused type
       or rank adds no cache entry
+    - the packed sigma-heights never carry from one root's byte into the
+      next: over every node they are each root's coefficient sum (up to 63
+      at B32 and C32), over random node sets grading.sigma_height root by root
 """
 
 import random
@@ -26,7 +29,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from relbgg import Root, Weight, build_root_system, pairing, reflect, root_to_weight
+from relbgg import Root, Weight, build_root_system, pairing, reflect, root_to_weight, sigma_height
 from relbgg import roots
 from relbgg.roots import MAX_RANK
 
@@ -168,7 +171,7 @@ def test_walk_matches_root_chain_reference(tag, rank):
 @pytest.mark.parametrize("tag,lo", ALL_TYPES)
 def test_walk_matches_row_sum_walk_up_to_rank_cap(tag, lo):
     # the first call walks and packs, the second unpacks the cached entry
-    roots._packed_positive_roots.cache_clear()
+    roots._packed_root_columns.cache_clear()
     for rank in range(lo, MAX_RANK + 1):
         for _ in range(2):
             rs = build_root_system(tag, rank)
@@ -201,7 +204,7 @@ def test_each_system_is_walked_once(monkeypatch):
         return walk(cartan)
 
     monkeypatch.setattr(roots, "_enumerate_positive_roots", counting_walk)
-    roots._packed_positive_roots.cache_clear()
+    roots._packed_root_columns.cache_clear()
     for tag in "AAAB":
         build_root_system(tag, 5)
     assert walked == [5, 5]
@@ -210,25 +213,60 @@ def test_each_system_is_walked_once(monkeypatch):
 def test_calls_share_no_root_object():
     first, second = build_root_system("C", 6), build_root_system("C", 6)
     assert first == second
-    assert {id(r) for r in first.positive_roots}.isdisjoint(map(id, second.positive_roots))
+    # both tuples stay alive while ids are compared, so no address is reused
+    kept = first.positive_roots, second.positive_roots, first.positive_roots
+    assert kept[0] == kept[1] == kept[2]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        assert {id(r) for r in kept[a]}.isdisjoint(map(id, kept[b]))
 
 
 def test_cache_is_bounded_by_the_rank_cap():
-    roots._packed_positive_roots.cache_clear()
+    roots._packed_root_columns.cache_clear()
     size = 0
     for tag, lo in ALL_TYPES:
         for rank in range(lo, MAX_RANK + 1):
-            size += len(roots._packed_positive_roots(build_root_system(tag, rank).cartan))
-    assert roots._packed_positive_roots.cache_info().currsize == 124
+            size += len(roots._packed_root_columns(build_root_system(tag, rank).cartan))
+    assert roots._packed_root_columns.cache_info().currsize == 124
     assert size < 1_000_000
 
 
 @pytest.mark.parametrize("tag,rank", [("E", 6), ("A", 0), ("A", MAX_RANK + 1)])
 def test_refused_system_adds_no_cache_entry(tag, rank):
-    before = roots._packed_positive_roots.cache_info().currsize
+    before = roots._packed_root_columns.cache_info().currsize
     with pytest.raises(ValueError):
         build_root_system(tag, rank)
-    assert roots._packed_positive_roots.cache_info().currsize == before
+    assert roots._packed_root_columns.cache_info().currsize == before
+
+
+# -- packed sigma-heights ----------------------------------------------------
+
+def test_heights_over_every_node_are_coefficient_sums():
+    tallest = {}
+    for tag, lo in ALL_TYPES:
+        for rank in range(lo, MAX_RANK + 1):
+            rs = build_root_system(tag, rank)
+            heights = rs.sigma_heights(range(1, rank + 1))
+            assert list(heights) == [sum(r.coeffs) for r in rs.positive_roots], (tag, rank)
+            tallest[tag, rank] = max(heights)
+    assert len(tallest) == 124
+    assert max(tallest.values()) == tallest["B", MAX_RANK] == tallest["C", MAX_RANK] == 2 * MAX_RANK - 1
+
+
+def test_heights_over_random_nodes_match_sigma_height():
+    rng = random.Random(17)
+    for _ in range(300):
+        tag, lo = rng.choice(ALL_TYPES)
+        rs = build_root_system(tag, rng.randint(lo, MAX_RANK))
+        sigma = rng.sample(range(1, rs.rank + 1), rng.randint(0, rs.rank))
+        got = rs.sigma_heights(sigma)
+        assert list(got) == [sigma_height(r, sigma) for r in rs.positive_roots], (rs.type_tag, rs.rank, sigma)
+
+
+def test_heights_refuse_a_node_out_of_range():
+    rs = build_root_system("A", 4)
+    for node in (0, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            rs.sigma_heights([1, node])
 
 
 # -- basis change ------------------------------------------------------------

@@ -3,7 +3,8 @@
 Core claims:
     - Root, Weight and WeylWord with equal coefficient tuples are distinct
       from each other and from a plain tuple, and stay hashable
-    - no public value type allows assignment to one of its fields
+    - no public value type allows assignment to one of its fields, and no
+      mapping a value holds allows an item to be set or deleted
     - TorsionComponents sort by (in1, in2, out, tag)
     - the validated constructors coerce their inputs and reject bad ones
 """
@@ -94,6 +95,37 @@ def test_values_survive_copy_and_pickle(value, field):
         assert type(clone) is type(value)
         assert clone == value
         assert getattr(clone, field) == getattr(value, field)
+
+
+def _mapping_fields():
+    """Every mapping held by a public value, with a key it contains."""
+    bg = bigrade(ParabolicPair(build_root_system("A", 5), {1, 3, 5}, {1, 5}))
+    rep, ranks = filtration(bg), tangent_ranks(bg)
+    geom = legendrean_catalog(2)
+    verdict = corollary_33_check(geom.support, bigrade(geom.pair))
+    return [
+        (bg, "dims", Bidegree(0, 0)),
+        (rep, "components", 0),
+        (rep, "modules", 0),
+        (ranks, "ranks_T_P", -1),
+        (ranks, "ranks_V", -1),
+        (verdict, "per_level", 0),
+    ]
+
+
+@pytest.mark.parametrize("value, field, key", _mapping_fields(), ids=_id)
+def test_mapping_fields_are_read_only(value, field, key):
+    for holder in (value, copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        mapping = getattr(holder, field)
+        before = dict(mapping)
+        assert key in mapping
+        with pytest.raises(TypeError):
+            mapping[key] = mapping[key]
+        with pytest.raises(TypeError):
+            del mapping[key]
+        with pytest.raises(AttributeError):
+            mapping.clear()
+        assert dict(mapping) == before
 
 
 def test_coefficient_vectors_are_distinct_types():
