@@ -14,7 +14,6 @@ from .bgg import (
     InternalCheckError,
     WeylWord,
     affine_act,
-    operator_order,
     relative_bgg_sequence,
     relative_hasse,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "filtration",
     "involutivity_check",
     "legendrean_catalog",
-    "operator_order",
     "pairing",
     "parse_label",
     "path_geometry_catalog",

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
-from .roots import Root, RootSystem, Weight, _reflect_coords, _sparse_columns, pairing, reflect
+from .roots import RootSystem, Weight, _reflect_coords, _sparse_columns, reflect
 
 
 class InternalCheckError(RuntimeError):
@@ -40,27 +40,22 @@ class WeylWord(NamedTuple):
 MAX_HASSE_ELEMENTS = 20_000
 
 
-def _levi_quotient_heights(pair: ParabolicPair) -> list[int]:
-    """Heights of the positive roots of the Levi of p (support outside
-    sigma_p) that are not roots of the Levi of q (support meets sigma_q)."""
+def _levi_quotient(pair: ParabolicPair) -> tuple[int, int]:
+    """(N, |W_L| / |W_{L & q}|) over the positive roots of the Levi of p
+    (support outside sigma_p) that are not roots of the Levi of q (support
+    meets sigma_q): N counts them, the length of the longest element, and
+    the size is Macdonald's product of (ht + 1) / ht over them."""
     rs = pair.rs
     by_q, by_p = rs.sigma_heights(pair.sigma_q), rs.sigma_heights(pair.sigma_p)
-    heights = rs.sigma_heights(range(1, rs.rank + 1))
-    return [h for q, p, h in zip(by_q, by_p, heights) if q and not p]
+    every = rs.sigma_heights(range(1, rs.rank + 1))
+    heights = [h for q, p, h in zip(by_q, by_p, every) if q and not p]
+    return len(heights), math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
 def hasse_size(pair: ParabolicPair) -> int:
-    """Number of elements of the relative Hasse diagram, |W_L| / |W_{L & q}|.
-
-    By Macdonald's product |W| = prod over positive roots of (ht + 1) / ht,
-    this is the product over the roots of the Levi of p (support outside
-    sigma_p) that are not roots of the Levi of q (support meets sigma_q).
-    """
-    return _macdonald_quotient(_levi_quotient_heights(pair))
-
-
-def _macdonald_quotient(heights: list[int]) -> int:
-    return math.prod(h + 1 for h in heights) // math.prod(heights)
+    """Number of elements of the relative Hasse diagram, |W_L| / |W_{L & q}|,
+    in closed form (``_levi_quotient``)."""
+    return _levi_quotient(pair)[1]
 
 
 class HasseDiagram(NamedTuple):
@@ -127,11 +122,6 @@ def affine_act(w: WeylWord, lam: Weight, rs: RootSystem) -> Weight:
     return mu - rs.rho
 
 
-def operator_order(lambda_k: Weight, beta: Root, rs: RootSystem) -> int:
-    """Order of the operator leaving the bundle with weight lambda_k: <l+rho, beta^vee>."""
-    return pairing(lambda_k + rs.rho, beta, rs)
-
-
 class BGGEntry(NamedTuple):
     word: WeylWord
     label: DynkinLabel
@@ -160,11 +150,11 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             f"source label {print_label(src)} is not P-dominant "
             f"(negative at nodes {list(verdict.negative_uncrossed)})"
         )
-    # Lengths run over 0..N, N = len(heights) being that of the longest element,
-    # so a chain has N + 1 elements: a non-chain is refused before any walk.  A
-    # diagram above the cap is left to relative_hasse, which refuses it unwalked.
-    heights = _levi_quotient_heights(pair)
-    if len(heights) + 1 < _macdonald_quotient(heights) <= MAX_HASSE_ELEMENTS:
+    # Lengths run over 0..N, N being that of the longest element, so a chain
+    # has N + 1 elements: a non-chain is refused before any walk.  A diagram
+    # above the cap is left to relative_hasse, which refuses it unwalked.
+    n, size = _levi_quotient(pair)
+    if n + 1 < size <= MAX_HASSE_ELEMENTS:
         raise ValueError(
             "the relative Hasse diagram is not linear for this pair; "
             "a single sequence shape is not defined"
@@ -172,7 +162,7 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
     diagram = relative_hasse(pair)
     if not diagram.is_chain:
         raise InternalCheckError(
-            f"the relative Hasse walk is not a chain though it has N + 1 = {len(heights) + 1} elements"
+            f"the relative Hasse walk is not a chain though it has N + 1 = {n + 1} elements"
         )
     ends = [w.gens[-1] for w in diagram.elements[1:]]  # w_{k+1} = w_k s_i
     # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>,

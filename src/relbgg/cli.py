@@ -197,7 +197,7 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
             raise ValueError("--catalog does not combine with --type, --sq, --sp or --support")
         geom = catalog(args.catalog, assume_involutive_f=args.assume_involutive_f)
         pair, support = geom.pair, geom.support
-        name = support.geometry_tag or geom.name
+        name = support.geometry_tag
     else:
         if args.assume_involutive_f:
             raise ValueError("--assume-involutive-F applies only to --catalog")

@@ -108,10 +108,6 @@ class Bigrading(NamedTuple):
             for bd in self.dims
         }
 
-    def roots(self, bd: Bidegree) -> tuple[Root, ...]:
-        """The roots of g_bd as in ``root_spaces``; () if bd does not occur."""
-        return self.root_spaces().get(bd, ())
-
     def dim_component(self, bd: Bidegree) -> int:
         return self.dims.get(Bidegree(*bd), 0)
 
@@ -228,7 +224,8 @@ def tangent_ranks(bg: Bigrading) -> RankReport:
     ranks_v = {ip: levels[ip] for ip in sorted(levels) if ip < 0}
     rank_t_rho = sum(dim for bd, dim in bg.dims.items() if in_relative_range(bd))
     ranks_t_p = {ip: rank_t_rho + sum(r for j, r in ranks_v.items() if j >= ip) for ip in ranks_v}
-    # dim M comes from q directly, so the ranks above must telescope to it.
+    # dim M comes from q directly.  No bidegree has i' > 0 > i'', so dim_M =
+    # rank_T_rho + sum(ranks_V) by construction; nothing here checks it.
     dim_m = bg.dim_g - sum(dim for bd, dim in bg.dims.items() if in_q(bd))
     return RankReport(
         dim_M=dim_m,

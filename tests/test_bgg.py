@@ -19,7 +19,7 @@ from relbgg import (
     WeylWord,
     affine_act,
     build_root_system,
-    operator_order,
+    pairing,
     parse_label,
     relative_bgg_sequence,
     relative_hasse,
@@ -252,6 +252,26 @@ def test_non_chain_is_refused_before_the_walk(monkeypatch, label, pair):
         relative_bgg_sequence(parse_label(label), pair)
 
 
+def test_sequence_walks_through_relative_hasse_once(monkeypatch):
+    """relative_bgg_sequence takes its diagram from the module's relative_hasse,
+    once per chain request and never for a refused non-chain, so a wrapper set
+    on bgg.relative_hasse (as a benchmark tracer does) sees every walk."""
+    walk, calls = bgg.relative_hasse, []
+
+    def counted(pair):
+        calls.append(pair)
+        return walk(pair)
+
+    monkeypatch.setattr(bgg, "relative_hasse", counted)
+    seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-2,1,0,0)"), path_pair())
+    assert calls == [path_pair()]
+    assert [e.word for e in seq.entries] == list(walk(path_pair()).elements)
+    calls.clear()
+    with pytest.raises(ValueError, match="not linear"):
+        relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), _pair(4, {1, 3}, {1}))
+    assert calls == []
+
+
 # -- structural invariants ---------------------------------------------------
 
 def _chain_pairs(rng):
@@ -303,14 +323,16 @@ def test_orders_match_source_coefficients():
             assert j not in pair.sigma_p
             lam = Weight(tuple(rng.randint(0, 5) for _ in range(rs.rank)))
             lam_k = affine_act(wk, lam, rs)
-            assert operator_order(lam_k, Root(beta), rs) == lam.coeffs[j - 1] + 1
+            assert pairing(lam_k + rs.rho, Root(beta), rs) == lam.coeffs[j - 1] + 1
 
 
 def test_operator_order_direct():
+    """The order leaving weight lambda along a positive root beta is
+    pairing(lambda + rho, beta); a vector that is no root is refused."""
     rs = build_root_system("A", 4)
-    assert operator_order(Weight((-2, 1, 0, 0)), Root((0, 1, 0, 0)), rs) == 2
+    assert pairing(Weight((-2, 1, 0, 0)) + rs.rho, Root((0, 1, 0, 0)), rs) == 2
     with pytest.raises(ValueError):
-        operator_order(Weight((0, 0, 0, 0)), Root((1, 0, 1, 0)), rs)
+        pairing(Weight((0, 0, 0, 0)) + rs.rho, Root((1, 0, 1, 0)), rs)
 
 
 # -- brute-force reference ---------------------------------------------------

@@ -7,11 +7,13 @@ Core claims:
       mapping a value holds allows an item to be set or deleted
     - TorsionComponents sort by (in1, in2, out, tag)
     - the validated constructors coerce their inputs and reject bad ones
+    - relbgg.__all__ lists each public name of the package once, and each resolves
 """
 
 import copy
 import pickle
 import random
+import types
 
 import pytest
 
@@ -214,3 +216,20 @@ def test_validated_constructors_reject_bad_input():
         TorsionComponent(in1=(-1, 1), in2=(-1, 0), out=(0, 0))
     with pytest.raises(ValueError, match="inside q"):
         TorsionComponent(in1=(0, 0), in2=(-1, 0), out=(0, 0))
+
+
+def test_package_all_names_every_public_name_once():
+    import relbgg
+
+    names = relbgg.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(relbgg, n)]
+    assert missing == []
+    public = {
+        n for n, v in vars(relbgg).items()
+        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+    }
+    assert public == set(names)
+    star: dict = {}
+    exec("from relbgg import *", star)
+    assert set(star) - {"__builtins__"} == set(names)
