@@ -9,14 +9,20 @@ about the grading becomes a statement about explicit commutators: a
 homogeneous [X, Y] satisfies [Z, [X, Y]] = deg * [X, Y] entry by entry.
 
 Matrices are sparse dicts {(u, w): int} of exact Python ints with 0-based
-indices; every basis element has at most two entries.  The audit brackets
-only the basis pairs whose supports meet, O(m^3) of them; every other
-commutator is zero by support, and all (m^2 - 1)^2 pairs are counted.
+indices; every basis element has at most two entries.  The commutators of
+the basis depend on m alone, so each process brackets the basis of sl(m)
+once per m: only the pairs whose supports meet, O(m^3) of them (every other
+commutator is zero by support), keeping each nonzero entry as six bytes.
+The table is bounded by ``MAX_RANK``: all 32 ranks hold 4,019,136 bytes.
+An audit then compares entry heights with summed bidegrees, and all
+(m^2 - 1)^2 pairs are counted.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
+from functools import cache
 from typing import NamedTuple
 
 from .grading import Bidegree, Bigrading, ParabolicPair
@@ -53,25 +59,25 @@ def block_structure_from_pair(pair: ParabolicPair) -> BlockStructure:
     return BlockStructure(z_p=eigenvalues(pair.sigma_p), z_q=eigenvalues(pair.sigma_q))
 
 
-def basis_with_bidegrees(bs: BlockStructure) -> tuple[list[Matrix], list[Bidegree], list[str]]:
-    """Basis of sl(m): elementary matrices E_uv plus traceless diagonals.
+def _basis(m: int) -> tuple[list[Matrix], list[str]]:
+    """Basis of sl(m): elementary matrices E_uv, then H_i = E_ii - E_{i+1,i+1}."""
+    offdiag = [(u, v) for u in range(m) for v in range(m) if u != v]
+    mats = [{e: 1} for e in offdiag] + [{(i, i): 1, (i + 1, i + 1): -1} for i in range(m - 1)]
+    names = [f"E[{u + 1},{v + 1}]" for u, v in offdiag] + [f"H[{i + 1}]" for i in range(m - 1)]
+    return mats, names
 
-    Returns the sparse matrices, their bidegrees, and display names.  The
-    Cartan part uses H_i = E_ii - E_{i+1,i+1} at bidegree (0, 0).
-    """
+
+def _bidegrees(bs: BlockStructure) -> list[Bidegree]:
+    """Bidegrees of the basis of ``_basis(bs.m)``; the Cartan part is at (0, 0)."""
     m = bs.m
-    mats, bidegs, names = [], [], []
-    for u in range(m):
-        for v in range(m):
-            if u != v:
-                mats.append({(u, v): 1})
-                bidegs.append(bs.bidegree(u, v))
-                names.append(f"E[{u + 1},{v + 1}]")
-    for i in range(m - 1):
-        mats.append({(i, i): 1, (i + 1, i + 1): -1})
-        bidegs.append(Bidegree(0, 0))
-        names.append(f"H[{i + 1}]")
-    return mats, bidegs, names
+    offdiag = [bs.bidegree(u, v) for u in range(m) for v in range(m) if u != v]
+    return offdiag + [Bidegree(0, 0)] * (m - 1)
+
+
+def basis_with_bidegrees(bs: BlockStructure) -> tuple[list[Matrix], list[Bidegree], list[str]]:
+    """Basis of sl(m) as sparse matrices, their bidegrees, and display names."""
+    mats, names = _basis(bs.m)
+    return mats, _bidegrees(bs), names
 
 
 def bracket(x: Matrix, y: Matrix) -> Matrix:
@@ -84,6 +90,33 @@ def bracket(x: Matrix, y: Matrix) -> Matrix:
             if w == u:
                 out[v2, v] = out.get((v2, v), 0) - s * t
     return {k: c for k, c in out.items() if c}
+
+
+@cache
+def _commutator_table(m: int) -> tuple[array, tuple[str, ...]]:
+    """Every nonzero entry of every basis commutator of sl(m), and the basis names.
+
+    The table is a flat ``array('H')`` of triples (i, j, u * m + w), one per
+    nonzero entry (u, w) of [X_i, X_j], X-major, Y-minor, six bytes each.
+    Only pairs whose supports meet are bracketed: xy is zero unless a row of
+    Y is a column of X, and yx unless a column of Y is a row of X, so every
+    other [X, Y] is zero by support and cannot violate.  With m <= MAX_RANK + 1
+    = 33, every index is below 33² and fits the unsigned short.
+    """
+    mats, names = _basis(m)
+    # basis positions with an entry in each row, and in each column
+    with_row: list[list[int]] = [[] for _ in range(m)]
+    with_col: list[list[int]] = [[] for _ in range(m)]
+    for j, y in enumerate(mats):
+        for u, w in y:
+            with_row[u].append(j)
+            with_col[w].append(j)
+    table = array("H")
+    for i, x in enumerate(mats):
+        for j in sorted({j for u, v in x for js in (with_row[v], with_col[u]) for j in js}):
+            for u, w in bracket(x, mats[j]):
+                table.extend((i, j, u * m + w))
+    return table, tuple(names)
 
 
 class OracleReport(NamedTuple):
@@ -99,32 +132,30 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     Every nonzero entry (u, w) of a commutator must have sigma_p- and
     sigma_q-heights z_u - z_w equal to those summed from the inputs'
     bidegrees, i.e. [Z, [X, Y]] = deg * [X, Y] for Z_p and Z_q.
-    Only pairs whose supports meet are bracketed: xy is zero unless a row of
-    Y is a column of X, and yx unless a column of Y is a row of X, so every
-    other [X, Y] is zero by support and cannot violate.  That is O(m^3)
-    brackets; ``pairs_checked`` still counts all (m^2 - 1)^2 pairs, and the
-    violations are listed X-major, Y-minor.
+    The commutators depend on m alone, so they come from the per-process
+    table of ``_commutator_table``, bracketed once per rank; an audit only
+    compares each table entry's heights with the summed bidegree of its pair.
+    ``pairs_checked`` counts all (m^2 - 1)^2 pairs, and each violating pair
+    is listed once, X-major, Y-minor.
     Component dimensions of the root picture are compared with the counts of
     basis elements per bidegree as well.  Nilradical raising follows: with
     X in p_plus, [X, Y] sits at first index i'(X) + i'(Y) > i'(Y).
     """
-    mats, bidegs, names = basis_with_bidegrees(bs)
-    zp, zq = bs.z_p, bs.z_q
-    # basis positions with an entry in each row, and in each column
-    with_row: list[list[int]] = [[] for _ in zp]
-    with_col: list[list[int]] = [[] for _ in zp]
-    for j, y in enumerate(mats):
-        for u, w in y:
-            with_row[u].append(j)
-            with_col[w].append(j)
+    m, zp, zq = bs.m, bs.z_p, bs.z_q
+    table, names = _commutator_table(m)
+    bidegs = _bidegrees(bs)
+    # sigma_p- and sigma_q-heights of each entry position u * m + w and of each basis element
+    hp = [zp[u] - zp[w] for u in range(m) for w in range(m)]
+    hq = [zq[u] - zq[w] for u in range(m) for w in range(m)]
+    dp = [bd.i_prime for bd in bidegs]
+    dq = [bd.i_prime + bd.i_dprime for bd in bidegs]
     violations = []
-    for x, dx, nx in zip(mats, bidegs, names):
-        for j in sorted({j for u, v in x for js in (with_row[v], with_col[u]) for j in js}):
-            y, dy, ny = mats[j], bidegs[j], names[j]
-            hp = dx.i_prime + dy.i_prime
-            hq = hp + dx.i_dprime + dy.i_dprime
-            if any(zp[u] - zp[w] != hp or zq[u] - zq[w] != hq for u, w in bracket(x, y)):
-                violations.append(f"[{nx},{ny}]")
+    last = None
+    triples = iter(table)
+    for i, j, k in zip(triples, triples, triples):
+        if (hp[k] != dp[i] + dp[j] or hq[k] != dq[i] + dq[j]) and (i, j) != last:
+            last = i, j
+            violations.append(f"[{names[i]},{names[j]}]")
 
     block_counts = Counter(bidegs)
     mismatches = []

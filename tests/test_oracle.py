@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,16 @@ from relbgg import (
 )
 from relbgg import oracle
 from relbgg.oracle import basis_with_bidegrees, bracket
+from relbgg.roots import MAX_RANK
+
+
+@pytest.fixture(autouse=True)
+def _fresh_commutator_table():
+    """Each test brackets the basis afresh, so a patched ``bracket`` is the one
+    the audit uses, and no table built under a patch outlives its test."""
+    oracle._commutator_table.cache_clear()
+    yield
+    oracle._commutator_table.cache_clear()
 
 
 def _pair(rank, sq, sp):
@@ -157,16 +168,27 @@ def test_cartan_to_root_dim_cross_check():
         assert block_dim == bg.dim_component(Bidegree(*bd))
 
 
+def _transposed(x, y):
+    """A wrong bracket: the transpose of [x, y]."""
+    return {(w, u): c for (u, w), c in bracket(x, y).items()}
+
+
+_bidegree = oracle.BlockStructure.bidegree
+
+
+def _negated_second_index(self, u, w):
+    """A wrong block bidegree: i'' negated, i' kept."""
+    bd = _bidegree(self, u, w)
+    return Bidegree(bd.i_prime, -bd.i_dprime)
+
+
 def test_wrong_bracket_is_caught(monkeypatch):
     """A bracket that transposes its result breaks every nonzero-degree pair."""
     pair = _pair(4, {1, 4}, {1})
     bs = block_structure_from_pair(pair)
     bg = bigrade(pair)
 
-    def transposed(x, y):
-        return {(w, u): c for (u, w), c in bracket(x, y).items()}
-
-    monkeypatch.setattr(oracle, "bracket", transposed)
+    monkeypatch.setattr(oracle, "bracket", _transposed)
     rep = commutator_audit(bs, bg)
     assert not rep.ok
     assert rep.pairs_checked == 24 * 24
@@ -182,13 +204,7 @@ def test_negated_second_index_is_caught(monkeypatch):
     commutator audit can see it: [E12, E23] = E13 no longer sums, and the
     per-bidegree counts no longer match the roots."""
     pair = _pair(4, {1, 4}, {1})
-    bidegree = oracle.BlockStructure.bidegree
-
-    def negated(self, u, w):
-        bd = bidegree(self, u, w)
-        return Bidegree(bd.i_prime, -bd.i_dprime)
-
-    monkeypatch.setattr(oracle.BlockStructure, "bidegree", negated)
+    monkeypatch.setattr(oracle.BlockStructure, "bidegree", _negated_second_index)
     rep = commutator_audit(block_structure_from_pair(pair), bigrade(pair))
     assert not rep.ok
     assert rep.violations
@@ -217,8 +233,9 @@ def _supports_meet(x, y):
 
 
 def _recorded_brackets(monkeypatch, pair):
-    """Run the audit on ``pair`` and return the basis positions (i, j) it
-    bracketed, in call order, together with its report."""
+    """Run the audit on ``pair`` with its rank's commutator table uncached
+    and return the basis positions (i, j) it bracketed, in call order,
+    together with its report."""
     bs = block_structure_from_pair(pair)
     mats, _, _ = basis_with_bidegrees(bs)
     position = {tuple(sorted(mat.items())): i for i, mat in enumerate(mats)}
@@ -229,6 +246,7 @@ def _recorded_brackets(monkeypatch, pair):
         return bracket(x, y)
 
     monkeypatch.setattr(oracle, "bracket", recording)
+    oracle._commutator_table.cache_clear()  # the audit brackets its rank afresh
     rep = commutator_audit(bs, bigrade(pair))
     monkeypatch.undo()
     return calls, rep
@@ -298,3 +316,103 @@ def test_spurious_disjoint_bracket_is_caught_by_the_dense_check(monkeypatch):
     pair = _pair(3, {1, 3}, {1})
     monkeypatch.setattr(oracle, "bracket", spurious)
     assert commutator_audit(block_structure_from_pair(pair), bigrade(pair)).ok
+
+
+# -- the per-rank commutator table --------------------------------------------
+
+def _reference_audit(bs, bg):
+    """The per-pair loop the commutator table replaced: bracket every basis
+    pair whose supports meet, X-major, Y-minor, and check each entry of the
+    result against the summed bidegree."""
+    mats, bidegs, names = basis_with_bidegrees(bs)
+    zp, zq = bs.z_p, bs.z_q
+    with_row = [[] for _ in zp]
+    with_col = [[] for _ in zp]
+    for j, y in enumerate(mats):
+        for u, w in y:
+            with_row[u].append(j)
+            with_col[w].append(j)
+    violations = []
+    for x, dx, nx in zip(mats, bidegs, names):
+        for j in sorted({j for u, v in x for js in (with_row[v], with_col[u]) for j in js}):
+            y, dy, ny = mats[j], bidegs[j], names[j]
+            hp = dx.i_prime + dy.i_prime
+            hq = hp + dx.i_dprime + dy.i_dprime
+            if any(zp[u] - zp[w] != hp or zq[u] - zq[w] != hq for u, w in oracle.bracket(x, y)):
+                violations.append(f"[{nx},{ny}]")
+    block_counts = Counter(bidegs)
+    mismatches = []
+    for bd in sorted(set(block_counts) | set(bg.dims)):
+        left, right = block_counts.get(bd, 0), bg.dim_component(bd)
+        if left != right:
+            mismatches.append(f"{tuple(bd)}: block dim {left} vs root dim {right}")
+    return violations, len(names) ** 2, mismatches
+
+
+@pytest.mark.parametrize("mutation", ["none", "transposed bracket", "negated i''"])
+def test_table_audit_matches_the_per_pair_loop(monkeypatch, mutation):
+    """Every nested pair of A1–A5 gets the report of the per-pair loop, field
+    for field, also when the bracket or the block bidegree is wrong."""
+    if mutation == "transposed bracket":
+        monkeypatch.setattr(oracle, "bracket", _transposed)
+    elif mutation == "negated i''":
+        monkeypatch.setattr(oracle.BlockStructure, "bidegree", _negated_second_index)
+    flagged = 0
+    for rank in range(1, 6):
+        for pair in all_pairs(rank):
+            bs, bg = block_structure_from_pair(pair), bigrade(pair)
+            rep = commutator_audit(bs, bg)
+            violations, pairs_checked, mismatches = _reference_audit(bs, bg)
+            where = (rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
+            assert list(rep.violations) == violations, where
+            assert rep.pairs_checked == pairs_checked, where
+            assert list(rep.dim_mismatches) == mismatches, where
+            assert rep.ok == (not violations and not mismatches), where
+            flagged += not rep.ok
+    assert (flagged == 0) == (mutation == "none")
+
+
+def test_each_rank_is_bracketed_once_per_process(monkeypatch):
+    """A second audit at the same rank reads the table: no bracket at all,
+    and the report a freshly bracketed table gives."""
+    first, second = _pair(6, {1, 4}, {1}), _pair(6, {2, 3, 5}, {3})
+    commutator_audit(block_structure_from_pair(first), bigrade(first))
+    calls = []
+
+    def counting(x, y):
+        calls.append((x, y))
+        return bracket(x, y)
+
+    monkeypatch.setattr(oracle, "bracket", counting)
+    bs, bg = block_structure_from_pair(second), bigrade(second)
+    warm = commutator_audit(bs, bg)
+    assert calls == []
+    oracle._commutator_table.cache_clear()
+    cold = commutator_audit(bs, bg)
+    assert len(calls) > 0
+    assert warm == cold
+
+
+def test_a12_table_holds_every_nonzero_entry_once(monkeypatch):
+    """A12: 4,726 brackets give 4,848 nonzero entries, six bytes each, and the
+    entries of each pair are those of its bracket, in order."""
+    calls, _ = _recorded_brackets(monkeypatch, _pair(12, {3, 6}, {3}))
+    table, names = oracle._commutator_table(13)
+    assert len(calls) == 4726
+    assert len(table) == 3 * 4848
+    assert table.itemsize * len(table) == 6 * 4848
+    mats, basis_names = oracle._basis(13)
+    assert names == tuple(basis_names)
+    triples = iter(table)
+    entries = {}
+    for i, j, k in zip(triples, triples, triples):
+        entries.setdefault((i, j), []).append(k)
+    assert all(entries.get((i, j), []) == [u * 13 + w for u, w in bracket(mats[i], mats[j])]
+               for i, j in calls)
+
+
+def test_table_is_bounded_by_the_rank_cap():
+    """Every rank up to ``MAX_RANK`` together: 32 tables, 4,019,136 bytes."""
+    size = sum(len(t) * t.itemsize for t, _ in map(oracle._commutator_table, range(2, MAX_RANK + 2)))
+    assert oracle._commutator_table.cache_info().currsize == MAX_RANK
+    assert size == 4_019_136
