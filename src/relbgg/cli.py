@@ -2,9 +2,10 @@
 
 Each ``cmd_*`` builds one result dict and returns ``(inputs, result, text
 lines)``, the lines read from that result; ``main`` prints the JSON report
-under ``--json`` and the lines otherwise.  The argument parser is built
-once per process and reused by every ``main`` call; parsing keeps no state
-between calls.
+under ``--json`` and the lines otherwise.  ``bigrade`` builds its root
+listing only under ``--json``: no text line reads it.  The argument parser
+is built once per process and reused by every ``main`` call; parsing keeps
+no state between calls.
 
 Exit codes: 0 success, 2 bad input, 3 a violated internal invariant
 (a failed audit or an inconsistency the library guarantees against).
@@ -17,6 +18,7 @@ import functools
 import json
 import re
 import sys
+from itertools import chain
 from json.encoder import encode_basestring as _quote
 
 # Every module is imported eagerly: perfbench/tracer.py wraps only the relbgg
@@ -24,9 +26,9 @@ from json.encoder import encode_basestring as _quote
 from . import __version__
 from .bgg import InternalCheckError, relative_bgg_sequence
 from .dynkin import parse_label, print_label
-from .grading import ParabolicPair, bidegree_of_root, bigrade, filtration, subalgebra_profile, tangent_ranks
+from .grading import ParabolicPair, bigrade, filtration, subalgebra_profile, tangent_ranks
 from .oracle import block_structure_from_pair, commutator_audit
-from .roots import Root, build_root_system
+from .roots import build_root_system
 from .torsion import catalog, corollary_33_check, support_from_json, support_to_json
 
 _TYPE_RE = re.compile(r"^([A-Z])(\d+)$", re.ASCII)
@@ -74,10 +76,11 @@ def _block_display(pair: ParabolicPair) -> tuple[list[int], list[str]]:
     m = pair.rs.rank + 1
     starts = [0, *sorted(pair.sigma_q)]
 
-    def between(u: int, w: int):  # the root on nodes u+1..w; (0,0) when u == w
-        return bidegree_of_root(pair, Root(tuple(int(u < k <= w) for k in range(1, m))))
+    def between(u: int, w: int) -> str:  # sigma nodes in (u, w], counted negatively when w < u
+        hp, hq = (sum(k <= w for k in s) - sum(k <= u for k in s) for s in (pair.sigma_p, pair.sigma_q))
+        return _fmt_bd((hp, hq - hp))
 
-    cells = [[_fmt_bd(between(u, w) if u <= w else -between(w, u)) for w in starts] for u in starts]
+    cells = [[between(u, w) for w in starts] for u in starts]
     width = max(len(c) for row in cells for c in row)
     sizes = [b - a for a, b in zip(starts, [*starts[1:], m])]
     lines = [f"block sizes: {','.join(map(str, sizes))}"]
@@ -89,15 +92,9 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
     bg = bigrade(pair)
     prof = subalgebra_profile(bg)
-    spaces = bg.root_spaces()
     result = {
         "components": [
-            {
-                "bidegree": list(bd),
-                "dim": dim,
-                "includes_cartan": bd == (0, 0),
-                "roots": [list(r.coeffs) for r in spaces[bd]],
-            }
+            {"bidegree": list(bd), "dim": dim, "includes_cartan": bd == (0, 0)}
             for bd, dim in sorted(bg.dims.items())
         ],
         "dim_g": bg.dim_g,
@@ -106,6 +103,10 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
             for name, info in sorted(prof.items())
         },
     }
+    if args.json:  # the text lines list no roots, so only JSON builds them
+        spaces = bg.root_spaces()
+        for c in result["components"]:
+            c["roots"] = [list(r.coeffs) for r in spaces[tuple(c["bidegree"])]]
     inputs = _pair_inputs(pair)
     lines = [
         f"bigrading of {inputs['type']} for "
@@ -336,7 +337,8 @@ def _dump(obj, pad: str = "\n") -> str:
     values a report holds: dicts with str keys, lists, str, int, bool, None.
 
     An indent sends ``json.dumps`` to its pure-Python encoder; here strings
-    go through the C quoting function and a list of ints is one join.
+    go through the C quoting function, a list of ints is one join, and a list
+    of int lists (``bigrade``'s root listing) one join per row.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -353,8 +355,13 @@ def _dump(obj, pad: str = "\n") -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
-        if {*map(type, obj)} == {int}:
+        kinds = {*map(type, obj)}
+        if kinds == {int}:
             return "[" + inner + sep.join(map(str, obj)) + pad + "]"
+        if kinds == {list} and {*map(type, chain.from_iterable(obj))} <= {int}:
+            deep = inner + "  "
+            rows = ["[" + deep + ("," + deep).join(map(str, row)) + inner + "]" if row else "[]" for row in obj]
+            return "[" + inner + sep.join(rows) + pad + "]"
         return "[" + inner + sep.join([_dump(v, inner) for v in obj]) + pad + "]"
     if isinstance(obj, dict):
         if not obj:

@@ -10,10 +10,10 @@ tangent-bundle subquotient ranks) are pure functions of that decomposition.
 from __future__ import annotations
 
 from collections import Counter
-from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
+from . import roots
 from .roots import Root, RootSystem
 
 
@@ -45,9 +45,6 @@ class ParabolicPair(_PairFields):
                 f"sigma_p {sorted(self.sigma_p)} is not contained in sigma_q {sorted(self.sigma_q)}"
             )
         return self
-
-
-_coeffs = attrgetter("coeffs")
 
 
 def _reduce_report(self):
@@ -94,19 +91,21 @@ class Bigrading(NamedTuple):
 
     def root_spaces(self) -> dict[Bidegree, tuple[Root, ...]]:
         """The roots of every component, keyed like ``dims`` and sorted by
-        coefficients, from one pass over the positive roots.
+        coefficients, from one pass over the packed positive-root columns.
 
         g_{-bd} holds exactly the negatives of g_{bd}, and negation reverses
         the order, so (0, 0) lists the negated Levi roots first."""
-        positive: dict[tuple[int, int], list[Root]] = {}
-        for key, root in zip(zip(*_height_strings(self.pair)), self.pair.rs.positive_roots):
-            positive.setdefault(key, []).append(root)
-        for roots in positive.values():
-            roots.sort(key=_coeffs)
-        return {
-            bd: tuple([-r for r in reversed(positive.get(-bd, ()))]) + tuple(positive.get(bd, ()))
-            for bd in self.dims
-        }
+        positive: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+        for key, coeffs in zip(zip(*_height_strings(self.pair)), self.pair.rs._rows()):
+            positive.setdefault(key, []).append(coeffs)
+        for bucket in positive.values():
+            bucket.sort()
+        wrap = roots._one_signed_root  # looked up per call, so patching the module reaches it
+        spaces = {}
+        for bd in self.dims:
+            negative = [tuple([-c for c in t]) for t in reversed(positive.get(-bd, ()))]
+            spaces[bd] = tuple(map(wrap, negative + positive.get(bd, [])))
+        return spaces
 
     def dim_component(self, bd: Bidegree) -> int:
         return self.dims.get(Bidegree(*bd), 0)

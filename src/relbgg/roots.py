@@ -22,7 +22,7 @@ objects only when it is read.
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 # A sigma-height is at most the height of the highest root, 2 * MAX_RANK - 1
 # = 63 (B and C), so it fits one byte: ``RootSystem.sigma_heights`` adds packed
@@ -125,12 +125,16 @@ class RootSystem(NamedTuple):
         n = len(self.columns) // self.rank
         return self.columns[i * n:(i + 1) * n]
 
+    def _rows(self) -> Iterator[tuple[int, ...]]:
+        """The coefficient tuple of every positive root, in the walk's order."""
+        return zip(*map(self._column, range(self.rank)))
+
     @property
     def positive_roots(self) -> tuple[Root, ...]:
         """The positive roots in the walk's order, as fresh ``Root`` objects
         unpacked on each read."""
         # the walk starts at the simple roots and only raises coefficients
-        return tuple(map(_one_signed_root, zip(*map(self._column, range(self.rank)))))
+        return tuple(map(_one_signed_root, self._rows()))
 
     def sigma_heights(self, nodes: Iterable[int]) -> bytes:
         """The sigma-height of every positive root over the 1-based ``nodes``,

@@ -116,18 +116,24 @@ DIMS_ONLY_RUNS = [
     ("audit", "A6", "--sq", "1,6", "--sp", "1"),
     ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"),
 ]
+# Text bigrade prints dims and, for type A, the block matrix, but no root.
+TEXT_BIGRADE_RUNS = [
+    ("bigrade", "A6", "--sq", "1,2,6", "--sp", "1"),
+    ("bigrade", "B6", "--sq", "1,3,6", "--sp", "3"),
+]
 
 
 def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
-    """Only bigrade lists roots; every other report reads component dims or
-    packed heights, so no Root is built, unpacked or negated."""
+    """Only bigrade --json lists roots; every other report, text bigrade
+    included, reads component dims or packed heights, so no Root is built,
+    unpacked or negated."""
     from relbgg import roots
     from relbgg.roots import Root
 
     support = {"components": [{"in1": [-1, 0], "in2": [0, -1], "out": [-1, -1], "tag": "t"}]}
     (tmp_path / "support.json").write_text(json.dumps(support))
     monkeypatch.chdir(tmp_path)
-    runs = [argv + flag for argv in DIMS_ONLY_RUNS for flag in ((), ("--json",))]
+    runs = [argv + flag for argv in DIMS_ONLY_RUNS for flag in ((), ("--json",))] + TEXT_BIGRADE_RUNS
     unpatched = [run_cli(capsys, *argv) for argv in runs]
 
     def refuse(*args):
@@ -137,7 +143,7 @@ def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(Root, "__init__", refuse)
     monkeypatch.setattr(roots, "_one_signed_root", refuse)
     with pytest.raises(AssertionError):
-        main(["bigrade", "A6", "--sq", "1,2,6", "--sp", "1"])
+        main(["bigrade", "A6", "--sq", "1,2,6", "--sp", "1", "--json"])
     for argv, before in zip(runs, unpatched):
         assert before[0] == 0, argv
         assert run_cli(capsys, *argv) == before, argv
@@ -455,6 +461,21 @@ def test_json_reports_are_deterministic(capsys):
     assert report["command"] == "bigrade"
     assert report["version"]
     assert report["inputs"]["sigma_q"] == [1, 4]
+
+
+@pytest.mark.parametrize("type_tag, n_positive", [("B", 576), ("C", 576), ("D", 552)])
+def test_bigrade_root_listing_round_trips_at_rank_24(capsys, type_tag, n_positive):
+    """The largest root listings sweep prints equal indented json.dumps and
+    hold every root of either sign once: |Phi+| is n^2 for B and C, n(n-1) for D."""
+    code, out, _ = run_cli(capsys, "bigrade", f"{type_tag}24", "--sq", "1,8,24", "--sp", "8", "--json")
+    assert code == 0
+    report = json.loads(out)
+    want = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    if out != want:  # name the line: pytest's diff of two outputs this long runs for minutes
+        line = out.count("\n", 0, len(os.path.commonprefix([out, want]))) + 1
+        pytest.fail(f"bigrade --json differs from indented json.dumps from line {line}")
+    listed = [tuple(r) for c in report["result"]["components"] for r in c["roots"]]
+    assert len(listed) == len(set(listed)) == 2 * n_positive
 
 
 _TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\r\t\u2028éλ𝔤 a')
