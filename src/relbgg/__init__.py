@@ -27,21 +27,16 @@ from .grading import (
     RankReport,
     SubalgebraInfo,
     bigrade,
-    bidegree_of_root,
     filtration,
-    sigma_height,
     subalgebra_profile,
     tangent_ranks,
 )
 from .oracle import BlockStructure, OracleReport, block_structure_from_pair, commutator_audit
 from .roots import (
-    Root,
     RootSystem,
     Weight,
     build_root_system,
-    pairing,
     reflect,
-    root_to_weight,
 )
 from .torsion import (
     Corollary33Verdict,
@@ -76,7 +71,6 @@ __all__ = [
     "OracleReport",
     "ParabolicPair",
     "RankReport",
-    "Root",
     "RootSystem",
     "SubalgebraInfo",
     "TorsionComponent",
@@ -86,7 +80,6 @@ __all__ = [
     "Weight",
     "affine_act",
     "bigrade",
-    "bidegree_of_root",
     "block_structure_from_pair",
     "build_root_system",
     "catalog",
@@ -95,15 +88,12 @@ __all__ = [
     "filtration",
     "involutivity_check",
     "legendrean_catalog",
-    "pairing",
     "parse_label",
     "path_geometry_catalog",
     "print_label",
     "reflect",
     "relative_bgg_sequence",
     "relative_hasse",
-    "root_to_weight",
-    "sigma_height",
     "subalgebra_profile",
     "tangent_ranks",
     "theorem_322_check",

@@ -106,7 +106,7 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
     if args.json:  # the text lines list no roots, so only JSON builds them
         spaces = bg.root_spaces()
         for c in result["components"]:
-            c["roots"] = [list(r.coeffs) for r in spaces[tuple(c["bidegree"])]]
+            c["roots"] = [list(r) for r in spaces[tuple(c["bidegree"])]]
     inputs = _pair_inputs(pair)
     lines = [
         f"bigrading of {inputs['type']} for "

@@ -13,8 +13,7 @@ from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from . import roots
-from .roots import Root, RootSystem
+from .roots import RootSystem
 
 
 class Bidegree(NamedTuple):
@@ -57,11 +56,6 @@ def _load_report(cls, *fields):
     return cls(*[MappingProxyType(f) if type(f) is dict else f for f in fields])
 
 
-def sigma_height(root: Root, sigma: Iterable[int]) -> int:
-    """Sum of the root's coefficients over the nodes in sigma (1-based)."""
-    return sum(root.coeffs[i - 1] for i in sigma)
-
-
 def in_relative_range(bd: Bidegree) -> bool:
     """Whether a bidegree is a relative tangent direction."""
     return bd.i_prime == 0 and bd.i_dprime < 0
@@ -70,12 +64,6 @@ def in_relative_range(bd: Bidegree) -> bool:
 def in_q(bd: Bidegree) -> bool:
     """Whether a bidegree lies in q (both indices >= 0)."""
     return bd.i_prime >= 0 and bd.i_dprime >= 0
-
-
-def bidegree_of_root(pair: ParabolicPair, root: Root) -> Bidegree:
-    hp = sigma_height(root, pair.sigma_p)
-    hq = sigma_height(root, pair.sigma_q)
-    return Bidegree(hp, hq - hp)
 
 
 class Bigrading(NamedTuple):
@@ -89,22 +77,21 @@ class Bigrading(NamedTuple):
 
     __reduce__ = _reduce_report
 
-    def root_spaces(self) -> dict[Bidegree, tuple[Root, ...]]:
-        """The roots of every component, keyed like ``dims`` and sorted by
-        coefficients, from one pass over the packed positive-root columns.
+    def root_spaces(self) -> dict[Bidegree, tuple[tuple[int, ...], ...]]:
+        """The simple-root coefficients of every component's roots, keyed like
+        ``dims`` and sorted, from one pass over ``rs.positive_roots``.
 
         g_{-bd} holds exactly the negatives of g_{bd}, and negation reverses
         the order, so (0, 0) lists the negated Levi roots first."""
         positive: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for key, coeffs in zip(zip(*_height_strings(self.pair)), self.pair.rs._rows()):
+        for key, coeffs in zip(zip(*_height_strings(self.pair)), self.pair.rs.positive_roots):
             positive.setdefault(key, []).append(coeffs)
         for bucket in positive.values():
             bucket.sort()
-        wrap = roots._one_signed_root  # looked up per call, so patching the module reaches it
         spaces = {}
         for bd in self.dims:
             negative = [tuple([-c for c in t]) for t in reversed(positive.get(-bd, ()))]
-            spaces[bd] = tuple(map(wrap, negative + positive.get(bd, [])))
+            spaces[bd] = tuple(negative + positive.get(bd, []))
         return spaces
 
     def dim_component(self, bd: Bidegree) -> int:

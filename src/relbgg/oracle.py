@@ -74,12 +74,6 @@ def _bidegrees(bs: BlockStructure) -> list[Bidegree]:
     return offdiag + [Bidegree(0, 0)] * (m - 1)
 
 
-def basis_with_bidegrees(bs: BlockStructure) -> tuple[list[Matrix], list[Bidegree], list[str]]:
-    """Basis of sl(m) as sparse matrices, their bidegrees, and display names."""
-    mats, names = _basis(bs.m)
-    return mats, _bidegrees(bs), names
-
-
 def bracket(x: Matrix, y: Matrix) -> Matrix:
     """Exact commutator xy - yx of two sparse integer matrices."""
     out: Matrix = {}

@@ -6,23 +6,22 @@ matching the usual Dynkin-diagram numbering.
 
 Type A is the fully supported case; the B/C/D constructors are provided as
 extensions and go through the same generic machinery: positive roots come
-from a walk up from the simple roots by simple reflections, and a coroot
-pairing walks the root back down to a simple root, using Weyl invariance.
-Ranks above ``MAX_RANK`` are refused, so every accepted input is small.
+from a walk up from the simple roots by simple reflections.  Ranks above
+``MAX_RANK`` are refused, so every accepted input is small.
 
-Each process walks a root system once: the walk's output is cached as one
-packed ``bytes`` per Cartan matrix, column-major, one byte per coefficient.
-The cache is bounded by ``MAX_RANK``: all 124 A-D systems hold 970,018 bytes.
-It holds no ``Root`` objects, and neither does a ``RootSystem``: the
-sigma-heights of all positive roots come out of the columns as one ``bytes``
-by big-integer addition, and ``positive_roots`` unpacks fresh ``Root``
-objects only when it is read.
+A root is a plain tuple of its simple-root coefficients.  Each process walks
+a root system once: the walk's output is cached as one packed ``bytes`` per
+Cartan matrix, column-major, one byte per coefficient.  The cache is bounded
+by ``MAX_RANK``: all 124 A-D systems hold 970,018 bytes.  The sigma-heights
+of all positive roots come out of the columns as one ``bytes`` by big-integer
+addition, and ``positive_roots``, the one place the columns are unpacked
+into coefficient tuples, does so only when it is read.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 # A sigma-height is at most the height of the highest root, 2 * MAX_RANK - 1
 # = 63 (B and C), so it fits one byte: ``RootSystem.sigma_heights`` adds packed
@@ -30,8 +29,9 @@ from typing import Iterable, Iterator, NamedTuple
 MAX_RANK = 32
 
 
-class _Coeffs:
-    """An immutable integer vector, equal only to a vector of the same type."""
+class Weight:
+    """An immutable weight in fundamental-weight coordinates, equal only to a
+    Weight: not to a WeylWord or a plain tuple with the same entries."""
 
     __slots__ = ("coeffs",)
 
@@ -57,37 +57,6 @@ class _Coeffs:
 
     def __reduce__(self):
         return type(self), (self.coeffs,)
-
-
-class Root(_Coeffs):
-    """A root in simple-root coordinates.
-
-    Coefficients are all >= 0 (positive root) or all <= 0 (negative root);
-    mixed signs are rejected.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        if coeffs and min(coeffs) < 0 < max(coeffs):
-            raise ValueError(f"mixed-sign coefficients do not form a root: {coeffs}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __neg__(self) -> Root:
-        return _one_signed_root(tuple([-c for c in self.coeffs]))
-
-
-def _one_signed_root(coeffs: tuple[int, ...]) -> Root:
-    """A Root from coefficients already known to be one-signed, unchecked."""
-    root = object.__new__(Root)
-    object.__setattr__(root, "coeffs", coeffs)
-    return root
-
-
-class Weight(_Coeffs):
-    """A weight in fundamental-weight coordinates."""
-
-    __slots__ = ()
 
     def __add__(self, other: Weight) -> Weight:
         if len(self.coeffs) != len(other.coeffs):
@@ -125,16 +94,11 @@ class RootSystem(NamedTuple):
         n = len(self.columns) // self.rank
         return self.columns[i * n:(i + 1) * n]
 
-    def _rows(self) -> Iterator[tuple[int, ...]]:
-        """The coefficient tuple of every positive root, in the walk's order."""
-        return zip(*map(self._column, range(self.rank)))
-
     @property
-    def positive_roots(self) -> tuple[Root, ...]:
-        """The positive roots in the walk's order, as fresh ``Root`` objects
-        unpacked on each read."""
-        # the walk starts at the simple roots and only raises coefficients
-        return tuple(map(_one_signed_root, self._rows()))
+    def positive_roots(self) -> tuple[tuple[int, ...], ...]:
+        """The simple-root coefficients of every positive root in the walk's
+        order, unpacked from the columns on each read."""
+        return tuple(zip(*map(self._column, range(self.rank))))
 
     def sigma_heights(self, nodes: Iterable[int]) -> bytes:
         """The sigma-height of every positive root over the 1-based ``nodes``,
@@ -241,9 +205,8 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     Type A is the primary supported family; B, C and D are accepted
     extensions (B/C need rank >= 2, D needs rank >= 3).  Type and rank are
     validated before the cache is read, so a refused input adds no entry.
-    The positive roots are walked once per process and kept packed; no
-    ``Root`` is built until ``positive_roots`` is read, and each read builds
-    fresh ones, so callers share none.
+    The positive roots are walked once per process and kept packed; they
+    are unpacked into coefficient tuples only when ``positive_roots`` is read.
     """
     cartan = _cartan_matrix(type_tag, rank)
     return RootSystem(
@@ -255,18 +218,6 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     )
 
 
-def root_to_weight(rs: RootSystem, root: Root) -> Weight:
-    """Rewrite a root in fundamental-weight coordinates (alpha_i = sum_j C[j][i] omega_j)."""
-    if len(root.coeffs) != rs.rank:
-        raise ValueError("root length does not match rank")
-    return Weight(
-        tuple(
-            sum(root.coeffs[i] * rs.cartan[j][i] for i in range(rs.rank))
-            for j in range(rs.rank)
-        )
-    )
-
-
 def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
     """Simple reflection s_i acting on a weight: w - w[i] * alpha_i."""
     rs._check_node(i)
@@ -274,26 +225,3 @@ def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
         raise ValueError("weight length does not match rank")
     k = w.coeffs[i - 1]
     return Weight(tuple(w.coeffs[j] - k * rs.cartan[j][i - 1] for j in range(rs.rank)))
-
-
-def pairing(w: Weight, root: Root, rs: RootSystem) -> int:
-    """Pairing <w, beta^vee> of a weight against the coroot of a positive root.
-
-    Simple reflections keep the pairing, so beta and w are reflected together
-    at a node i with <beta, alpha_i^vee> > 0, which lowers the height, until
-    beta is a simple root alpha_j; the pairing is then w[j].  Reflections map
-    non-roots to non-roots, so a vector that is not a positive root never
-    ends on a simple root and is refused.
-    """
-    if len(w.coeffs) != rs.rank or len(root.coeffs) != rs.rank:
-        raise ValueError("length does not match rank")
-    cols = _sparse_columns(rs.cartan)
-    c, p, v = root.coeffs, root_to_weight(rs, root).coeffs, w.coeffs
-    while not (c.count(0) == rs.rank - 1 and 1 in c):
-        i = next((i for i, k in enumerate(p) if k > 0), None)
-        if i is None:
-            raise ValueError(f"{root.coeffs} is not a positive root of {rs.type_tag}{rs.rank}")
-        c = c[:i] + (c[i] - p[i],) + c[i + 1:]
-        p = _reflect_coords(cols, i, p)
-        v = _reflect_coords(cols, i, v)
-    return v[c.index(1)]

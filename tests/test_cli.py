@@ -125,10 +125,9 @@ TEXT_BIGRADE_RUNS = [
 
 def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
     """Only bigrade --json lists roots; every other report, text bigrade
-    included, reads component dims or packed heights, so no Root is built,
-    unpacked or negated."""
-    from relbgg import roots
-    from relbgg.roots import Root
+    included, reads component dims or packed heights, so none reads the root
+    listing."""
+    from relbgg.roots import RootSystem
 
     support = {"components": [{"in1": [-1, 0], "in2": [0, -1], "out": [-1, -1], "tag": "t"}]}
     (tmp_path / "support.json").write_text(json.dumps(support))
@@ -137,11 +136,9 @@ def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
     unpatched = [run_cli(capsys, *argv) for argv in runs]
 
     def refuse(*args):
-        raise AssertionError("a root was built")
+        raise AssertionError("the root listing was read")
 
-    monkeypatch.setattr(Root, "__neg__", refuse)
-    monkeypatch.setattr(Root, "__init__", refuse)
-    monkeypatch.setattr(roots, "_one_signed_root", refuse)
+    monkeypatch.setattr(RootSystem, "positive_roots", property(refuse))
     with pytest.raises(AssertionError):
         main(["bigrade", "A6", "--sq", "1,2,6", "--sp", "1", "--json"])
     for argv, before in zip(runs, unpatched):

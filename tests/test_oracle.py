@@ -15,8 +15,14 @@ from relbgg import (
     commutator_audit,
 )
 from relbgg import oracle
-from relbgg.oracle import basis_with_bidegrees, bracket
+from relbgg.oracle import bracket
 from relbgg.roots import MAX_RANK
+
+
+def basis_with_bidegrees(bs):
+    """Basis of sl(m) as sparse matrices, their bidegrees, and display names."""
+    mats, names = oracle._basis(bs.m)
+    return mats, oracle._bidegrees(bs), names
 
 
 @pytest.fixture(autouse=True)
