@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
-from .roots import RootSystem, Weight, _reflect_coords, _sparse_columns, reflect
+from .roots import RootSystem, Weight, _reflect_coords, _sparse_columns
 
 
 class InternalCheckError(RuntimeError):
@@ -115,11 +115,17 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
 
 
 def affine_act(w: WeylWord, lam: Weight, rs: RootSystem) -> Weight:
-    """Shifted action w.l = w(l + rho) - rho."""
-    mu = lam + rs.rho
+    """Shifted action w.l = w(l + rho) - rho, where rho, the half-sum of the
+    positive roots, is the all-ones weight.  The letters move l + rho by the
+    walk's ``_reflect_coords``, rightmost first."""
+    if len(lam.coeffs) != rs.rank:
+        raise ValueError("weight length does not match rank")
+    for g in w.gens:
+        rs._check_node(g)
+    cols, mu = _sparse_columns(rs.cartan), tuple(c + 1 for c in lam.coeffs)
     for g in reversed(w.gens):
-        mu = reflect(rs, g, mu)
-    return mu - rs.rho
+        mu = _reflect_coords(cols, g - 1, mu)
+    return Weight(tuple(c - 1 for c in mu))
 
 
 class BGGEntry(NamedTuple):

@@ -15,7 +15,9 @@ Cartan matrix, column-major, one byte per coefficient.  The cache is bounded
 by ``MAX_RANK``: all 124 A-D systems hold 970,018 bytes.  The sigma-heights
 of all positive roots come out of the columns as one ``bytes`` by big-integer
 addition, and ``positive_roots``, the one place the columns are unpacked
-into coefficient tuples, does so only when it is read.
+into coefficient tuples, does so only when it is read.  The root walk, the
+Hasse walk, ``reflect`` and ``bgg.affine_act`` reflect by ``_reflect_coords``
+over one sparse Cartan table per matrix, cached too (124 take 508,280 bytes).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from typing import Iterable, NamedTuple
 # = 63 (B and C), so it fits one byte: ``RootSystem.sigma_heights`` adds packed
 # byte columns as big integers and no byte ever carries into the next.
 MAX_RANK = 32
+
+_SparseColumns = tuple[tuple[tuple[int, int], ...], ...]  # from _sparse_columns
 
 
 class Weight:
@@ -58,16 +62,6 @@ class Weight:
     def __reduce__(self):
         return type(self), (self.coeffs,)
 
-    def __add__(self, other: Weight) -> Weight:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("weight length mismatch")
-        return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: Weight) -> Weight:
-        if len(self.coeffs) != len(other.coeffs):
-            raise ValueError("weight length mismatch")
-        return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
 
 class RootSystem(NamedTuple):
     """A root system given by its Cartan matrix.
@@ -75,8 +69,7 @@ class RootSystem(NamedTuple):
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
     simple coroot (0-based storage for 1-based nodes).  ``columns`` holds the
     positive roots column-major, one byte per coefficient: column i (0-based)
-    is coefficient i of every positive root in the walk's order.  ``rho`` is
-    the half-sum of the positive roots, i.e. the all-ones weight.  The fields
+    is coefficient i of every positive root in the walk's order.  The fields
     are read-only and there is no instance ``__dict__``.
     """
 
@@ -84,7 +77,6 @@ class RootSystem(NamedTuple):
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     columns: bytes
-    rho: Weight
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:
@@ -148,13 +140,15 @@ def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-def _sparse_columns(cartan: tuple[tuple[int, ...], ...]) -> list[list[tuple[int, int]]]:
+@cache
+def _sparse_columns(cartan: tuple[tuple[int, ...], ...]) -> _SparseColumns:
     """The nonzero entries (m, C[m][i]) of each Cartan column i, at most
-    four: alpha_i in fundamental-weight coordinates."""
-    return [[(m, row[i]) for m, row in enumerate(cartan) if row[i]] for i in range(len(cartan))]
+    four: alpha_i in fundamental-weight coordinates.  Kept per Cartan matrix
+    like ``_packed_root_columns``, as tuples so the shared value is immutable."""
+    return tuple(tuple((m, a) for m, a in enumerate(col) if a) for col in zip(*cartan))
 
 
-def _reflect_coords(cols: list[list[tuple[int, int]]], i: int, v: tuple[int, ...]) -> tuple[int, ...]:
+def _reflect_coords(cols: _SparseColumns, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """s_i v = v - v[i] alpha_i for v in fundamental-weight coordinates, with
     ``cols`` from ``_sparse_columns`` and i 0-based."""
     k = v[i]
@@ -214,14 +208,13 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
         rank=rank,
         cartan=cartan,
         columns=_packed_root_columns(cartan),
-        rho=Weight((1,) * rank),
     )
 
 
 def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
-    """Simple reflection s_i acting on a weight: w - w[i] * alpha_i."""
+    """Simple reflection s_i acting on a weight: w - w[i] * alpha_i, by the
+    walk's ``_reflect_coords``."""
     rs._check_node(i)
     if len(w.coeffs) != rs.rank:
         raise ValueError("weight length does not match rank")
-    k = w.coeffs[i - 1]
-    return Weight(tuple(w.coeffs[j] - k * rs.cartan[j][i - 1] for j in range(rs.rank)))
+    return Weight(_reflect_coords(_sparse_columns(rs.cartan), i - 1, w.coeffs))

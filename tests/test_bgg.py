@@ -19,6 +19,7 @@ from relbgg import (
     affine_act,
     build_root_system,
     parse_label,
+    reflect,
     relative_bgg_sequence,
     relative_hasse,
 )
@@ -38,6 +39,26 @@ def _reflect_root(rs, i, v):
     out = list(v)
     out[i - 1] -= k
     return tuple(out)
+
+
+def _plus_rho(coeffs):
+    """lambda + rho in fundamental-weight coordinates: rho is the all-ones weight."""
+    return tuple(c + 1 for c in coeffs)
+
+
+def _reflect_weight(rs, i, w):
+    """Simple reflection s_i on fundamental-weight coordinates by the dense
+    formula w - w_i alpha_i, alpha_i being Cartan column i."""
+    k = w[i - 1]
+    return tuple(w[j] - k * rs.cartan[j][i - 1] for j in range(rs.rank))
+
+
+def _shifted_action_reference(gens, lam, rs):
+    """w.lambda = w(lambda + rho) - rho letter by letter, rightmost first."""
+    mu = _plus_rho(lam)
+    for g in reversed(gens):
+        mu = _reflect_weight(rs, g, mu)
+    return tuple(c - 1 for c in mu)
 
 
 def _connecting_roots(hd):
@@ -107,10 +128,7 @@ def test_broken_shifted_action_trips_q_validity_guard(monkeypatch):
     import relbgg.bgg as bgg
 
     def wrong_order(w, lam, rs):  # w's letters applied left to right
-        mu = lam + rs.rho
-        for g in w.gens:
-            mu = bgg.reflect(rs, g, mu)
-        return mu - rs.rho
+        return Weight(_shifted_action_reference(w.gens[::-1], lam.coeffs, rs))
 
     monkeypatch.setattr(bgg, "affine_act", wrong_order)
     src = parse_label("A4[x,o,o,o](-2,1,0,0)")
@@ -147,6 +165,46 @@ def test_affine_act_group_law_seeded():
         assert affine_act(WeylWord(gens), lam, rs) == affine_act(
             w, affine_act(v, lam, rs), rs
         )
+
+
+BCD_DIAGRAMS = [(t, n) for t, lo in (("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 9)]
+
+
+@pytest.mark.parametrize("type_tag, rank", BCD_DIAGRAMS)
+def test_affine_act_matches_dense_reference_off_type_a(type_tag, rank):
+    """Against the dense per-letter formula, and the group law.  Type A's
+    Cartan matrix is symmetric, so only B and C tell its rows from its
+    columns; D adds the fork."""
+    rs = build_root_system(type_tag, rank)
+    rng = random.Random(f"{type_tag}{rank}")
+    for _ in range(60):
+        gens = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
+        cut = rng.randint(0, len(gens))
+        lam = Weight(tuple(rng.randint(-8, 8) for _ in range(rank)))
+        got = affine_act(WeylWord(gens), lam, rs)
+        assert got.coeffs == _shifted_action_reference(gens, lam.coeffs, rs), (gens, lam)
+        v = affine_act(WeylWord(gens[cut:]), lam, rs)
+        assert affine_act(WeylWord(gens[:cut]), v, rs) == got, (gens, cut, lam)
+
+
+@pytest.mark.parametrize("type_tag, rank", [("A", 3), ("B", 3), ("C", 4), ("D", 4)])
+def test_affine_act_and_reflect_refuse_bad_input(type_tag, rank):
+    """A letter outside 1..rank or a weight of another length is a ValueError:
+    letter 0 must not reflect at the last node through index -1."""
+    rs = build_root_system(type_tag, rank)
+    lam = Weight(tuple(range(rank)))
+    for letter in (0, rank + 1):
+        for word in ((letter,), (1, letter), (letter, 2)):
+            with pytest.raises(ValueError, match="out of range"):
+                affine_act(WeylWord(word), lam, rs)
+        with pytest.raises(ValueError, match="out of range"):
+            reflect(rs, letter, lam)
+    for bad in (Weight(lam.coeffs[:-1]), Weight(lam.coeffs + (1,))):
+        for word in ((), (1,), (2, 1)):
+            with pytest.raises(ValueError, match="does not match rank"):
+                affine_act(WeylWord(word), bad, rs)
+        with pytest.raises(ValueError, match="does not match rank"):
+            reflect(rs, 1, bad)
 
 
 # -- sequences ---------------------------------------------------------------
@@ -320,14 +378,14 @@ def test_orders_match_source_coefficients():
             assert j not in pair.sigma_p
             lam = Weight(tuple(rng.randint(0, 5) for _ in range(rs.rank)))
             lam_k = affine_act(wk, lam, rs)
-            assert pairing_reference((lam_k + rs.rho).coeffs, beta, rs.cartan) == lam.coeffs[j - 1] + 1
+            assert pairing_reference(_plus_rho(lam_k.coeffs), beta, rs.cartan) == lam.coeffs[j - 1] + 1
 
 
 def test_operator_order_direct():
     """The order leaving weight lambda along a positive root beta is
     <lambda + rho, beta^vee>."""
     rs = build_root_system("A", 4)
-    assert pairing_reference((Weight((-2, 1, 0, 0)) + rs.rho).coeffs, (0, 1, 0, 0), rs.cartan) == 2
+    assert pairing_reference(_plus_rho((-2, 1, 0, 0)), (0, 1, 0, 0), rs.cartan) == 2
 
 
 # -- brute-force reference ---------------------------------------------------
@@ -422,9 +480,8 @@ def test_hasse_matches_brute_force_reference():
             if is_chain:
                 assert _connecting_roots(hd) == list(connecting.values()), where
                 seq = relative_bgg_sequence(_p_dominant_source(pair, rng), pair)
-                rho = pair.rs.rho.coeffs
                 for k, entry in enumerate(seq.entries[:-1]):
-                    lam_rho = tuple(a + b for a, b in zip(entry.label.coeffs.coeffs, rho))
+                    lam_rho = _plus_rho(entry.label.coeffs.coeffs)
                     want = pairing_reference(lam_rho, connecting[k], pair.rs.cartan)
                     assert entry.order_to_next == want, (where, k)
                 assert seq.entries[-1].order_to_next is None
