@@ -3,23 +3,26 @@
 Each ``cmd_*`` builds one result dict and returns ``(inputs, result, text
 lines)``, the lines read from that result; ``main`` prints the JSON report
 under ``--json`` and the lines otherwise.  ``bigrade`` builds its root
-listing only under ``--json``: no text line reads it.  The argument parser
-is built once per process and reused by every ``main`` call; parsing keeps
-no state between calls.
+listing only under ``--json``: no text line reads it.  ``parse_args`` reads
+argv in one pass against the ``COMMANDS`` table: options in any order, as
+``--opt value`` or ``--opt=value``, unique prefixes, and ``--`` to end them.
+Help and ``--version`` print to stdout and raise ``SystemExit(0)``; a usage
+error prints one ``error:`` line to stderr and raises ``SystemExit(2)``.
 
-Exit codes: 0 success, 2 bad input, 3 a violated internal invariant
-(a failed audit or an inconsistency the library guarantees against).
+Exit codes: 0 success, 1 stdout closed by its reader, 2 bad input, 3 a
+violated internal invariant (a failed audit or an inconsistency the library
+guarantees against).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
 import re
 import sys
 from itertools import chain
 from json.encoder import encode_basestring as _quote
+from types import SimpleNamespace
 
 # Every module is imported eagerly: perfbench/tracer.py wraps only the relbgg
 # modules already loaded after `import relbgg.cli`, so lazy imports would hide layers.
@@ -262,74 +265,105 @@ def cmd_audit(args) -> tuple[dict, dict, list[str]]:
     return _pair_inputs(pair), result, lines
 
 
-def _add_pair_options(sub) -> None:
-    sub.add_argument("type", help="diagram type and rank, e.g. A4")
-    sub.add_argument("--sq", required=True, help="sigma_q nodes, e.g. 1,4")
-    sub.add_argument("--sp", required=True, help="sigma_p nodes, e.g. 1")
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
+_TYPE = ("type", "diagram type and rank, e.g. A4")
+_PAIR = {"--sq": (True, "sigma_q nodes, e.g. 1,4"), "--sp": (True, "sigma_p nodes, e.g. 1")}
+_JSON = {"--json": "emit a JSON report"}
+
+# Subcommand -> (function, help, positional (name, help) or None,
+# value options {option: (required, help)}, boolean flags {option: help}).
+COMMANDS = {
+    "bigrade": (cmd_bigrade, "bidegree components, dims, block matrix", _TYPE, _PAIR, _JSON),
+    "bgg": (cmd_bgg, "relative BGG sequence shape from a source label",
+            ("label", "source label, e.g. 'A4[x,o,o,o](-2,1,0,0)'"),
+            {"--sq": (True, "sigma_q nodes, e.g. 1,2"), "--sp": (True, "sigma_p nodes, e.g. 1")}, _JSON),
+    "filtration": (cmd_filtration, "filtration pieces and graded modules", _TYPE, _PAIR, _JSON),
+    "ranks": (cmd_ranks, "tangent-bundle subquotient ranks", _TYPE, _PAIR, _JSON),
+    "check-torsion": (cmd_check_torsion, "torsion admissibility verdicts", None, {
+        "--catalog": (False, "built-in geometry, e.g. 'legendrean(3)'"),
+        "--type": (False, "diagram type for a custom support, e.g. A4"),
+        "--sq": (False, "sigma_q nodes for a custom support"),
+        "--sp": (False, "sigma_p nodes for a custom support"),
+        "--support": (False, "JSON file with a custom torsion support"),
+    }, {"--assume-involutive-F": "drop the obstruction to involutivity of the relative directions", **_JSON}),
+    "audit": (cmd_audit, "exhaustive matrix commutator audit", _TYPE, _PAIR, _JSON),
+}
+# Each option's attribute name: --assume-involutive-F -> assume_involutive_f.
+_DEST = {o: o[2:].replace("-", "_").lower() for *_, options, flags in COMMANDS.values() for o in (*options, *flags)}
+_HELP = ("-h, --help", "show this help message and exit")
 
 
-# Every character str.splitlines breaks at, as its escape: argparse quotes
-# some values with repr but joins unrecognized arguments raw.
-_ESCAPE_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+def _exit(code: int, text: str):
+    """Help and version to stdout with exit 0; a usage error as one stderr line with exit 2.
+
+    Flushed here, so that a closed stdout fails inside ``main``'s ``try``."""
+    print(text, file=sys.stderr if code else sys.stdout, flush=True)
+    raise SystemExit(code)
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line and exit 2; subparsers inherit it."""
+def _resolve(arg: str, names: list[str]) -> str:
+    """The option that ``arg`` names in full or, for ``--``, by a unique prefix."""
+    if arg in names:
+        return arg
+    found = [n for n in names if n.startswith(arg)] if arg.startswith("--") else []
+    if len(found) != 1:
+        _exit(2, f"error: option {arg!r} is " + (f"ambiguous: {', '.join(found)}" if found else "unknown"))
+    return found[0]
 
-    def error(self, message: str):
-        self.exit(2, f"error: {message.translate(_ESCAPE_LINE_BREAKS)}\n")
+
+def _help(command: str | None) -> str:
+    if command is None:
+        usage = f"[-h] [--version] {{{','.join(COMMANDS)}}} ..."
+        about = "Exact bigrading, filtration, torsion and relative BGG computations for nested parabolic pairs."
+        rows = [_HELP, ("--version", "show program's version number and exit"), *((c, r[1]) for c, r in COMMANDS.items())]
+    else:
+        _, about, positional, options, flags = COMMANDS[command]
+        pos = [positional] if positional else []
+        shown = {o: f"{o} {_DEST[o].upper()}" for o in options}
+        words = [shown[o] if required else f"[{shown[o]}]" for o, (required, _) in options.items()]
+        usage = " ".join([command, "[-h]", *words, *(f"[{f}]" for f in flags), *(name for name, _ in pos)])
+        rows = [*pos, _HELP, *((shown[o], h) for o, (_, h) in options.items()), *flags.items()]
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([f"usage: relbgg {usage}", "", about, "", *(f"  {name.ljust(width)}{h}" for name, h in rows)])
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="relbgg",
-        description="Exact bigrading, filtration, torsion and relative BGG computations "
-        "for nested parabolic pairs.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("bigrade", help="bidegree components, dims, block matrix")
-    _add_pair_options(s)
-    s.set_defaults(func=cmd_bigrade)
-
-    s = subs.add_parser("bgg", help="relative BGG sequence shape from a source label")
-    s.add_argument("label", help="source label, e.g. 'A4[x,o,o,o](-2,1,0,0)'")
-    s.add_argument("--sq", required=True, help="sigma_q nodes, e.g. 1,2")
-    s.add_argument("--sp", required=True, help="sigma_p nodes, e.g. 1")
-    s.add_argument("--json", action="store_true", help="emit a JSON report")
-    s.set_defaults(func=cmd_bgg)
-
-    s = subs.add_parser("filtration", help="filtration pieces and graded modules")
-    _add_pair_options(s)
-    s.set_defaults(func=cmd_filtration)
-
-    s = subs.add_parser("ranks", help="tangent-bundle subquotient ranks")
-    _add_pair_options(s)
-    s.set_defaults(func=cmd_ranks)
-
-    s = subs.add_parser("check-torsion", help="torsion admissibility verdicts")
-    s.add_argument("--catalog", help="built-in geometry, e.g. 'legendrean(3)'")
-    s.add_argument(
-        "--assume-involutive-F",
-        dest="assume_involutive_f",
-        action="store_true",
-        help="drop the obstruction to involutivity of the relative directions",
-    )
-    s.add_argument("--type", help="diagram type for a custom support, e.g. A4")
-    s.add_argument("--sq", help="sigma_q nodes for a custom support")
-    s.add_argument("--sp", help="sigma_p nodes for a custom support")
-    s.add_argument("--support", help="JSON file with a custom torsion support")
-    s.add_argument("--json", action="store_true", help="emit a JSON report")
-    s.set_defaults(func=cmd_check_torsion)
-
-    s = subs.add_parser("audit", help="exhaustive matrix commutator audit")
-    _add_pair_options(s)
-    s.set_defaults(func=cmd_audit)
-
-    return parser
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """One pass over ``argv`` against ``COMMANDS``, as ``--opt value`` or ``--opt=value`` in any order."""
+    command, *rest = argv or [""]
+    if command not in COMMANDS:
+        if not command.startswith("-"):
+            _exit(2, f"error: expected a command, one of {', '.join(COMMANDS)}; got {command!r}")
+        top = _resolve(command, ["-h", "--help", "--version"])
+        _exit(0, f"relbgg {__version__}" if top == "--version" else _help(None))
+    func, _, positional, options, flags = COMMANDS[command]
+    args = {**{_DEST[o]: None for o in options}, **{_DEST[f]: False for f in flags}}
+    free, it = [], iter(rest)
+    for arg in it:
+        if arg == "--":
+            free += it  # everything after it is positional
+        elif not arg.startswith("-"):
+            free.append(arg)
+        else:
+            option, eq, value = arg.partition("=")
+            option = _resolve(option, [*options, *flags, "-h", "--help"])
+            if option in options:
+                if not eq and (value := next(it, "-")).startswith("-"):
+                    _exit(2, f"error: option {option} expects a value")
+                args[_DEST[option]] = value
+            elif eq:
+                _exit(2, f"error: option {option} takes no value")
+            elif option in flags:
+                args[_DEST[option]] = True
+            else:
+                _exit(0, _help(command))
+    if positional and free:
+        args[positional[0]] = free.pop(0)
+    if free:
+        _exit(2, f"error: unrecognized arguments: {' '.join(map(repr, free))}")
+    missing = [positional[0]] if positional and positional[0] not in args else []
+    missing += [o for o, (required, _) in options.items() if required and args[_DEST[o]] is None]
+    if missing:
+        _exit(2, f"error: the following arguments are required: {', '.join(missing)}")
+    return SimpleNamespace(command=command, func=func, **args)
 
 
 def _dump(obj, pad: str = "\n") -> str:
@@ -374,20 +408,24 @@ def _dump(obj, pad: str = "\n") -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         inputs, result, lines = args.func(args)
+        if args.json:
+            report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+            print(_dump(report))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; at devnull, the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InternalCheckError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
-        print(_dump(report))
-    else:
-        print("\n".join(lines))
     return 3 if result.get("violations") else 0
 
 

@@ -1,6 +1,5 @@
 """Command-line behavior: output lines, JSON determinism, exit codes."""
 
-import argparse
 import json
 import os
 import pathlib
@@ -12,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from relbgg.cli import MAX_SUPPORT_BYTES, _dump, build_parser, main
+from relbgg.cli import MAX_SUPPORT_BYTES, _dump, main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -561,33 +560,6 @@ def test_bgg_json_payload(capsys):
     assert [e["order_to_next"] for e in entries] == [2, 1, 1, None]
 
 
-# -- one parser per process ----------------------------------------------------
-
-def test_main_builds_the_parser_once(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    build_parser.cache_clear()
-    for code, argv in [
-        (0, ("ranks", "A4", "--sq", "1,2", "--sp", "1")),
-        (0, ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1", "--json")),
-        (0, ("check-torsion", "--catalog", "legendrean(3)")),
-        (2, ("bigrade", "A4", "--sq", "1", "--sp", "2")),
-        (0, ("ranks", "A4", "--sq", "1,2", "--sp", "1")),
-    ]:
-        assert run_cli(capsys, *argv)[0] == code, argv
-    with pytest.raises(SystemExit):
-        main(["filtration", "A4", "--sq", "1,4"])
-    # the top-level parser and each of the six subparsers, built once
-    assert built.count("relbgg") == 1
-    assert len(built) == len(set(built)) == 7
-
-
 def test_golden_replay_in_one_process_is_byte_identical(capsys, golden):
     runs = GOLDEN_REPORTS + GOLDEN_JSON
     assert sorted(name for name, _ in runs) == sorted(p.name for p in GOLDEN_DIR.iterdir())
@@ -601,6 +573,75 @@ def test_golden_replay_in_one_process_is_byte_identical(capsys, golden):
                 main(["bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2"])
             assert exc.value.code == 2
             assert "--sp" in capsys.readouterr().err
+
+
+# -- argv grammar --------------------------------------------------------------
+
+BGG_LABEL = "A4[x,o,o,o](-2,1,0,0)"
+COMMANDS = ("bigrade", "bgg", "filtration", "ranks", "check-torsion", "audit")
+
+
+def _golden_text(name):
+    return (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
+def _run_argv(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a SystemExit read as its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _usage_error(out, err):
+    return out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+ARGV_CASES = [
+    ("equals-value", ("ranks", "A4", "--sq=1,2", "--sp=1"), 0,
+     lambda out, err: (out, err) == (_golden_text("ranks_path_a4.txt"), "")),
+    ("options-first", ("ranks", "--sq", "1,2", "--sp", "1", "A4"), 0,
+     lambda out, err: (out, err) == (_golden_text("ranks_path_a4.txt"), "")),
+    ("last-repeat-wins", ("ranks", "A4", "--sq", "1,4", "--sp", "4", "--sq", "1,2", "--sp=1"), 0,
+     lambda out, err: (out, err) == (_golden_text("ranks_path_a4.txt"), "")),
+    ("unique-prefix", ("ranks", "A4", "--sq", "1,2", "--sp", "1", "--js"), 0,
+     lambda out, err: (out, err) == (_golden_text("ranks_path_a4.json"), "")),
+    ("prefix-with-equals", ("check-torsion", "--cat=legendrean(3)"), 0,
+     lambda out, err: (out, err) == (_golden_text("check_torsion_legendrean3.txt"), "")),
+    ("ambiguous-prefix", ("ranks", "A4", "--s", "1,2", "--sp", "1"), 2, _usage_error),
+    ("ambiguous-prefix-of-three", ("check-torsion", "--s", "1"), 2, _usage_error),
+    ("double-dash", ("bgg", "--sq", "1,2", "--sp", "1", "--", BGG_LABEL), 0,
+     lambda out, err: (out, err) == (_golden_text("bgg_dual_standard.txt"), "")),
+    ("double-dash-then-option", ("ranks", "--sq", "1,2", "--sp", "1", "--", "--json"), 2,
+     lambda out, err: out == "" and len(err.splitlines()) == 1),
+    ("value-starting-with-dashes", ("bgg", BGG_LABEL, "--sq", "1,2", "--sp", "--json"), 2, _usage_error),
+    ("value-missing-at-end", ("ranks", "A4", "--sp", "1", "--sq"), 2, _usage_error),
+    ("flag-given-a-value", ("ranks", "A4", "--sq", "1,2", "--sp", "1", "--json=yes"), 2, _usage_error),
+    ("extra-positional", ("ranks", "A4", "A5", "--sq", "1,2", "--sp", "1"), 2, _usage_error),
+    ("option-before-command", ("--json", "ranks", "A4", "--sq", "1,2", "--sp", "1"), 2, _usage_error),
+    ("version", ("--version",), 0, lambda out, err: (out, err) == ("relbgg 0.1.0\n", "")),
+]
+ARGV_CASES += [
+    (f"help-{flag}", (flag,), 0, lambda out, err: out.startswith("usage: relbgg") and err == "")
+    for flag in ("-h", "--help")
+]
+ARGV_CASES += [
+    (f"help-{cmd}-{flag}", (cmd, flag), 0,
+     lambda out, err, cmd=cmd: out.startswith(f"usage: relbgg {cmd}") and err == "")
+    for cmd in COMMANDS
+    for flag in ("-h", "--help")
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, check", [case[1:] for case in ARGV_CASES], ids=[case[0] for case in ARGV_CASES]
+)
+def test_argv_grammar(capsys, argv, code, check):
+    got, out, err = _run_argv(capsys, argv)
+    assert got == code, (out, err)
+    assert check(out, err), (out, err)
 
 
 # -- misc ---------------------------------------------------------------------
@@ -628,6 +669,47 @@ def test_cli_import_pulls_in_no_numpy():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_pulls_in_no_argparse():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import relbgg.cli, sys; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ranks", "A4", "--sq", "1,2", "--sp", "1"),
+        ("bigrade", "D32", "--sq", "1,16,32", "--sp", "16", "--json"),
+        ("--help",),
+        ("ranks", "-h"),
+        ("--version",),
+    ],
+    ids=["short-text", "long-json", "help", "command-help", "version"],
+)
+def test_closed_stdout_exits_one_without_a_traceback(argv):
+    # The read end is closed before the process starts, so every write to
+    # stdout meets a broken pipe, whatever the output size.
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "relbgg", *argv],
+            stdout=write_fd,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_listed_runs_complete_quickly(capsys):
