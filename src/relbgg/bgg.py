@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
-from .roots import RootSystem, Weight, _reflect_coords, _sparse_columns
+from .roots import RootSystem, Weight, _reflect_coords
 
 
 class InternalCheckError(RuntimeError):
@@ -91,7 +91,7 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
             f"above the supported maximum {MAX_HASSE_ELEMENTS}"
         )
     rs = pair.rs
-    cols = _sparse_columns(rs.cartan)
+    cols = rs.sparse_cartan
     levi = [i for i in range(rs.rank) if i + 1 not in pair.sigma_p]
     mu = tuple(int(i in pair.sigma_q and i not in pair.sigma_p) for i in range(1, rs.rank + 1))
     v_words = {mu: ()}  # orbit point nu = v(mu) -> reduced word of v
@@ -122,7 +122,7 @@ def affine_act(w: WeylWord, lam: Weight, rs: RootSystem) -> Weight:
         raise ValueError("weight length does not match rank")
     for g in w.gens:
         rs._check_node(g)
-    cols, mu = _sparse_columns(rs.cartan), tuple(c + 1 for c in lam.coeffs)
+    cols, mu = rs.sparse_cartan, tuple(c + 1 for c in lam.coeffs)
     for g in reversed(w.gens):
         mu = _reflect_coords(cols, g - 1, mu)
     return Weight(tuple(c - 1 for c in mu))

@@ -9,20 +9,21 @@ extensions and go through the same generic machinery: positive roots come
 from a walk up from the simple roots by simple reflections.  Ranks above
 ``MAX_RANK`` are refused, so every accepted input is small.
 
-A root is a plain tuple of its simple-root coefficients.  Each process walks
-a root system once: the walk's output is cached as one packed ``bytes`` per
-Cartan matrix, column-major, one byte per coefficient.  The cache is bounded
-by ``MAX_RANK``: all 124 A-D systems hold 970,018 bytes.  The sigma-heights
-of all positive roots come out of the columns as one ``bytes`` by big-integer
-addition, and ``positive_roots``, the one place the columns are unpacked
-into coefficient tuples, does so only when it is read.  The root walk, the
-Hasse walk, ``reflect`` and ``bgg.affine_act`` reflect by ``_reflect_coords``
-over one sparse Cartan table per matrix, cached too (124 take 508,280 bytes).
+A root is a plain tuple of its simple-root coefficients.  The one cache is
+``build_root_system``: one immutable ``RootSystem`` per (type, rank) and
+process, holding the Cartan matrix, its sparse table ``sparse_cartan`` and
+the positive roots packed column-major, one byte per coefficient.  It is
+bounded by ``MAX_RANK``: all 124 A-D systems take 1,965,462 bytes
+(``tracemalloc``, CPython 3.11), 970,018 of them packed roots.  The
+sigma-heights of all positive roots come out of the columns as one ``bytes``
+by big-integer addition, and ``positive_roots``, the one place the columns
+are unpacked into coefficient tuples, does so only when it is read.  Every
+reflection is ``_reflect_coords`` over ``sparse_cartan``.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 # A sigma-height is at most the height of the highest root, 2 * MAX_RANK - 1
@@ -30,7 +31,7 @@ from typing import Iterable, NamedTuple
 # byte columns as big integers and no byte ever carries into the next.
 MAX_RANK = 32
 
-_SparseColumns = tuple[tuple[tuple[int, int], ...], ...]  # from _sparse_columns
+_SparseColumns = tuple[tuple[tuple[int, int], ...], ...]  # RootSystem.sparse_cartan
 
 
 class Weight:
@@ -69,14 +70,18 @@ class RootSystem(NamedTuple):
     ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
     simple coroot (0-based storage for 1-based nodes).  ``columns`` holds the
     positive roots column-major, one byte per coefficient: column i (0-based)
-    is coefficient i of every positive root in the walk's order.  The fields
-    are read-only and there is no instance ``__dict__``.
+    is coefficient i of every positive root in the walk's order.
+    ``sparse_cartan[i]`` holds the nonzero entries (m, cartan[m][i]) of
+    column i, at most four: alpha_i in fundamental-weight coordinates, the
+    table ``_reflect_coords`` reflects by.  The fields are read-only and
+    there is no instance ``__dict__``.
     """
 
     type_tag: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]
     columns: bytes
+    sparse_cartan: _SparseColumns
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:
@@ -140,17 +145,9 @@ def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in c)
 
 
-@cache
-def _sparse_columns(cartan: tuple[tuple[int, ...], ...]) -> _SparseColumns:
-    """The nonzero entries (m, C[m][i]) of each Cartan column i, at most
-    four: alpha_i in fundamental-weight coordinates.  Kept per Cartan matrix
-    like ``_packed_root_columns``, as tuples so the shared value is immutable."""
-    return tuple(tuple((m, a) for m, a in enumerate(col) if a) for col in zip(*cartan))
-
-
 def _reflect_coords(cols: _SparseColumns, i: int, v: tuple[int, ...]) -> tuple[int, ...]:
     """s_i v = v - v[i] alpha_i for v in fundamental-weight coordinates, with
-    ``cols`` from ``_sparse_columns`` and i 0-based."""
+    ``cols`` a ``RootSystem.sparse_cartan`` and i 0-based."""
     k = v[i]
     out = list(v)
     for m, a in cols[i]:
@@ -158,17 +155,19 @@ def _reflect_coords(cols: _SparseColumns, i: int, v: tuple[int, ...]) -> tuple[i
     return tuple(out)
 
 
-def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+def _enumerate_positive_roots(
+    cartan: tuple[tuple[int, ...], ...], cols: _SparseColumns
+) -> list[tuple[int, ...]]:
     """All positive roots by a walk up from the simple roots.
 
     A positive root beta that is not simple has k = <beta, alpha_i^vee> > 0
     for some i, and s_i beta = beta - k alpha_i is a lower positive root.  So
     reflecting every root found at each node where its pairing is negative
     reaches them all.  Each root c travels with its pairings p, which are c in
-    fundamental-weight coordinates, so ``_reflect_coords`` updates them.
+    fundamental-weight coordinates, so ``_reflect_coords`` updates them by
+    ``cols``, the sparse table of ``cartan``.
     """
     rank = len(cartan)
-    cols = _sparse_columns(cartan)
     simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     walk = list(zip(simples, zip(*cartan)))
     seen = set(simples)
@@ -182,33 +181,24 @@ def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple
     return sorted(seen, key=lambda t: (sum(t), t))
 
 
-@cache
-def _packed_root_columns(cartan: tuple[tuple[int, ...], ...]) -> bytes:
-    """The walk's positive roots column by column: coefficient i of every
-    root in its sorted order, then coefficient i + 1.
-
-    A-D coefficients are at most 2, so each takes one byte; ``bytes`` raises
-    on any that would not fit.
-    """
-    return b"".join(map(bytes, zip(*_enumerate_positive_roots(cartan))))
-
-
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(type_tag: str, rank: int) -> RootSystem:
-    """Construct a root system of the given type and rank.
+    """Construct a root system of the given type and rank, once per process.
 
     Type A is the primary supported family; B, C and D are accepted
-    extensions (B/C need rank >= 2, D needs rank >= 3).  Type and rank are
-    validated before the cache is read, so a refused input adds no entry.
-    The positive roots are walked once per process and kept packed; they
-    are unpacked into coefficient tuples only when ``positive_roots`` is read.
+    extensions (B/C need rank >= 2, D needs rank >= 3).  The first call for
+    a (type, rank) validates it, builds the Cartan matrix and its sparse
+    table, walks the positive roots and packs them; later calls return the
+    same ``RootSystem``, and all 124 take 1,965,462 bytes.  A refused input
+    raises, so it adds no entry.  The cache is typed: rank 4.0 is not served
+    A4 but raises TypeError.
     """
     cartan = _cartan_matrix(type_tag, rank)
-    return RootSystem(
-        type_tag=type_tag,
-        rank=rank,
-        cartan=cartan,
-        columns=_packed_root_columns(cartan),
-    )
+    sparse = tuple(tuple((m, a) for m, a in enumerate(col) if a) for col in zip(*cartan))
+    # A-D coefficients are at most 2, so each takes one byte; ``bytes``
+    # raises on any that would not fit.
+    columns = b"".join(map(bytes, zip(*_enumerate_positive_roots(cartan, sparse))))
+    return RootSystem(type_tag, rank, cartan, columns, sparse)
 
 
 def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
@@ -217,4 +207,4 @@ def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
     rs._check_node(i)
     if len(w.coeffs) != rs.rank:
         raise ValueError("weight length does not match rank")
-    return Weight(_reflect_coords(_sparse_columns(rs.cartan), i - 1, w.coeffs))
+    return Weight(_reflect_coords(rs.sparse_cartan, i - 1, w.coeffs))

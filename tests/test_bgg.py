@@ -187,6 +187,27 @@ def test_affine_act_matches_dense_reference_off_type_a(type_tag, rank):
         assert affine_act(WeylWord(gens[:cut]), v, rs) == got, (gens, cut, lam)
 
 
+@pytest.mark.parametrize("type_tag, rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5)])
+def test_results_survive_a_cache_clear(type_tag, rank):
+    """A system built before ``cache_clear()`` and its rebuild are equal but
+    distinct objects, and reflect, affine_act and relative_hasse agree on them."""
+    old = build_root_system(type_tag, rank)
+    build_root_system.cache_clear()
+    new = build_root_system(type_tag, rank)
+    assert new == old and new is not old
+    rng = random.Random(f"clear:{type_tag}{rank}")
+    for _ in range(30):
+        gens = WeylWord(tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8))))
+        lam = Weight(tuple(rng.randint(-8, 8) for _ in range(rank)))
+        assert affine_act(gens, lam, old) == affine_act(gens, lam, new), (gens, lam)
+        for i in range(1, rank + 1):
+            assert reflect(old, i, lam) == reflect(new, i, lam), (i, lam)
+    old_hd, new_hd = (relative_hasse(ParabolicPair(rs, frozenset({1, rank}), frozenset({1})))
+                      for rs in (old, new))
+    assert len(old_hd.elements) > 1
+    assert (old_hd.elements, old_hd.is_chain) == (new_hd.elements, new_hd.is_chain)
+
+
 @pytest.mark.parametrize("type_tag, rank", [("A", 3), ("B", 3), ("C", 4), ("D", 4)])
 def test_affine_act_and_reflect_refuse_bad_input(type_tag, rank):
     """A letter outside 1..rank or a weight of another length is a ValueError:

@@ -16,8 +16,10 @@ Core claims:
     - the reference pairs every positive root, rewritten in fundamental-weight
       coordinates by the Cartan matrix, with its own coroot to 2
     - a RootSystem is frozen: no attribute can be set and it has no __dict__
-    - each system is walked once per process and cached packed, within a
-      bound set by MAX_RANK, and a refused type or rank adds no cache entry
+    - each system is built and walked once per process and every later call
+      returns the same object, within a bound set by MAX_RANK; a refused type
+      or rank adds no cache entry, and a float rank is not served an int's
+    - sparse_cartan holds exactly the nonzero entries of each Cartan column
     - the packed sigma-heights never carry from one root's byte into the
       next: over every node they are each root's coefficient sum (up to 63
       at B32 and C32), over random node sets its sum over those nodes
@@ -176,7 +178,7 @@ def test_walk_matches_root_chain_reference(tag, rank):
 @pytest.mark.parametrize("tag,lo", ALL_TYPES)
 def test_walk_matches_row_sum_walk_up_to_rank_cap(tag, lo):
     # the first call walks and packs, the second unpacks the cached entry
-    roots._packed_root_columns.cache_clear()
+    build_root_system.cache_clear()
     for rank in range(lo, MAX_RANK + 1):
         for _ in range(2):
             rs = build_root_system(tag, rank)
@@ -202,12 +204,12 @@ def test_bad_construction_rejected():
 def test_each_system_is_walked_once(monkeypatch):
     walk, walked = roots._enumerate_positive_roots, []
 
-    def counting_walk(cartan):
+    def counting_walk(cartan, cols):
         walked.append(len(cartan))
-        return walk(cartan)
+        return walk(cartan, cols)
 
     monkeypatch.setattr(roots, "_enumerate_positive_roots", counting_walk)
-    roots._packed_root_columns.cache_clear()
+    build_root_system.cache_clear()
     for tag in "AAAB":
         build_root_system(tag, 5)
     assert walked == [5, 5]
@@ -219,22 +221,43 @@ def test_calls_share_no_root_object():
     assert first.positive_roots == second.positive_roots == first.positive_roots
 
 
+def test_each_system_is_one_object():
+    assert build_root_system("C", 6) is build_root_system("C", 6)
+
+
+def test_cache_is_keyed_by_type():
+    build_root_system("A", 4)
+    before = build_root_system.cache_info().currsize
+    with pytest.raises(TypeError):
+        build_root_system("A", 4.0)
+    assert build_root_system.cache_info().currsize == before
+
+
 def test_cache_is_bounded_by_the_rank_cap():
-    roots._packed_root_columns.cache_clear()
+    build_root_system.cache_clear()
     size = 0
     for tag, lo in ALL_TYPES:
         for rank in range(lo, MAX_RANK + 1):
-            size += len(roots._packed_root_columns(build_root_system(tag, rank).cartan))
-    assert roots._packed_root_columns.cache_info().currsize == 124
+            size += len(build_root_system(tag, rank).columns)
+    assert build_root_system.cache_info().currsize == 124
     assert size < 1_000_000
 
 
 @pytest.mark.parametrize("tag,rank", [("E", 6), ("A", 0), ("A", MAX_RANK + 1)])
 def test_refused_system_adds_no_cache_entry(tag, rank):
-    before = roots._packed_root_columns.cache_info().currsize
+    before = build_root_system.cache_info().currsize
     with pytest.raises(ValueError):
         build_root_system(tag, rank)
-    assert roots._packed_root_columns.cache_info().currsize == before
+    assert build_root_system.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("tag,lo", ALL_TYPES)
+def test_sparse_cartan_is_the_nonzero_cartan_entries(tag, lo):
+    for rank in range(lo, MAX_RANK + 1):
+        rs = build_root_system(tag, rank)
+        for i, col in enumerate(rs.sparse_cartan):
+            assert col == tuple((m, row[i]) for m, row in enumerate(rs.cartan) if row[i])
+            assert len(col) <= 4
 
 
 # -- packed sigma-heights ----------------------------------------------------
