@@ -2,15 +2,21 @@
 
 The pinned convention (rightmost generator first, minimal representatives
 with w^{-1} positive on the uncrossed sigma_q nodes, full rho shift) is
-locked in by the worked path-type sequences below; every other check is
-structural or derived from an independent identity.
+locked in by the worked path-type sequences below.
+
+Core claims:
+    - the Hasse words, chain shapes, labels and orders of every nested pair
+      of A1-A4, B2-B3, C2-C3 and D3-D4, and of sampled rank-5 pairs, are those
+      of the epsilon-basis model of tests/weyl_model.py, which does not read
+      the engine's Cartan matrix; so is affine_act on random B, C, D words
+    - every other check is structural or derived from an independent identity
 """
 
-import itertools
 import random
 
 import pytest
-from test_roots import pairing_reference, root_to_weight_reference
+from hypothesis import given, settings, strategies as st
+from weyl_model import WeylModel, apply, nested_pairs
 
 from relbgg import (
     ParabolicPair,
@@ -33,46 +39,6 @@ def _pair(rank, sq, sp, type_tag="A"):
     )
 
 
-def _reflect_root(rs, i, v):
-    """Simple reflection s_i on simple-root coordinates."""
-    k = sum(rs.cartan[i - 1][j] * v[j] for j in range(rs.rank))
-    out = list(v)
-    out[i - 1] -= k
-    return tuple(out)
-
-
-def _plus_rho(coeffs):
-    """lambda + rho in fundamental-weight coordinates: rho is the all-ones weight."""
-    return tuple(c + 1 for c in coeffs)
-
-
-def _reflect_weight(rs, i, w):
-    """Simple reflection s_i on fundamental-weight coordinates by the dense
-    formula w - w_i alpha_i, alpha_i being Cartan column i."""
-    k = w[i - 1]
-    return tuple(w[j] - k * rs.cartan[j][i - 1] for j in range(rs.rank))
-
-
-def _shifted_action_reference(gens, lam, rs):
-    """w.lambda = w(lambda + rho) - rho letter by letter, rightmost first."""
-    mu = _plus_rho(lam)
-    for g in reversed(gens):
-        mu = _reflect_weight(rs, g, mu)
-    return tuple(c - 1 for c in mu)
-
-
-def _connecting_roots(hd):
-    """beta_k = w_k(alpha_i) with w_{k+1} = w_k s_i, along a chain."""
-    rs = hd.pair.rs
-    roots = []
-    for wk, wk1 in zip(hd.elements, hd.elements[1:]):
-        beta = tuple(int(j == wk1.gens[-1]) for j in range(1, rs.rank + 1))
-        for g in reversed(wk.gens):
-            beta = _reflect_root(rs, g, beta)
-        roots.append(beta)
-    return roots
-
-
 def path_pair(n=3):
     return _pair(n + 1, {1, 2}, {1})
 
@@ -87,7 +53,8 @@ def test_path_hasse_words():
     hd = relative_hasse(path_pair())
     assert [w.gens for w in hd.elements] == [(), (2,), (2, 3), (2, 3, 4)]
     assert hd.is_chain
-    assert _connecting_roots(hd) == [
+    m = WeylModel("A", 4)
+    assert [m.coords(beta) for beta in m.chain_roots([w.gens for w in hd.elements])] == [
         (0, 1, 0, 0),
         (0, 1, 1, 0),
         (0, 1, 1, 1),
@@ -128,7 +95,7 @@ def test_broken_shifted_action_trips_q_validity_guard(monkeypatch):
     import relbgg.bgg as bgg
 
     def wrong_order(w, lam, rs):  # w's letters applied left to right
-        return Weight(_shifted_action_reference(w.gens[::-1], lam.coeffs, rs))
+        return Weight(WeylModel(rs.type_tag, rs.rank).label(w.gens[::-1], lam.coeffs))
 
     monkeypatch.setattr(bgg, "affine_act", wrong_order)
     src = parse_label("A4[x,o,o,o](-2,1,0,0)")
@@ -172,17 +139,17 @@ BCD_DIAGRAMS = [(t, n) for t, lo in (("B", 2), ("C", 2), ("D", 3)) for n in rang
 
 @pytest.mark.parametrize("type_tag, rank", BCD_DIAGRAMS)
 def test_affine_act_matches_dense_reference_off_type_a(type_tag, rank):
-    """Against the dense per-letter formula, and the group law.  Type A's
-    Cartan matrix is symmetric, so only B and C tell its rows from its
+    """Against the model's w(lambda + rho) - rho, and the group law.  Type
+    A's Cartan matrix is symmetric, so only B and C tell its rows from its
     columns; D adds the fork."""
-    rs = build_root_system(type_tag, rank)
+    rs, m = build_root_system(type_tag, rank), WeylModel(type_tag, rank)
     rng = random.Random(f"{type_tag}{rank}")
     for _ in range(60):
         gens = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 8)))
         cut = rng.randint(0, len(gens))
         lam = Weight(tuple(rng.randint(-8, 8) for _ in range(rank)))
         got = affine_act(WeylWord(gens), lam, rs)
-        assert got.coeffs == _shifted_action_reference(gens, lam.coeffs, rs), (gens, lam)
+        assert got.coeffs == m.label(gens, lam.coeffs), (gens, lam)
         v = affine_act(WeylWord(gens[cut:]), lam, rs)
         assert affine_act(WeylWord(gens[:cut]), v, rs) == got, (gens, cut, lam)
 
@@ -387,128 +354,73 @@ def test_orders_match_source_coefficients():
     rng = random.Random(31)
     for _ in range(100):
         pair = _chain_pairs(rng)
-        rs = pair.rs
+        rs, m = pair.rs, WeylModel("A", pair.rs.rank)
         hd = relative_hasse(pair)
-        for k, beta in enumerate(_connecting_roots(hd)):
+        for k, beta in enumerate(m.chain_roots([w.gens for w in hd.elements])):
             wk = hd.elements[k]
-            back = beta
-            for g in wk.gens:  # w_k^{-1} applies the generators left to right
-                back = _reflect_root(rs, g, back)
+            back = m.coords(apply(m.element(wk.gens[::-1]), beta))  # w_k^{-1}(beta_k)
             assert sum(back) == 1 and all(c in (0, 1) for c in back)
             j = back.index(1) + 1
             assert j not in pair.sigma_p
             lam = Weight(tuple(rng.randint(0, 5) for _ in range(rs.rank)))
             lam_k = affine_act(wk, lam, rs)
-            assert pairing_reference(_plus_rho(lam_k.coeffs), beta, rs.cartan) == lam.coeffs[j - 1] + 1
+            assert m.pairing(m.weight([c + 1 for c in lam_k.coeffs]), beta) == lam.coeffs[j - 1] + 1
 
 
-def test_operator_order_direct():
-    """The order leaving weight lambda along a positive root beta is
-    <lambda + rho, beta^vee>."""
-    rs = build_root_system("A", 4)
-    assert pairing_reference(_plus_rho((-2, 1, 0, 0)), (0, 1, 0, 0), rs.cartan) == 2
+# -- against the model -------------------------------------------------------
 
-
-# -- brute-force reference ---------------------------------------------------
-
-def _reference_hasse(pair):
-    """The Hasse diagram by exhaustion: enumerate the Levi Weyl group, filter
-    minimal coset representatives, scan all positive roots for connections.
-
-    Elements are stored as images of the simple roots; the breadth-first
-    search over generators in ascending order records the lexicographically
-    smallest reduced word of v = w^{-1}.
-    """
-    rs = pair.rs
-    levi = [i for i in range(1, rs.rank + 1) if i not in pair.sigma_p]
-    identity = tuple(tuple(int(i == j) for i in range(rs.rank)) for j in range(rs.rank))
-
-    def times_simple(imgs, i):
-        """Images under v s_i from those under v: v(a_j) - C[i][j] v(a_i)."""
-        base = imgs[i - 1]
-        return tuple(
-            tuple(a - rs.cartan[i - 1][j] * b for a, b in zip(imgs[j], base))
-            for j in range(rs.rank)
-        )
-
-    def s_beta(beta, v):
-        n = pairing_reference(root_to_weight_reference(rs.cartan, v), beta, rs.cartan)
-        return tuple(a - n * b for a, b in zip(v, beta))
-
-    seen = {identity: ()}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for imgs in frontier:
-            for i in levi:
-                imgs2 = times_simple(imgs, i)
-                if imgs2 not in seen:
-                    seen[imgs2] = seen[imgs] + (i,)
-                    nxt.append(imgs2)
-        frontier = nxt
-    elements = {}  # word of w -> images under w
-    for imgs, word in seen.items():
-        if all(min(imgs[j - 1]) >= 0 for j in range(1, rs.rank + 1) if j not in pair.sigma_q):
-            w_word = tuple(reversed(word))  # w = v^{-1}
-            w_imgs = identity
-            for g in w_word:
-                w_imgs = times_simple(w_imgs, g)
-            elements[w_word] = w_imgs
-    words = sorted(elements, key=lambda w: (len(w), w))
-    connecting = {}
-    for k in range(len(words) - 1):
-        source, target = elements[words[k]], elements[words[k + 1]]
-        for beta in rs.positive_roots:
-            if all(s_beta(beta, v) == t for v, t in zip(source, target)):
-                connecting[k] = beta
-                break
-    is_chain = [len(w) for w in words] == list(range(len(words))) and len(connecting) == len(words) - 1
-    return words, connecting, is_chain
-
-
-def _nested_pairs(type_tag, rank):
-    for q_mask in itertools.product((0, 1), repeat=rank):
-        sq = [i for i, b in zip(range(1, rank + 1), q_mask) if b]
-        for p_mask in itertools.product((0, 1), repeat=len(sq)):
-            sp = [i for i, b in zip(sq, p_mask) if b]
-            yield _pair(rank, sq, sp, type_tag)
-
-
-def _p_dominant_source(pair, rng):
-    """A seeded label crossed at sigma_p, >= 0 at the other nodes."""
+def _p_dominant_source(pair, randint):
+    """A label crossed at sigma_p, coefficients randint(-4, 4) there, randint(0, 4) elsewhere."""
     rs = pair.rs
     nodes = range(1, rs.rank + 1)
-    coeffs = [rng.randint(-4, 4) if i in pair.sigma_p else rng.randint(0, 4) for i in nodes]
+    coeffs = [randint(-4, 4) if i in pair.sigma_p else randint(0, 4) for i in nodes]
     marks = ",".join("x" if i in pair.sigma_p else "o" for i in nodes)
     return parse_label(f"{rs.type_tag}{rs.rank}[{marks}]({','.join(map(str, coeffs))})")
 
 
+def _check_against_model(pair, src):
+    """relative_hasse's words and chain shape against the model; on a chain also
+    beta_k = w_k(alpha_i) for w_{k+1} = w_k s_i, and relative_bgg_sequence's labels
+    and orders <lambda_k + rho, beta_k^vee>.  Returns whether it is a chain."""
+    m, hd = WeylModel(pair.rs.type_tag, pair.rs.rank), relative_hasse(pair)
+    words = m.hasse(pair.sigma_q, pair.sigma_p)
+    betas = m.chain_roots(words)
+    where = (pair.rs.type_tag, pair.rs.rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
+    assert [w.gens for w in hd.elements] == words, where
+    assert hd.is_chain == (betas is not None), where
+    if betas is None:
+        return False
+    ends = [m.simple[w.gens[-1] - 1] for w in hd.elements[1:]]
+    assert betas == [apply(m.element(w), alpha) for w, alpha in zip(words, ends)], where
+    seq, lam = relative_bgg_sequence(src, pair), src.coeffs.coeffs
+    labels = [m.label(w, lam) for w in words]
+    assert [e.label.coeffs.coeffs for e in seq.entries] == labels, where
+    orders = [m.pairing(m.weight([c + 1 for c in mu]), beta) for mu, beta in zip(labels, betas)]
+    assert [e.order_to_next for e in seq.entries] == orders + [None], where
+    return True
+
+
 def test_hasse_matches_brute_force_reference():
-    """Words and chain shape against exhaustion; on chains every order equals
-    <lambda_k + rho, beta_k^vee> with beta_k the reference's connecting root
-    and the pairing of the symmetrized-form reference."""
+    """Every nested pair of A1-A4, B2-B3, C2-C3 and D3-D4 against the model."""
     diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3),
                 ("C", 2), ("C", 3), ("D", 3), ("D", 4)]
     rng = random.Random(47)
     checked = chains = 0
     for type_tag, rank in diagrams:
-        for pair in _nested_pairs(type_tag, rank):
-            hd = relative_hasse(pair)
-            words, connecting, is_chain = _reference_hasse(pair)
-            where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
-            assert [w.gens for w in hd.elements] == words, where
-            assert hd.is_chain == is_chain, where
-            if is_chain:
-                assert _connecting_roots(hd) == list(connecting.values()), where
-                seq = relative_bgg_sequence(_p_dominant_source(pair, rng), pair)
-                for k, entry in enumerate(seq.entries[:-1]):
-                    lam_rho = _plus_rho(entry.label.coeffs.coeffs)
-                    want = pairing_reference(lam_rho, connecting[k], pair.rs.cartan)
-                    assert entry.order_to_next == want, (where, k)
-                assert seq.entries[-1].order_to_next is None
-                chains += 1
+        for pair in (_pair(rank, sq, sp, type_tag) for sq, sp in nested_pairs(rank)):
+            chains += _check_against_model(pair, _p_dominant_source(pair, rng.randint))
             checked += 1
     assert (checked, chains) == (300, 186)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_rank_five_pairs_match_the_model(data):
+    """Sampled nested pairs of A5, B5, C5 and D5, with P-dominant sources, against the model."""
+    sigma_q = data.draw(st.sets(st.integers(1, 5), min_size=1))
+    sigma_p = {i for i in sorted(sigma_q) if data.draw(st.booleans())}
+    pair = _pair(5, sigma_q, sigma_p, data.draw(st.sampled_from("ABCD")))
+    _check_against_model(pair, _p_dominant_source(pair, lambda lo, hi: data.draw(st.integers(lo, hi))))
 
 
 def test_hasse_size_closed_form_matches_walk():
@@ -516,7 +428,7 @@ def test_hasse_size_closed_form_matches_walk():
                 ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("D", 5)]
     checked = 0
     for type_tag, rank in diagrams:
-        for pair in _nested_pairs(type_tag, rank):
+        for pair in (_pair(rank, sq, sp, type_tag) for sq, sp in nested_pairs(rank)):
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
             assert hasse_size(pair) == len(relative_hasse(pair).elements), where
             checked += 1

@@ -3,11 +3,16 @@
 The two geometric families used throughout:
     - contact-type blocks 1, n, 1:  sigma_q = {1, n+1}, sigma_p = {1}
     - path-type blocks 1, 1, n:     sigma_q = {1, 2},   sigma_p = {1}
+
+Core claims:
+    - on every nested pair of A1-A5, B2-B4, C2-C4 and D3-D5, each component
+      of bigrade holds exactly the roots of that bidegree in the epsilon-basis
+      model of tests/weyl_model.py, whose roots do not come from the engine
+    - profile, filtration and ranks partition and telescope as defined
 """
 
-import itertools
-
 import pytest
+from weyl_model import WeylModel, nested_pairs
 
 from relbgg import (
     Bidegree,
@@ -36,23 +41,10 @@ def path_pair(n):
 
 
 def all_pairs(rank, type_tag="A"):
-    nodes = list(range(1, rank + 1))
-    for q_mask in itertools.product((0, 1), repeat=rank):
-        sq = frozenset(i for i, b in zip(nodes, q_mask) if b)
-        members = sorted(sq)
-        for p_mask in itertools.product((0, 1), repeat=len(members)):
-            sp = frozenset(i for i, b in zip(members, p_mask) if b)
-            yield _pair(rank, sq, sp, type_tag)
+    return (_pair(rank, sq, sp, type_tag) for sq, sp in nested_pairs(rank))
 
 
 # -- sigma height ------------------------------------------------------------
-
-def bidegree_of_root(pair, root):
-    """(i', i'') of a signed root given by its simple-root coefficients."""
-    hp = sum(root[i - 1] for i in pair.sigma_p)
-    hq = sum(root[i - 1] for i in pair.sigma_q)
-    return Bidegree(hp, hq - hp)
-
 
 def test_sigma_height_read_offs():
     rs = build_root_system("A", 4)
@@ -118,15 +110,6 @@ def test_dims_come_from_packed_heights_alone(monkeypatch):
         bg.root_spaces()
 
 
-def _reference_components(pair):
-    """Every signed root bucketed by bidegree_of_root, each bucket sorted by coefficients."""
-    buckets = {Bidegree(0, 0): []}
-    for root in pair.rs.positive_roots:
-        for r in (root, tuple(-c for c in root)):
-            buckets.setdefault(bidegree_of_root(pair, r), []).append(r)
-    return {bd: sorted(roots) for bd, roots in buckets.items()}
-
-
 def test_bigrade_matches_reference_on_every_nested_pair():
     diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
                 ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("D", 5)]
@@ -134,7 +117,8 @@ def test_bigrade_matches_reference_on_every_nested_pair():
     for type_tag, rank in diagrams:
         for pair in all_pairs(rank, type_tag):
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
-            bg, ref = bigrade(pair), _reference_components(pair)
+            bg = bigrade(pair)
+            ref = WeylModel(type_tag, rank).components(pair.sigma_q, pair.sigma_p)
             assert set(bg.dims) == set(ref), where
             assert all(type(bd) is Bidegree for bd in bg.dims), where
             spaces = bg.root_spaces()
@@ -155,12 +139,9 @@ def test_partition_duality_and_total_dim(rank):
         assert bg.dim_g == rank * rank + 2 * rank
         spaces = bg.root_spaces()
         root_count = sum(len(spaces[bd]) for bd in bg.dims)
-        assert root_count == 2 * len(pair.rs.positive_roots)
+        assert root_count == 2 * len(WeylModel("A", rank).positive)
         for bd, dim in bg.dims.items():
             assert bg.dim_component(Bidegree(-bd.i_prime, -bd.i_dprime)) == dim
-            # signs agree and heights recompute
-            for root in spaces[bd]:
-                assert bidegree_of_root(pair, root) == bd
 
 
 # -- subalgebra profile ------------------------------------------------------

@@ -2,19 +2,21 @@
 
 Core claims:
     - positive-root counts match the closed forms for types A, B, C, D
-    - the reflection walk yields exactly the root-chain closure, in order
-    - carrying pairings through the walk keeps the order of the row-sum walk
-      that recomputes them, for every type up to rank MAX_RANK
+    - the reflection walk yields exactly the root-chain closure, in order: the
+      positive roots of the epsilon-basis model (tests/weyl_model.py), by
+      height and then coefficients, for every type up to rank MAX_RANK
     - every Cartan matrix is symmetrized by the minimal positive integers d
-      of the test-side reference (d[i] is half the squared length of alpha_i)
-    - reflect keeps the symmetrized-form pairing 2(w, beta)/(beta, beta) of
-      the reference: <s_i w, (s_i beta)^vee> = <w, beta^vee> on every
-      positive root beta and node i
+      read off the model (d[i] is the squared length of alpha_i over their gcd)
+    - reflect keeps the model's pairing 2(w, beta)/(beta, beta):
+      <s_i w, (s_i beta)^vee> = <w, beta^vee> on every positive root beta and
+      node i
+    - the root and reflection checks above fail at every rank up to 8 with the
+      B/C -2 entries swapped or D_n's fork moved to node n-1
     - every positive root of A_r has contiguous all-ones support
     - basis changes and reflections reproduce hand-computed values
     - simple reflections are involutions on arbitrary integer weights
-    - the reference pairs every positive root, rewritten in fundamental-weight
-      coordinates by the Cartan matrix, with its own coroot to 2
+    - every positive root, rewritten in fundamental-weight coordinates by the
+      Cartan matrix, pairs with its own coroot to 2 in the model
     - a RootSystem is frozen: no attribute can be set and it has no __dict__
     - each system is built and walked once per process and every later call
       returns the same object, within a bound set by MAX_RANK; a refused type
@@ -26,11 +28,11 @@ Core claims:
 """
 
 import random
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
+from weyl_model import WeylModel, dot, reflect as model_reflect
 
 from relbgg import Weight, build_root_system, reflect
 from relbgg import roots
@@ -39,94 +41,10 @@ from relbgg.roots import MAX_RANK
 ALL_TYPES = (("A", 1), ("B", 2), ("C", 2), ("D", 3))  # (tag, smallest rank)
 
 
-def root_chain_reference(cartan):
-    """Positive roots by closure under simple-root addition (the previous
-    algorithm, kept as an independent reference).
-
-    Root-chain criterion: beta + alpha_i is a root iff p > <beta, alpha_i^vee>
-    where p is the number of times alpha_i can be subtracted from beta.
-    Processing level by level in height keeps every chain fully known.
-    """
-    rank = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    found = set(simples)
-    frontier = list(simples)
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for i in range(rank):
-                pair = sum(cartan[i][j] * c[j] for j in range(rank))
-                p = 0
-                probe = list(c)
-                probe[i] -= 1
-                while tuple(probe) in found:
-                    p += 1
-                    probe[i] -= 1
-                if p - pair > 0:
-                    up = list(c)
-                    up[i] += 1
-                    t = tuple(up)
-                    if t not in found:
-                        found.add(t)
-                        nxt.append(t)
-        frontier = nxt
-    return sorted(found, key=lambda t: (sum(t), t))
-
-
-def row_sum_walk_reference(cartan):
-    """Positive roots by the reflection walk that recomputes every pairing
-    <c, alpha_i^vee> as a Cartan row sum (the previous walk, kept as the
-    reference for the one that carries pairings through each reflection)."""
-    rank = len(cartan)
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
-    found = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
-    seen = set(found)
-    for c in found:
-        for i, row in enumerate(rows):
-            k = sum(a * c[j] for j, a in row)
-            if k < 0:
-                t = c[:i] + (c[i] - k,) + c[i + 1:]
-                if t not in seen:
-                    seen.add(t)
-                    found.append(t)
-    return sorted(found, key=lambda t: (sum(t), t))
-
-
-def symmetrizer_reference(cartan):
-    """The minimal positive integers d with d[i]*C[i][j] == d[j]*C[j][i],
-    propagated along the (connected) Dynkin diagram: d[j] = d[i]*C[i][j]/C[j][i].
-    d[i] is half the squared length of alpha_i in the normalised invariant form."""
-    rank = len(cartan)
-    d = [Fraction(1)] + [Fraction(0)] * (rank - 1)
-    todo = [0]
-    for i in todo:
-        for j in range(rank):
-            if cartan[i][j] and not d[j]:
-                d[j] = d[i] * cartan[i][j] / cartan[j][i]
-                todo.append(j)
-    scaled = [int(x * lcm(*(y.denominator for y in d))) for x in d]
-    return tuple(x // gcd(*scaled) for x in scaled)
-
-
-def pairing_reference(w, beta, cartan):
-    """<w, beta^vee> = 2(w, beta)/(beta, beta) in the invariant form given by
-    the symmetrizer: (omega_i, alpha_j) = d[i] if i == j else 0 and
-    (alpha_i, alpha_j) = d[i]*C[i][j].  ``w`` is in fundamental-weight and
-    ``beta`` in simple-root coordinates, both plain tuples."""
-    d = symmetrizer_reference(cartan)
-    rank = len(cartan)
-    num = sum(w[i] * beta[i] * d[i] for i in range(rank))
-    twice_len = sum(
-        beta[i] * d[i] * cartan[i][j] * beta[j] for i in range(rank) for j in range(rank)
-    )
-    q, r = divmod(2 * num, twice_len)
-    assert twice_len > 0 and r == 0, (w, beta)
-    return q
-
-
-def root_to_weight_reference(cartan, beta):
-    """beta in fundamental-weight coordinates: alpha_i = sum_j C[j][i] omega_j."""
-    return tuple(sum(c * b for c, b in zip(row, beta)) for row in cartan)
+def symmetrizer(tag, rank):
+    """Squared lengths of the simple roots over their gcd: d[i]C[i][j] = d[j]C[j][i]."""
+    lengths = [dot(a, a) for a in WeylModel(tag, rank).simple]
+    return tuple(x // gcd(*lengths) for x in lengths)
 
 
 # -- construction ------------------------------------------------------------
@@ -172,7 +90,7 @@ def test_other_type_root_counts(tag, rank, count):
 )
 def test_walk_matches_root_chain_reference(tag, rank):
     rs = build_root_system(tag, rank)
-    assert list(rs.positive_roots) == root_chain_reference(rs.cartan)
+    assert list(rs.positive_roots) == WeylModel(tag, rank).positive_roots
 
 
 @pytest.mark.parametrize("tag,lo", ALL_TYPES)
@@ -180,9 +98,9 @@ def test_walk_matches_row_sum_walk_up_to_rank_cap(tag, lo):
     # the first call walks and packs, the second unpacks the cached entry
     build_root_system.cache_clear()
     for rank in range(lo, MAX_RANK + 1):
+        want = WeylModel(tag, rank).positive_roots
         for _ in range(2):
-            rs = build_root_system(tag, rank)
-            assert list(rs.positive_roots) == row_sum_walk_reference(rs.cartan), rank
+            assert list(build_root_system(tag, rank).positive_roots) == want, rank
 
 
 def test_rank_cap():
@@ -215,14 +133,11 @@ def test_each_system_is_walked_once(monkeypatch):
     assert walked == [5, 5]
 
 
-def test_calls_share_no_root_object():
+def test_each_system_is_one_object():
     first, second = build_root_system("C", 6), build_root_system("C", 6)
+    assert first is second
     assert first == second
     assert first.positive_roots == second.positive_roots == first.positive_roots
-
-
-def test_each_system_is_one_object():
-    assert build_root_system("C", 6) is build_root_system("C", 6)
 
 
 def test_cache_is_keyed_by_type():
@@ -295,14 +210,14 @@ def test_heights_refuse_a_node_out_of_range():
 # -- basis change ------------------------------------------------------------
 
 def test_root_to_weight_simple_roots():
-    cartan = build_root_system("A", 4).cartan
-    assert root_to_weight_reference(cartan, (0, 1, 0, 0)) == (-1, 2, -1, 0)
-    assert root_to_weight_reference(cartan, (0, 0, 0, 1)) == (0, 0, -1, 2)
+    m = WeylModel("A", 4)
+    assert m.fundamental(m.eps((0, 2, 0, 0))) == (-1, 2, -1, 0)
+    assert m.fundamental(m.eps((0, 0, 0, 2))) == (0, 0, -1, 2)
 
 
 def test_root_to_weight_highest_root_a3():
-    cartan = build_root_system("A", 3).cartan
-    assert root_to_weight_reference(cartan, (1, 1, 1)) == (1, 0, 1)
+    m = WeylModel("A", 3)
+    assert m.fundamental(m.eps((2, 2, 2))) == (1, 0, 1)
 
 
 # -- reflections -------------------------------------------------------------
@@ -346,38 +261,36 @@ def test_reflect_is_involution(rank, data):
 # -- pairings ----------------------------------------------------------------
 
 def test_pairing_worked_examples():
-    cartan = build_root_system("A", 4).cartan
-    assert pairing_reference((-1, 2, 1, 1), (0, 1, 0, 0), cartan) == 2
-    assert pairing_reference((1, -2, 3, 1), (0, 1, 1, 0), cartan) == 1
-    assert pairing_reference((9, 0, 4, -3), (0, 1, 0, 0), cartan) == 0
+    m = WeylModel("A", 4)
+    assert m.pairing(m.weight((-1, 2, 1, 1)), m.eps((0, 1, 0, 0))) == 2
+    assert m.pairing(m.weight((1, -2, 3, 1)), m.eps((0, 1, 1, 0))) == 1
+    assert m.pairing(m.weight((9, 0, 4, -3)), m.eps((0, 1, 0, 0))) == 0
 
 
 @pytest.mark.parametrize(
     "tag,rank", [("A", 1), ("A", 4), ("A", 6), ("B", 3), ("C", 3), ("D", 4)]
 )
 def test_pairing_of_root_with_itself_is_two(tag, rank):
-    rs = build_root_system(tag, rank)
+    rs, m = build_root_system(tag, rank), WeylModel(tag, rank)
     for beta in rs.positive_roots:
-        assert pairing_reference(root_to_weight_reference(rs.cartan, beta), beta, rs.cartan) == 2
+        weight = tuple(sum(c * b for c, b in zip(row, beta)) for row in rs.cartan)
+        assert m.pairing(m.weight(weight), m.eps(beta)) == 2, beta
 
 
 def test_symmetrizer_values():
-    def d(tag, rank):
-        return symmetrizer_reference(build_root_system(tag, rank).cartan)
-
-    assert d("A", 4) == (1, 1, 1, 1)
-    assert d("B", 3) == (2, 2, 1)
-    assert d("C", 3) == (1, 1, 2)
-    assert d("D", 4) == (1, 1, 1, 1)
-    assert d("B", 2) == (2, 1)
-    assert d("C", 2) == (1, 2)
+    assert symmetrizer("A", 4) == (1, 1, 1, 1)
+    assert symmetrizer("B", 3) == (2, 2, 1)
+    assert symmetrizer("C", 3) == (1, 1, 2)
+    assert symmetrizer("D", 4) == (1, 1, 1, 1)
+    assert symmetrizer("B", 2) == (2, 1)
+    assert symmetrizer("C", 2) == (1, 2)
 
 
 def test_symmetrizer_symmetrizes_every_cartan_matrix():
     for tag, lo in ALL_TYPES:
         for rank in range(lo, 25):
             c = build_root_system(tag, rank).cartan
-            d = symmetrizer_reference(c)
+            d = symmetrizer(tag, rank)
             assert len(d) == rank and all(x > 0 for x in d)
             assert gcd(*d) == 1
             for i in range(rank):
@@ -389,17 +302,56 @@ def test_symmetrizer_symmetrizes_every_cartan_matrix():
     "tag,rank", [(tag, n) for tag, lo in ALL_TYPES for n in range(lo, 9)]
 )
 def test_pairing_matches_symmetrizer_reference(tag, rank):
-    """reflect keeps the reference pairing: <s_i w, (s_i beta)^vee> = <w, beta^vee>,
-    with s_i beta = beta - <beta, alpha_i^vee> alpha_i in simple-root coordinates."""
-    rs = build_root_system(tag, rank)
+    """reflect keeps the model's pairing: <s_i w, (s_i beta)^vee> = <w, beta^vee>,
+    with s_i beta the model's reflection of the epsilon vector beta."""
+    rs, m = build_root_system(tag, rank), WeylModel(tag, rank)
     rng = random.Random(f"pairing:{tag}{rank}")
-    for beta in rs.positive_roots:
+    for beta in m.positive:
         w = tuple(rng.randint(-9, 9) for _ in range(rank))
-        want = pairing_reference(w, beta, rs.cartan)
-        for i, k in enumerate(root_to_weight_reference(rs.cartan, beta)):
-            s_beta = beta[:i] + (beta[i] - k,) + beta[i + 1:]
-            got = pairing_reference(reflect(rs, i + 1, Weight(w)).coeffs, s_beta, rs.cartan)
-            assert got == want, (beta, w, i + 1)
+        want = m.pairing(m.weight(w), beta)
+        for i, alpha in enumerate(m.simple, 1):
+            got = m.pairing(m.weight(reflect(rs, i, Weight(w)).coeffs), model_reflect(alpha, beta))
+            assert got == want, (beta, w, i)
+
+
+# -- the model sees a wrong Cartan matrix ------------------------------------
+
+def _swap_b_and_c(c, n):
+    """Put the -2 of B_n where C_n has it, and the other way round."""
+    c[n - 2][n - 1], c[n - 1][n - 2] = c[n - 1][n - 2], c[n - 2][n - 1]
+
+
+def _fork_at_n_minus_1(c, n):
+    """Attach node n of D_n to node n-1 instead of n-2."""
+    c[n - 3][n - 1] = c[n - 1][n - 3] = 0
+    c[n - 2][n - 1] = c[n - 1][n - 2] = -1
+
+
+@pytest.fixture
+def fresh_cache():
+    """Clear the root-system cache before and after, so no other test sees a patched build."""
+    build_root_system.cache_clear()
+    yield
+    build_root_system.cache_clear()
+
+
+@pytest.mark.parametrize("edit, tags", [(_swap_b_and_c, "BC"), (_fork_at_n_minus_1, "D")])
+def test_model_sees_a_wrong_cartan_matrix(monkeypatch, fresh_cache, edit, tags):
+    """The model-backed root and reflection checks fail on the mutant at every
+    rank up to 8: the model does not read the engine's Cartan matrix."""
+    real = roots._cartan_matrix
+
+    def mutant(tag, rank):
+        c = [list(row) for row in real(tag, rank)]
+        edit(c, rank)
+        return tuple(map(tuple, c))
+
+    monkeypatch.setattr(roots, "_cartan_matrix", mutant)
+    for tag in tags:
+        for rank in range(3 if tag == "D" else 2, 9):
+            for check in (test_walk_matches_root_chain_reference, test_pairing_matches_symmetrizer_reference):
+                with pytest.raises(AssertionError):
+                    check(tag, rank)
 
 
 # -- immutability ------------------------------------------------------------
