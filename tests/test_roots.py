@@ -19,7 +19,8 @@ Core claims:
       Cartan matrix, pairs with its own coroot to 2 in the model
     - a RootSystem is frozen: no attribute can be set and it has no __dict__
     - each system is built and walked once per process and every later call
-      returns the same object, within a bound set by MAX_RANK; a refused type
+      returns the same object, whose roots are packed in immutable bytes and
+      unpacked afresh on each read, within a bound set by MAX_RANK; a refused type
       or rank adds no cache entry, and a float rank is not served an int's
     - sparse_cartan holds exactly the nonzero entries of each Cartan column
     - the packed sigma-heights never carry from one root's byte into the
@@ -133,11 +134,18 @@ def test_each_system_is_walked_once(monkeypatch):
     assert walked == [5, 5]
 
 
-def test_each_system_is_one_object():
+def test_calls_share_no_root_object():
+    # the system is shared, but its roots live packed in immutable bytes and
+    # each read of positive_roots unpacks a fresh tuple
     first, second = build_root_system("C", 6), build_root_system("C", 6)
-    assert first is second
     assert first == second
     assert first.positive_roots == second.positive_roots == first.positive_roots
+    assert isinstance(first.columns, bytes)
+    assert first.positive_roots is not second.positive_roots
+
+
+def test_each_system_is_one_object():
+    assert build_root_system("C", 6) is build_root_system("C", 6)
 
 
 def test_cache_is_keyed_by_type():
