@@ -4,7 +4,8 @@ Each bucket hashes the argv, exit code, stdout and stderr of every run of
 ``relbgg.cli.main`` (in process) that falls into it:
 
 - ``bigrade``, ``filtration``, ``ranks`` and ``audit`` on every nested pair
-  sigma_p <= sigma_q of A1-A6, B2-B5, C2-C5 and D3-D5;
+  sigma_p <= sigma_q of A1-A6, B2-B5, C2-C5 and D3-D5, in the order of
+  ``weyl_model.nested_pairs``;
 - ``bgg`` on every such pair whose relative Hasse diagram is a chain, once
   with the zero source and once with a seeded random P-dominant source;
 - ``check-torsion`` on ``legendrean(n)`` (with and without
@@ -28,13 +29,14 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import pathlib
 import random
 import sys
 
-from relbgg import ParabolicPair, build_root_system, relative_hasse
+from common import all_pairs, label_text, p_dominant_coeffs
+
+from relbgg import relative_hasse
 from relbgg.cli import main
 
 # Beside this module, not in golden/: that directory holds exactly the CLI
@@ -51,21 +53,8 @@ CATALOG_NS = range(1, 32)
 PAIR_COMMANDS = ("bigrade", "filtration", "ranks", "audit")
 
 
-def nested_pairs(rank: int):
-    """Every (sigma_q, sigma_p) with sigma_p <= sigma_q <= {1..rank}, in a fixed order."""
-    for q_mask in itertools.product((0, 1), repeat=rank):
-        sq = [i for i, b in zip(range(1, rank + 1), q_mask) if b]
-        for p_mask in itertools.product((0, 1), repeat=len(sq)):
-            yield sq, [i for i, b in zip(sq, p_mask) if b]
-
-
-def _nodes(nodes: list[int]) -> str:
-    return ",".join(map(str, nodes)) or "none"
-
-
-def _label(type_tag: str, rank: int, sp: list[int], coeffs: list[int]) -> str:
-    marks = ",".join("x" if i in sp else "o" for i in range(1, rank + 1))
-    return f"{type_tag}{rank}[{marks}]({','.join(map(str, coeffs))})"
+def _nodes(nodes: frozenset[int]) -> str:
+    return ",".join(map(str, sorted(nodes))) or "none"
 
 
 def _run(argv: list[str]) -> bytes:
@@ -83,22 +72,17 @@ def _argv_lists(type_tag: str, rank: int) -> dict[tuple[str, str], list[list[str
     runs: dict[tuple[str, str], list[list[str]]] = {}
     if (type_tag, rank) in DIAGRAMS:
         diagram = f"{type_tag}{rank}"
-        rs = build_root_system(type_tag, rank)
         rng = random.Random(diagram)
-        pairs = list(nested_pairs(rank))
+        pairs = [(pair, ["--sq", _nodes(pair.sigma_q), "--sp", _nodes(pair.sigma_p)])
+                 for pair in all_pairs(rank, type_tag)]
         for cmd in PAIR_COMMANDS:
-            runs[cmd, "text"] = [
-                [cmd, diagram, "--sq", _nodes(sq), "--sp", _nodes(sp)] for sq, sp in pairs
-            ]
+            runs[cmd, "text"] = [[cmd, diagram, *nodes] for _, nodes in pairs]
         bgg = runs["bgg", "text"] = []
-        for sq, sp in pairs:
-            pair = ParabolicPair(rs=rs, sigma_q=frozenset(sq), sigma_p=frozenset(sp))
+        for pair, nodes in pairs:
             if relative_hasse(pair).is_chain:
-                seeded = [rng.randint(-4, 4) if i in sp else rng.randint(0, 4)
-                          for i in range(1, rank + 1)]
+                seeded = p_dominant_coeffs(rank, pair.sigma_p, rng.randint)
                 for coeffs in ([0] * rank, seeded):
-                    label = _label(type_tag, rank, sp, coeffs)
-                    bgg.append(["bgg", label, "--sq", _nodes(sq), "--sp", _nodes(sp)])
+                    bgg.append(["bgg", label_text(type_tag, rank, pair.sigma_p, coeffs), *nodes])
     if type_tag == "A" and rank - 1 in CATALOG_NS:
         n = rank - 1
         runs["check-torsion", "text"] = [
@@ -112,11 +96,11 @@ def _argv_lists(type_tag: str, rank: int) -> dict[tuple[str, str], list[list[str
 
 
 def _hasse_lines(type_tag: str, rank: int) -> bytes:
-    rs = build_root_system(type_tag, rank)
     lines = []
-    for sq, sp in nested_pairs(rank):
-        hd = relative_hasse(ParabolicPair(rs=rs, sigma_q=frozenset(sq), sigma_p=frozenset(sp)))
-        lines.append(repr((sq, sp, [w.gens for w in hd.elements], hd.is_chain)))
+    for pair in all_pairs(rank, type_tag):
+        hd = relative_hasse(pair)
+        words = [w.gens for w in hd.elements]
+        lines.append(repr((sorted(pair.sigma_q), sorted(pair.sigma_p), words, hd.is_chain)))
     return "\n".join(lines).encode()
 
 

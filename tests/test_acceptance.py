@@ -5,16 +5,20 @@ seeds and at least 1000 cases.  Run with ``pytest tests/test_acceptance.py -v -s
 to see the per-criterion lines.
 """
 
-import itertools
 import random
 from contextlib import contextmanager
+
+from common import (
+    all_pairs,
+    check_strict_implies_non_strict,
+    check_torsion_monotonicity,
+    legendrean_pair,
+    path_pair,
+)
 
 from relbgg import (
     Bidegree,
     DynkinLabel,
-    ParabolicPair,
-    TorsionComponent,
-    TorsionSupport,
     Weight,
     WeylWord,
     affine_act,
@@ -32,7 +36,6 @@ from relbgg import (
     relative_bgg_sequence,
     relative_hasse,
     tangent_ranks,
-    theorem_322_check,
 )
 
 
@@ -44,32 +47,6 @@ def criterion(number, description):
         print(f"ACCEPTANCE {number}: FAIL - {description}")
         raise
     print(f"ACCEPTANCE {number}: PASS - {description}")
-
-
-def _pair(rank, sq, sp):
-    return ParabolicPair(
-        rs=build_root_system("A", rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
-    )
-
-
-def path_pair(n=3):
-    return _pair(n + 1, {1, 2}, {1})
-
-
-def legendrean_pair(n):
-    return _pair(n + 1, {1, n + 1}, {1})
-
-
-def all_pairs(rank, require_sigma_p=False):
-    nodes = list(range(1, rank + 1))
-    for q_mask in itertools.product((0, 1), repeat=rank):
-        sq = frozenset(i for i, b in zip(nodes, q_mask) if b)
-        members = sorted(sq)
-        for p_mask in itertools.product((0, 1), repeat=len(members)):
-            sp = frozenset(i for i, b in zip(members, p_mask) if b)
-            if require_sigma_p and not sp:
-                continue
-            yield _pair(rank, sq, sp)
 
 
 def test_criterion_1_dual_standard_sequence():
@@ -150,7 +127,7 @@ def test_criterion_6_commutator_audits_exhaustive():
 def test_criterion_7_rank_telescoping():
     with criterion(7, "rank telescoping for every pair, rank <= 6, and the dim-7 case"):
         for rank in range(1, 7):
-            for pair in all_pairs(rank, require_sigma_p=True):
+            for pair in (p for p in all_pairs(rank) if p.sigma_p):
                 rep = tangent_ranks(bigrade(pair))
                 assert sum(rep.ranks_V.values()) == rep.dim_M - rep.rank_T_rho
         rep = tangent_ranks(bigrade(path_pair(3)))
@@ -218,57 +195,11 @@ def test_criterion_9c_parser_round_trip():
             assert print_label(parse_label(text)) == text
 
 
-_NEG_BIDEGREES = [
-    Bidegree(0, -1), Bidegree(0, -2), Bidegree(-1, 0), Bidegree(-1, -1),
-    Bidegree(-2, 0), Bidegree(-2, -1), Bidegree(-1, -2),
-]
-_OUT_BIDEGREES = _NEG_BIDEGREES + [Bidegree(0, 0), Bidegree(1, 0), Bidegree(0, 1)]
-
-
-def _random_support(rng, max_components=4):
-    return TorsionSupport(
-        components=frozenset(
-            TorsionComponent(
-                in1=rng.choice(_NEG_BIDEGREES),
-                in2=rng.choice(_NEG_BIDEGREES),
-                out=rng.choice(_OUT_BIDEGREES),
-            )
-            for _ in range(rng.randint(0, max_components))
-        )
-    )
-
-
 def test_criterion_9d_torsion_monotonicity():
     with criterion("9d", f"torsion-verdict monotonicity, {_CASES} seeded cases"):
-        rng = random.Random(90004)
-        bg = bigrade(legendrean_pair(4))
-        for _ in range(_CASES):
-            ts = _random_support(rng)
-            extra = TorsionComponent(
-                in1=rng.choice(_NEG_BIDEGREES),
-                in2=rng.choice(_NEG_BIDEGREES),
-                out=rng.choice(_OUT_BIDEGREES),
-            )
-            bigger = TorsionSupport(components=ts.components | {extra})
-            if involutivity_check(bigger).ok:
-                assert involutivity_check(ts).ok
-            cor_small = corollary_33_check(ts, bg)
-            cor_big = corollary_33_check(bigger, bg)
-            if cor_big.part1:
-                assert cor_small.part1
-            if cor_big.part2:
-                assert cor_small.part2
+        check_torsion_monotonicity(90004, _CASES)
 
 
 def test_criterion_9e_strict_implies_non_strict():
     with criterion("9e", f"strict implies non-strict, {_CASES} seeded cases"):
-        rng = random.Random(90005)
-        bg = bigrade(legendrean_pair(4))
-        for _ in range(_CASES):
-            ts = _random_support(rng)
-            ip = rng.randint(-3, -1)
-            if theorem_322_check(ts, ip, strict=True).ok:
-                assert theorem_322_check(ts, ip, strict=False).ok
-            cor = corollary_33_check(ts, bg)
-            if cor.part2:
-                assert cor.part1
+        check_strict_implies_non_strict(90005, _CASES)

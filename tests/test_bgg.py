@@ -15,8 +15,9 @@ Core claims:
 import random
 
 import pytest
+from common import all_pairs, label_text, legendrean_pair, make_pair, p_dominant_coeffs, path_pair
 from hypothesis import given, settings, strategies as st
-from weyl_model import WeylModel, apply, nested_pairs
+from weyl_model import WeylModel, apply
 
 from relbgg import (
     ParabolicPair,
@@ -31,20 +32,6 @@ from relbgg import (
 )
 from relbgg import bgg
 from relbgg.bgg import MAX_HASSE_ELEMENTS, hasse_size
-
-
-def _pair(rank, sq, sp, type_tag="A"):
-    return ParabolicPair(
-        rs=build_root_system(type_tag, rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
-    )
-
-
-def path_pair(n=3):
-    return _pair(n + 1, {1, 2}, {1})
-
-
-def legendrean_pair(n):
-    return _pair(n + 1, {1, n + 1}, {1})
 
 
 # -- Hasse diagrams ----------------------------------------------------------
@@ -62,7 +49,7 @@ def test_path_hasse_words():
 
 
 def test_equal_sets_give_identity_diagram():
-    hd = relative_hasse(_pair(3, {1}, {1}))
+    hd = relative_hasse(make_pair(3, {1}, {1}))
     assert [w.gens for w in hd.elements] == [()]
     assert hd.is_chain
 
@@ -87,7 +74,7 @@ def test_hasse_size_matches_coset_index():
 def test_rank_one_relative_directions_give_two_bundles():
     # sigma_q = {1,2}, sigma_p = {2}: a single operator in every sequence
     for n in range(2, 5):
-        hd = relative_hasse(_pair(n + 1, {1, 2}, {2}))
+        hd = relative_hasse(make_pair(n + 1, {1, 2}, {2}))
         assert len(hd.elements) == 2
 
 
@@ -104,7 +91,7 @@ def test_broken_shifted_action_trips_q_validity_guard(monkeypatch):
 
 
 def test_non_linear_diagram_detected():
-    hd = relative_hasse(_pair(4, {1, 3}, {1}))
+    hd = relative_hasse(make_pair(4, {1, 3}, {1}))
     assert len(hd.elements) == 6
     assert [w.length for w in hd.elements] == [0, 1, 2, 2, 3, 4]
     assert not hd.is_chain
@@ -139,9 +126,9 @@ BCD_DIAGRAMS = [(t, n) for t, lo in (("B", 2), ("C", 2), ("D", 3)) for n in rang
 
 @pytest.mark.parametrize("type_tag, rank", BCD_DIAGRAMS)
 def test_affine_act_matches_dense_reference_off_type_a(type_tag, rank):
-    """Against the model's w(lambda + rho) - rho, and the group law.  Type
-    A's Cartan matrix is symmetric, so only B and C tell its rows from its
-    columns; D adds the fork."""
+    """affine_act against WeylModel.label (tests/weyl_model.py), the model's
+    w(lambda + rho) - rho, and the group law.  Type A's Cartan matrix is
+    symmetric, so only B and C tell its rows from its columns; D adds the fork."""
     rs, m = build_root_system(type_tag, rank), WeylModel(type_tag, rank)
     rng = random.Random(f"{type_tag}{rank}")
     for _ in range(60):
@@ -240,11 +227,7 @@ def test_symmetric_power_order_law(k):
 
 @pytest.mark.parametrize("n", range(2, 6))
 def test_legendrean_line_bundle_sequence(n):
-    coeffs = ["0"] * (n + 1)
-    coeffs[0] = coeffs[-1] = "1"
-    marks = ["o"] * (n + 1)
-    marks[0] = "x"
-    src = parse_label(f"A{n + 1}[{','.join(marks)}]({','.join(coeffs)})")
+    src = parse_label(label_text("A", n + 1, {1}, [1] + [0] * (n - 1) + [1]))
     seq = relative_bgg_sequence(src, legendrean_pair(n))
     assert len(seq.entries) == n + 1
     first = seq.entries[0].label
@@ -255,7 +238,7 @@ def test_legendrean_line_bundle_sequence(n):
 
 
 def test_single_bundle_sequence():
-    seq = relative_bgg_sequence(parse_label("A1[x](0)"), _pair(1, {1}, {1}))
+    seq = relative_bgg_sequence(parse_label("A1[x](0)"), make_pair(1, {1}, {1}))
     assert len(seq.entries) == 1
     assert seq.entries[0].order_to_next is None
 
@@ -274,15 +257,15 @@ def test_sequence_rejects_bad_sources():
 
 def test_sequence_rejects_non_linear_diagram():
     with pytest.raises(ValueError, match="not linear"):
-        relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), _pair(4, {1, 3}, {1}))
+        relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), make_pair(4, {1, 3}, {1}))
 
 
 @pytest.mark.parametrize(
     "label, pair",
     [
-        ("A4[x,o,o,o](1,1,1,1)", _pair(4, {1, 3}, {1})),
-        ("B15[x" + ",o" * 14 + "](0" + ",0" * 14 + ")", _pair(15, {1, 15}, {1}, "B")),
-        ("D5[o,o,o,o,o](0,0,0,0,0)", _pair(5, {1, 2, 3, 4, 5}, (), "D")),
+        ("A4[x,o,o,o](1,1,1,1)", make_pair(4, {1, 3}, {1})),
+        ("B15[x" + ",o" * 14 + "](0" + ",0" * 14 + ")", make_pair(15, {1, 15}, {1}, "B")),
+        ("D5[o,o,o,o,o](0,0,0,0,0)", make_pair(5, {1, 2, 3, 4, 5}, (), "D")),
     ],
     ids=["A4", "B15", "D5"],
 )
@@ -311,37 +294,25 @@ def test_sequence_walks_through_relative_hasse_once(monkeypatch):
     assert [e.word for e in seq.entries] == list(walk(path_pair()).elements)
     calls.clear()
     with pytest.raises(ValueError, match="not linear"):
-        relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), _pair(4, {1, 3}, {1}))
+        relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), make_pair(4, {1, 3}, {1}))
     assert calls == []
 
 
 # -- structural invariants ---------------------------------------------------
 
 def _chain_pairs(rng):
+    """A random chain pair of rank 2-5: path, contact, tilde or collapsed."""
     rank = rng.randint(2, 5)
-    kind = rng.choice(["path", "contact", "tilde", "collapsed"])
-    if kind == "path" and rank >= 2:
-        return _pair(rank, {1, 2}, {1})
-    if kind == "contact" and rank >= 2:
-        return _pair(rank, {1, rank}, {1})
-    if kind == "tilde" and rank >= 2:
-        return _pair(rank, {1, 2}, {2})
-    return _pair(rank, {1}, {1})
+    shapes = {"path": ({1, 2}, {1}), "contact": ({1, rank}, {1}),
+              "tilde": ({1, 2}, {2}), "collapsed": ({1}, {1})}
+    return make_pair(rank, *shapes[rng.choice(list(shapes))])
 
 
 def test_sequence_entries_are_q_dominant_for_random_sources():
     rng = random.Random(23)
     for _ in range(300):
         pair = _chain_pairs(rng)
-        rank = pair.rs.rank
-        coeffs = [0] * rank
-        for i in range(rank):
-            lo = -6 if (i + 1) in pair.sigma_p else 0
-            coeffs[i] = rng.randint(lo, 6)
-        src_coeffs = ",".join(map(str, coeffs))
-        marks = ",".join("x" if i in pair.sigma_p else "o" for i in range(1, rank + 1))
-        src = parse_label(f"A{rank}[{marks}]({src_coeffs})")
-        seq = relative_bgg_sequence(src, pair)
+        seq = relative_bgg_sequence(_p_dominant_source(pair, rng.randint, 6), pair)
         assert len(seq.entries) == len(relative_hasse(pair).elements)
         for entry in seq.entries:
             assert all(c >= 0 for _, c in entry.label.uncrossed_coeffs())
@@ -369,13 +340,10 @@ def test_orders_match_source_coefficients():
 
 # -- against the model -------------------------------------------------------
 
-def _p_dominant_source(pair, randint):
-    """A label crossed at sigma_p, coefficients randint(-4, 4) there, randint(0, 4) elsewhere."""
-    rs = pair.rs
-    nodes = range(1, rs.rank + 1)
-    coeffs = [randint(-4, 4) if i in pair.sigma_p else randint(0, 4) for i in nodes]
-    marks = ",".join("x" if i in pair.sigma_p else "o" for i in nodes)
-    return parse_label(f"{rs.type_tag}{rs.rank}[{marks}]({','.join(map(str, coeffs))})")
+def _p_dominant_source(pair, randint, bound=4):
+    """A label crossed at sigma_p, coefficients in [-bound, bound] there and [0, bound] elsewhere."""
+    rs, sp = pair.rs, pair.sigma_p
+    return parse_label(label_text(rs.type_tag, rs.rank, sp, p_dominant_coeffs(rs.rank, sp, randint, bound)))
 
 
 def _check_against_model(pair, src):
@@ -407,7 +375,7 @@ def test_hasse_matches_brute_force_reference():
     rng = random.Random(47)
     checked = chains = 0
     for type_tag, rank in diagrams:
-        for pair in (_pair(rank, sq, sp, type_tag) for sq, sp in nested_pairs(rank)):
+        for pair in all_pairs(rank, type_tag):
             chains += _check_against_model(pair, _p_dominant_source(pair, rng.randint))
             checked += 1
     assert (checked, chains) == (300, 186)
@@ -419,7 +387,7 @@ def test_rank_five_pairs_match_the_model(data):
     """Sampled nested pairs of A5, B5, C5 and D5, with P-dominant sources, against the model."""
     sigma_q = data.draw(st.sets(st.integers(1, 5), min_size=1))
     sigma_p = {i for i in sorted(sigma_q) if data.draw(st.booleans())}
-    pair = _pair(5, sigma_q, sigma_p, data.draw(st.sampled_from("ABCD")))
+    pair = make_pair(5, sigma_q, sigma_p, data.draw(st.sampled_from("ABCD")))
     _check_against_model(pair, _p_dominant_source(pair, lambda lo, hi: data.draw(st.integers(lo, hi))))
 
 
@@ -428,7 +396,7 @@ def test_hasse_size_closed_form_matches_walk():
                 ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("D", 5)]
     checked = 0
     for type_tag, rank in diagrams:
-        for pair in (_pair(rank, sq, sp, type_tag) for sq, sp in nested_pairs(rank)):
+        for pair in all_pairs(rank, type_tag):
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
             assert hasse_size(pair) == len(relative_hasse(pair).elements), where
             checked += 1
@@ -436,7 +404,7 @@ def test_hasse_size_closed_form_matches_walk():
 
 
 def test_hasse_size_cap_boundary():
-    assert hasse_size(_pair(15, {1, 15}, {1}, "B")) == 2**14 <= MAX_HASSE_ELEMENTS
-    assert hasse_size(_pair(16, {1, 16}, {1}, "B")) == 2**15 > MAX_HASSE_ELEMENTS
-    assert hasse_size(_pair(6, range(1, 7), (), "D")) == 2**5 * 720
-    assert hasse_size(_pair(5, {5}, (), "C")) == 2**5
+    assert hasse_size(make_pair(15, {1, 15}, {1}, "B")) == 2**14 <= MAX_HASSE_ELEMENTS
+    assert hasse_size(make_pair(16, {1, 16}, {1}, "B")) == 2**15 > MAX_HASSE_ELEMENTS
+    assert hasse_size(make_pair(6, range(1, 7), (), "D")) == 2**5 * 720
+    assert hasse_size(make_pair(5, {5}, (), "C")) == 2**5

@@ -496,28 +496,6 @@ def test_report_writer_refuses_other_types(value):
         _dump(value)
 
 
-def test_golden_bigrade(capsys, golden):
-    _, out, _ = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")
-    golden("bigrade_a4_legendrean.json", out)
-
-
-def test_golden_bgg(capsys, golden):
-    _, out, _ = run_cli(
-        capsys, "bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1", "--json"
-    )
-    golden("bgg_dual_standard.json", out)
-
-
-def test_golden_ranks(capsys, golden):
-    _, out, _ = run_cli(capsys, "ranks", "A4", "--sq", "1,2", "--sp", "1", "--json")
-    golden("ranks_path_a4.json", out)
-
-
-def test_golden_check_torsion(capsys, golden):
-    _, out, _ = run_cli(capsys, "check-torsion", "--catalog", "legendrean(3)", "--json")
-    golden("check_torsion_legendrean3.json", out)
-
-
 GOLDEN_REPORTS = [
     ("filtration_a4_legendrean.json", ("filtration", "A4", "--sq", "1,4", "--sp", "1", "--json")),
     ("audit_a4_legendrean.json", ("audit", "A4", "--sq", "1,4", "--sp", "1", "--json")),
@@ -536,6 +514,28 @@ GOLDEN_JSON = [
     ("ranks_path_a4.json", ("ranks", "A4", "--sq", "1,2", "--sp", "1", "--json")),
     ("check_torsion_legendrean3.json", ("check-torsion", "--catalog", "legendrean(3)", "--json")),
 ]
+
+
+def _replay_golden_json(capsys, golden, name):
+    """Run the GOLDEN_JSON row ``name`` and compare its stdout with that golden."""
+    _, out, _ = run_cli(capsys, *dict(GOLDEN_JSON)[name])
+    golden(name, out)
+
+
+def test_golden_bigrade(capsys, golden):
+    _replay_golden_json(capsys, golden, "bigrade_a4_legendrean.json")
+
+
+def test_golden_bgg(capsys, golden):
+    _replay_golden_json(capsys, golden, "bgg_dual_standard.json")
+
+
+def test_golden_ranks(capsys, golden):
+    _replay_golden_json(capsys, golden, "ranks_path_a4.json")
+
+
+def test_golden_check_torsion(capsys, golden):
+    _replay_golden_json(capsys, golden, "check_torsion_legendrean3.json")
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_REPORTS)

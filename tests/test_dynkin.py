@@ -1,11 +1,11 @@
 """Label grammar: parse, print, validate."""
 
 import pytest
+from common import path_pair
 from hypothesis import given, strategies as st
 
 from relbgg import (
     DynkinLabel,
-    ParabolicPair,
     Weight,
     build_root_system,
     parse_label,
@@ -74,30 +74,25 @@ def test_label_construction_guards():
 
 # -- validation --------------------------------------------------------------
 
-def _path_pair():
-    rs = build_root_system("A", 4)
-    return ParabolicPair(rs=rs, sigma_q=frozenset({1, 2}), sigma_p=frozenset({1}))
-
-
 def test_validate_p_rep_ok():
-    verdict = validate_label(parse_label("A4[x,o,o,o](-2,1,0,0)"), "P", _path_pair())
+    verdict = validate_label(parse_label("A4[x,o,o,o](-2,1,0,0)"), "P", path_pair())
     assert verdict.ok
 
 
 def test_validate_p_rep_negative_uncrossed():
-    verdict = validate_label(parse_label("A4[x,o,o,o](0,-1,0,0)"), "P", _path_pair())
+    verdict = validate_label(parse_label("A4[x,o,o,o](0,-1,0,0)"), "P", path_pair())
     assert not verdict.ok
     assert verdict.negative_uncrossed == (2,)
 
 
 def test_validate_q_rep_ok_with_negative_crossed():
-    verdict = validate_label(parse_label("A4[x,x,o,o](2,-5,1,0)"), "Q", _path_pair())
+    verdict = validate_label(parse_label("A4[x,x,o,o](2,-5,1,0)"), "Q", path_pair())
     assert verdict.ok
 
 
 def test_validate_role_mismatch_is_an_error():
     with pytest.raises(ValueError):
-        validate_label(parse_label("A4[x,x,o,o](0,0,0,0)"), "P", _path_pair())
+        validate_label(parse_label("A4[x,x,o,o](0,0,0,0)"), "P", path_pair())
 
 
 # -- property: grammar round trip --------------------------------------------

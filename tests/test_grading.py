@@ -12,7 +12,8 @@ Core claims:
 """
 
 import pytest
-from weyl_model import WeylModel, nested_pairs
+from common import all_pairs, legendrean_pair, make_pair, path_pair
+from weyl_model import WeylModel
 
 from relbgg import (
     Bidegree,
@@ -26,24 +27,6 @@ from relbgg import (
 )
 
 
-def _pair(rank, sq, sp, type_tag="A"):
-    return ParabolicPair(
-        rs=build_root_system(type_tag, rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
-    )
-
-
-def legendrean_pair(n):
-    return _pair(n + 1, {1, n + 1}, {1})
-
-
-def path_pair(n):
-    return _pair(n + 1, {1, 2}, {1})
-
-
-def all_pairs(rank, type_tag="A"):
-    return (_pair(rank, sq, sp, type_tag) for sq, sp in nested_pairs(rank))
-
-
 # -- sigma height ------------------------------------------------------------
 
 def test_sigma_height_read_offs():
@@ -51,7 +34,7 @@ def test_sigma_height_read_offs():
     at = rs.positive_roots.index((1, 1, 0, 0))
     assert rs.sigma_heights({1})[at] == 1
     assert rs.sigma_heights({1, 2})[at] == 2
-    assert (-1, -1, -1, -1) in bigrade(_pair(4, {1, 2}, {1})).root_spaces()[(-1, -1)]
+    assert (-1, -1, -1, -1) in bigrade(make_pair(4, {1, 2}, {1})).root_spaces()[(-1, -1)]
 
 
 # -- bigrading ---------------------------------------------------------------
@@ -76,9 +59,9 @@ def test_path_component_dims(n):
 
 
 def test_equal_sets_collapse_to_single_grading():
-    bg = bigrade(_pair(4, {2}, {2}))
+    bg = bigrade(make_pair(4, {2}, {2}))
     assert all(bd.i_dprime == 0 for bd in bg.dims)
-    assert list(bigrade(_pair(3, set(), set())).dims) == [(0, 0)]
+    assert list(bigrade(make_pair(3, set(), set())).dims) == [(0, 0)]
 
 
 @pytest.mark.parametrize("bd", [(1, -1), (-1, 1), (9, 9), (-9, -9)])
@@ -92,7 +75,8 @@ def test_absent_bidegree_has_no_roots(bd):
 def test_dims_come_from_packed_heights_alone(monkeypatch):
     """build_root_system and bigrade never unpack the root listing, and the
     reports on dims follow suit."""
-    pairs = [_pair(24, {1, 8, 24}, {8}, "B"), _pair(6, {1, 2, 6}, {1}), _pair(5, {2, 5}, {2, 5}, "D")]
+    pairs = [make_pair(24, {1, 8, 24}, {8}, "B"), make_pair(6, {1, 2, 6}, {1}),
+             make_pair(5, {2, 5}, {2, 5}, "D")]
     want = []
     for pair in pairs:
         bg = bigrade(pair)
@@ -158,7 +142,7 @@ def test_path_profile_dims():
 
 
 def test_collapsed_profile():
-    prof = subalgebra_profile(bigrade(_pair(4, {2}, {2})))
+    prof = subalgebra_profile(bigrade(make_pair(4, {2}, {2})))
     assert prof["q"].dim == prof["p"].dim
     assert prof["q_plus"].dim == prof["p_plus"].dim
 
@@ -190,7 +174,7 @@ def test_path_filtration_has_line_step(n):
 
 
 def test_two_step_filtration():
-    rep = filtration(bigrade(_pair(4, {1, 2, 3}, {1, 3})))
+    rep = filtration(bigrade(make_pair(4, {1, 2, 3}, {1, 3})))
     assert rep.i_prime_range == (-2, -1, 0, 1, 2)
     assert rep.modules[-1].dim > 0 and rep.modules[-2].dim > 0
 
@@ -231,14 +215,14 @@ def test_legendrean_ranks_n2():
 
 
 def test_collapsed_ranks():
-    rep = tangent_ranks(bigrade(_pair(4, {2}, {2})))
+    rep = tangent_ranks(bigrade(make_pair(4, {2}, {2})))
     assert rep.rank_T_rho == 0
     assert sum(rep.ranks_V.values()) + rep.rank_T_rho == rep.dim_M
 
 
 def test_ranks_require_nonempty_sigma_p():
     with pytest.raises(ValueError):
-        tangent_ranks(bigrade(_pair(3, {1}, set())))
+        tangent_ranks(bigrade(make_pair(3, {1}, set())))
 
 
 @pytest.mark.parametrize("rank", range(1, 6))

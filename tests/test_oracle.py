@@ -5,13 +5,12 @@ import random
 from collections import Counter
 
 import pytest
+from common import all_pairs, make_pair
 
 from relbgg import (
     Bidegree,
-    ParabolicPair,
     bigrade,
     block_structure_from_pair,
-    build_root_system,
     commutator_audit,
 )
 from relbgg import oracle
@@ -34,22 +33,6 @@ def _fresh_commutator_table():
     oracle._commutator_table.cache_clear()
 
 
-def _pair(rank, sq, sp):
-    return ParabolicPair(
-        rs=build_root_system("A", rank), sigma_q=frozenset(sq), sigma_p=frozenset(sp)
-    )
-
-
-def all_pairs(rank):
-    nodes = list(range(1, rank + 1))
-    for q_mask in itertools.product((0, 1), repeat=rank):
-        sq = frozenset(i for i, b in zip(nodes, q_mask) if b)
-        members = sorted(sq)
-        for p_mask in itertools.product((0, 1), repeat=len(members)):
-            sp = frozenset(i for i, b in zip(members, p_mask) if b)
-            yield _pair(rank, sq, sp)
-
-
 def _runs(z):
     """Lengths of the runs of equal eigenvalues: the block sizes."""
     return tuple(len(list(run)) for _, run in itertools.groupby(z))
@@ -61,7 +44,7 @@ def _starts(z):
 
 
 def test_legendrean_blocks():
-    bs = block_structure_from_pair(_pair(4, {1, 4}, {1}))
+    bs = block_structure_from_pair(make_pair(4, {1, 4}, {1}))
     assert _runs(bs.z_q) == (1, 3, 1)
     assert _starts(bs.z_q) == [0, 1, 4]
     assert bs.bidegree(4, 0) == (-1, -1)
@@ -72,7 +55,7 @@ def test_legendrean_blocks():
 
 
 def test_path_blocks():
-    bs = block_structure_from_pair(_pair(4, {1, 2}, {1}))
+    bs = block_structure_from_pair(make_pair(4, {1, 2}, {1}))
     sizes = _runs(bs.z_q)
     assert sizes == (1, 1, 3)
     assert _starts(bs.z_q) == [0, 1, 2]
@@ -82,19 +65,18 @@ def test_path_blocks():
 
 
 def test_smallest_split():
-    bs = block_structure_from_pair(_pair(1, {1}, {1}))
+    bs = block_structure_from_pair(make_pair(1, {1}, {1}))
     assert _runs(bs.z_q) == (1, 1)
 
 
 def test_non_type_a_rejected():
-    rs = build_root_system("B", 3)
-    pair = ParabolicPair(rs=rs, sigma_q=frozenset({1}), sigma_p=frozenset({1}))
+    pair = make_pair(3, {1}, {1}, "B")
     with pytest.raises(ValueError):
         block_structure_from_pair(pair)
 
 
 def test_transpose_antisymmetry():
-    for pair in (_pair(4, {1, 4}, {1}), _pair(4, {1, 2}, {1}), _pair(5, {2, 3, 5}, {3})):
+    for pair in (make_pair(4, {1, 4}, {1}), make_pair(4, {1, 2}, {1}), make_pair(5, {2, 3, 5}, {3})):
         bs = block_structure_from_pair(pair)
         starts = _starts(bs.z_q)
         assert len(starts) == len(pair.sigma_q) + 1
@@ -127,7 +109,7 @@ def test_diagonal_commutator_lands_in_cartan():
     "sq,sp", [({1, 4}, {1}), ({1, 2}, {1}), ({1, 2, 3, 4}, {2, 4}), ({3}, {3})]
 )
 def test_commutator_audit_clean_on_a4(sq, sp):
-    pair = _pair(4, sq, sp)
+    pair = make_pair(4, sq, sp)
     rep = commutator_audit(block_structure_from_pair(pair), bigrade(pair))
     assert rep.ok
     assert rep.pairs_checked == 24 * 24
@@ -143,7 +125,7 @@ def test_dim_agreement_exhaustive_small_ranks():
 
 
 def test_jacobi_identity_sampled():
-    bs = block_structure_from_pair(_pair(4, {1, 4}, {1}))
+    bs = block_structure_from_pair(make_pair(4, {1, 4}, {1}))
     x, _, _ = basis_with_bidegrees(bs)
     rng = random.Random(5)
     for _ in range(200):
@@ -153,7 +135,7 @@ def test_jacobi_identity_sampled():
 
 
 def test_basis_is_traceless_and_sized():
-    bs = block_structure_from_pair(_pair(3, {1, 3}, {1}))
+    bs = block_structure_from_pair(make_pair(3, {1, 3}, {1}))
     x, bidegs, names = basis_with_bidegrees(bs)
     m = bs.m
     assert len(x) == len(bidegs) == len(names) == m * m - 1
@@ -165,7 +147,7 @@ def test_basis_is_traceless_and_sized():
 
 
 def test_cartan_to_root_dim_cross_check():
-    pair = _pair(4, {1, 2}, {1})
+    pair = make_pair(4, {1, 2}, {1})
     bg = bigrade(pair)
     bs = block_structure_from_pair(pair)
     _, bidegs, _ = basis_with_bidegrees(bs)
@@ -190,7 +172,7 @@ def _negated_second_index(self, u, w):
 
 def test_wrong_bracket_is_caught(monkeypatch):
     """A bracket that transposes its result breaks every nonzero-degree pair."""
-    pair = _pair(4, {1, 4}, {1})
+    pair = make_pair(4, {1, 4}, {1})
     bs = block_structure_from_pair(pair)
     bg = bigrade(pair)
 
@@ -209,7 +191,7 @@ def test_negated_second_index_is_caught(monkeypatch):
     """A block bidegree with i'' negated keeps every first index, so only the
     commutator audit can see it: [E12, E23] = E13 no longer sums, and the
     per-bidegree counts no longer match the roots."""
-    pair = _pair(4, {1, 4}, {1})
+    pair = make_pair(4, {1, 4}, {1})
     monkeypatch.setattr(oracle.BlockStructure, "bidegree", _negated_second_index)
     rep = commutator_audit(block_structure_from_pair(pair), bigrade(pair))
     assert not rep.ok
@@ -219,8 +201,8 @@ def test_negated_second_index_is_caught(monkeypatch):
 
 def test_mismatched_grading_is_caught():
     """Blocks of the Legendrean pair against the root grading of the path pair."""
-    bs = block_structure_from_pair(_pair(4, {1, 4}, {1}))
-    bg = bigrade(_pair(4, {1, 2}, {1}))
+    bs = block_structure_from_pair(make_pair(4, {1, 4}, {1}))
+    bg = bigrade(make_pair(4, {1, 2}, {1}))
     rep = commutator_audit(bs, bg)
     assert not rep.ok
     assert rep.violations == ()
@@ -263,7 +245,7 @@ def test_audit_brackets_exactly_the_pairs_whose_supports_meet(monkeypatch, rank)
     """The support filter is exact: the audit brackets every pair whose
     supports meet, in x-major, y-minor order, and every pair it skips
     brackets to zero."""
-    mats, _, _ = basis_with_bidegrees(block_structure_from_pair(_pair(rank, (), ())))
+    mats, _, _ = basis_with_bidegrees(block_structure_from_pair(make_pair(rank, (), ())))
     n = len(mats)
     meeting = [(i, j) for i in range(n) for j in range(n) if _supports_meet(mats[i], mats[j])]
     skipped = set(itertools.product(range(n), repeat=2)) - set(meeting)
@@ -277,7 +259,7 @@ def test_audit_brackets_exactly_the_pairs_whose_supports_meet(monkeypatch, rank)
 def test_audit_bracket_count_is_cubic(monkeypatch):
     """A12: 4,726 brackets instead of (13² − 1)² = 28,224, which is still
     what ``pairs_checked`` reports."""
-    calls, rep = _recorded_brackets(monkeypatch, _pair(12, {3, 6}, {3}))
+    calls, rep = _recorded_brackets(monkeypatch, make_pair(12, {3, 6}, {3}))
     assert len(calls) == 4726
     assert rep.ok and rep.pairs_checked == 28224
 
@@ -295,7 +277,7 @@ def _dense_mismatches(bracket_fn, m):
     def product(a, b):
         return [[sum(a[u][k] * b[k][w] for k in range(m)) for w in range(m)] for u in range(m)]
 
-    mats, _, names = basis_with_bidegrees(block_structure_from_pair(_pair(m - 1, (), ())))
+    mats, _, names = basis_with_bidegrees(block_structure_from_pair(make_pair(m - 1, (), ())))
     bad = []
     for (x, nx), (y, ny) in itertools.product(zip(mats, names), repeat=2):
         xy, yx = product(dense(x), dense(y)), product(dense(y), dense(x))
@@ -319,7 +301,7 @@ def test_spurious_disjoint_bracket_is_caught_by_the_dense_check(monkeypatch):
         return bracket(x, y) if _supports_meet(x, y) else {(0, 0): 1}
 
     assert "[E[1,2],E[3,4]]" in _dense_mismatches(spurious, 4)
-    pair = _pair(3, {1, 3}, {1})
+    pair = make_pair(3, {1, 3}, {1})
     monkeypatch.setattr(oracle, "bracket", spurious)
     assert commutator_audit(block_structure_from_pair(pair), bigrade(pair)).ok
 
@@ -381,7 +363,7 @@ def test_table_audit_matches_the_per_pair_loop(monkeypatch, mutation):
 def test_each_rank_is_bracketed_once_per_process(monkeypatch):
     """A second audit at the same rank reads the table: no bracket at all,
     and the report a freshly bracketed table gives."""
-    first, second = _pair(6, {1, 4}, {1}), _pair(6, {2, 3, 5}, {3})
+    first, second = make_pair(6, {1, 4}, {1}), make_pair(6, {2, 3, 5}, {3})
     commutator_audit(block_structure_from_pair(first), bigrade(first))
     calls = []
 
@@ -402,7 +384,7 @@ def test_each_rank_is_bracketed_once_per_process(monkeypatch):
 def test_a12_table_holds_every_nonzero_entry_once(monkeypatch):
     """A12: 4,726 brackets give 4,848 nonzero entries, six bytes each, and the
     entries of each pair are those of its bracket, in order."""
-    calls, _ = _recorded_brackets(monkeypatch, _pair(12, {3, 6}, {3}))
+    calls, _ = _recorded_brackets(monkeypatch, make_pair(12, {3, 6}, {3}))
     table, names = oracle._commutator_table(13)
     assert len(calls) == 4726
     assert len(table) == 3 * 4848

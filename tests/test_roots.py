@@ -90,12 +90,14 @@ def test_other_type_root_counts(tag, rank, count):
     "tag,rank", [(tag, n) for tag, lo in ALL_TYPES for n in range(lo, 13)]
 )
 def test_walk_matches_root_chain_reference(tag, rank):
+    """The walked positive roots up to rank 12 against WeylModel (tests/weyl_model.py)."""
     rs = build_root_system(tag, rank)
     assert list(rs.positive_roots) == WeylModel(tag, rank).positive_roots
 
 
 @pytest.mark.parametrize("tag,lo", ALL_TYPES)
 def test_walk_matches_row_sum_walk_up_to_rank_cap(tag, lo):
+    """The walked and the cached positive roots up to MAX_RANK against WeylModel (tests/weyl_model.py)."""
     # the first call walks and packs, the second unpacks the cached entry
     build_root_system.cache_clear()
     for rank in range(lo, MAX_RANK + 1):
@@ -310,8 +312,9 @@ def test_symmetrizer_symmetrizes_every_cartan_matrix():
     "tag,rank", [(tag, n) for tag, lo in ALL_TYPES for n in range(lo, 9)]
 )
 def test_pairing_matches_symmetrizer_reference(tag, rank):
-    """reflect keeps the model's pairing: <s_i w, (s_i beta)^vee> = <w, beta^vee>,
-    with s_i beta the model's reflection of the epsilon vector beta."""
+    """reflect against the pairing of WeylModel (tests/weyl_model.py):
+    <s_i w, (s_i beta)^vee> = <w, beta^vee>, with s_i beta the model's
+    reflection of the epsilon vector beta."""
     rs, m = build_root_system(tag, rank), WeylModel(tag, rank)
     rng = random.Random(f"pairing:{tag}{rank}")
     for beta in m.positive:

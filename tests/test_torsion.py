@@ -1,8 +1,12 @@
 """Torsion-admissibility verdicts on catalog and synthetic supports."""
 
-import random
-
 import pytest
+from common import (
+    NEG_BIDEGREES,
+    OUT_BIDEGREES,
+    check_strict_implies_non_strict,
+    check_torsion_monotonicity,
+)
 from hypothesis import given, strategies as st
 
 from relbgg import (
@@ -111,63 +115,19 @@ def test_support_json_with_retired_kappa_key_is_accepted():
 
 # -- randomized structure ----------------------------------------------------
 
-_NEG_BIDEGREES = [
-    Bidegree(0, -1), Bidegree(0, -2), Bidegree(-1, 0), Bidegree(-1, -1),
-    Bidegree(-2, 0), Bidegree(-2, -1), Bidegree(-1, -2),
-]
-_OUT_BIDEGREES = _NEG_BIDEGREES + [Bidegree(0, 0), Bidegree(1, 0), Bidegree(0, 1)]
-
-
-def _random_component(rng):
-    return TorsionComponent(
-        in1=rng.choice(_NEG_BIDEGREES),
-        in2=rng.choice(_NEG_BIDEGREES),
-        out=rng.choice(_OUT_BIDEGREES),
-    )
-
-
-def _random_support(rng, max_components=4):
-    return TorsionSupport(
-        components=frozenset(
-            _random_component(rng) for _ in range(rng.randint(0, max_components))
-        )
-    )
-
-
 def test_monotone_under_adding_components():
-    rng = random.Random(7)
-    bg = bigrade(legendrean_catalog(4).pair)
-    for _ in range(300):
-        ts = _random_support(rng)
-        bigger = TorsionSupport(components=ts.components | {_random_component(rng)})
-        if involutivity_check(bigger).ok:
-            assert involutivity_check(ts).ok
-        cor_small = corollary_33_check(ts, bg)
-        cor_big = corollary_33_check(bigger, bg)
-        if cor_big.part1:
-            assert cor_small.part1
-        if cor_big.part2:
-            assert cor_small.part2
+    check_torsion_monotonicity(7, 300)
 
 
 def test_strict_implies_non_strict_and_part2_implies_part1():
-    rng = random.Random(13)
-    bg = bigrade(legendrean_catalog(4).pair)
-    for _ in range(300):
-        ts = _random_support(rng)
-        ip = rng.randint(-3, -1)
-        if theorem_322_check(ts, ip, strict=True).ok:
-            assert theorem_322_check(ts, ip, strict=False).ok
-        cor = corollary_33_check(ts, bg)
-        if cor.part2:
-            assert cor.part1
+    check_strict_implies_non_strict(13, 300)
 
 
 @given(st.data())
 def test_verdicts_ignore_input_order(data):
-    in1 = data.draw(st.sampled_from(_NEG_BIDEGREES))
-    in2 = data.draw(st.sampled_from(_NEG_BIDEGREES))
-    out = data.draw(st.sampled_from(_OUT_BIDEGREES))
+    in1 = data.draw(st.sampled_from(NEG_BIDEGREES))
+    in2 = data.draw(st.sampled_from(NEG_BIDEGREES))
+    out = data.draw(st.sampled_from(OUT_BIDEGREES))
     a = TorsionComponent(in1=in1, in2=in2, out=out)
     b = TorsionComponent(in1=in2, in2=in1, out=out)
     assert a == b

@@ -20,6 +20,7 @@ import re
 import types
 
 import pytest
+from common import make_pair, path_pair
 
 from relbgg import (
     Bidegree,
@@ -48,7 +49,7 @@ from relbgg.dynkin import DynkinLabel
 @functools.cache
 def _a4():
     """The A4 path-type pair, its bigrading and a P-dominant source label."""
-    pair = ParabolicPair(rs=build_root_system("A", 4), sigma_q=frozenset({1, 2}), sigma_p=frozenset({1}))
+    pair = path_pair()
     return pair, bigrade(pair), parse_label("A4[x,o,o,o](-2,1,0,0)")
 
 
@@ -114,7 +115,7 @@ def test_values_survive_copy_and_pickle(name, field):
 
 @functools.cache
 def _a5_reports():
-    bg = bigrade(ParabolicPair(build_root_system("A", 5), {1, 3, 5}, {1, 5}))
+    bg = bigrade(make_pair(5, {1, 3, 5}, {1, 5}))
     return {"Bigrading": bg, "FiltrationReport": filtration(bg), "RankReport": tangent_ranks(bg),
             "Corollary33Verdict": _legendrean2()[1]}
 
