@@ -93,6 +93,7 @@ def test_criterion_4_legendrean_line_bundle_shape():
             )
             assert len(relative_hasse(pair).elements) == n + 1, n
             seq = relative_bgg_sequence(src, pair)
+            assert len(seq.entries) == n + 1, n
             first = seq.entries[0].label
             assert all(c == 0 for _, c in first.uncrossed_coeffs()), n
             orders = tuple(e.order_to_next for e in seq.entries[:-1])

@@ -2,7 +2,8 @@
 
 The pinned convention (rightmost generator first, minimal representatives
 with w^{-1} positive on the uncrossed sigma_q nodes, full rho shift) is
-locked in by the worked path-type sequences below.
+locked in by the worked sequences of tests/test_acceptance.py (criteria
+1-4) and by the model comparisons below.
 
 Core claims:
     - the Hasse words, chain shapes, labels and orders of every nested pair
@@ -16,7 +17,7 @@ import random
 
 import pytest
 from common import all_pairs, label_text, legendrean_pair, make_pair, p_dominant_coeffs, path_pair
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from weyl_model import WeylModel, apply
 
 from relbgg import (
@@ -107,20 +108,6 @@ def test_affine_act_worked_examples():
     assert affine_act(WeylWord(()), lam, rs) == lam
 
 
-def test_affine_act_group_law_seeded():
-    rng = random.Random(11)
-    for _ in range(300):
-        rank = rng.randint(2, 5)
-        rs = build_root_system("A", rank)
-        gens = tuple(rng.randint(1, rank) for _ in range(rng.randint(0, 6)))
-        cut = rng.randint(0, len(gens))
-        w, v = WeylWord(gens[:cut]), WeylWord(gens[cut:])
-        lam = Weight(tuple(rng.randint(-8, 8) for _ in range(rank)))
-        assert affine_act(WeylWord(gens), lam, rs) == affine_act(
-            w, affine_act(v, lam, rs), rs
-        )
-
-
 BCD_DIAGRAMS = [(t, n) for t, lo in (("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 9)]
 
 
@@ -183,59 +170,6 @@ def test_affine_act_and_reflect_refuse_bad_input(type_tag, rank):
 
 
 # -- sequences ---------------------------------------------------------------
-
-def test_dual_standard_sequence():
-    seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-2,1,0,0)"), path_pair())
-    assert [e.label.coeffs.coeffs for e in seq.entries] == [
-        (-2, 1, 0, 0),
-        (0, -3, 2, 0),
-        (1, -4, 1, 1),
-        (2, -5, 1, 0),
-    ]
-    assert tuple(e.order_to_next for e in seq.entries[:-1]) == (2, 1, 1)
-    assert all(e.label.crossed == {1, 2} for e in seq.entries)
-
-
-def test_symmetric_square_first_labels():
-    seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-4,2,0,0)"), path_pair())
-    assert seq.entries[0].label.coeffs.coeffs == (-4, 2, 0, 0)
-    assert seq.entries[1].label.coeffs.coeffs == (-1, -4, 3, 0)
-
-
-def test_two_form_sequence_and_known_mismatch():
-    """The two-form source.  The last label is (1,-5,0,1): shifted to start
-    at 0, the epsilon coordinates of its lambda + rho form {0,1,2,3,4} like
-    the source's, whereas those of the sometimes quoted (1,-3,0,1) form
-    {0,1,2,3,3}, so that value is not an image under the shifted action."""
-    seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-3,0,1,0)"), path_pair())
-    labels = [e.label.coeffs.coeffs for e in seq.entries]
-    assert labels[:3] == [(-3, 0, 1, 0), (-2, -2, 2, 0), (0, -4, 0, 2)]
-    assert tuple(e.order_to_next for e in seq.entries[:-1]) == (1, 2, 1)
-    assert labels[3] == (1, -5, 0, 1)
-    assert labels[3][2:] == (0, 1)
-
-
-@pytest.mark.parametrize("k", range(1, 7))
-def test_symmetric_power_order_law(k):
-    src = parse_label(f"A4[x,o,o,o]({-2 * k},{k},0,0)")
-    seq = relative_bgg_sequence(src, path_pair())
-    orders = tuple(e.order_to_next for e in seq.entries[:-1])
-    assert orders[0] == k + 1
-    assert set(orders[1:]) <= {1}
-    assert seq.entries[1].label.coeffs.coeffs == (-k + 1, -k - 2, k + 1, 0)
-
-
-@pytest.mark.parametrize("n", range(2, 6))
-def test_legendrean_line_bundle_sequence(n):
-    src = parse_label(label_text("A", n + 1, {1}, [1] + [0] * (n - 1) + [1]))
-    seq = relative_bgg_sequence(src, legendrean_pair(n))
-    assert len(seq.entries) == n + 1
-    first = seq.entries[0].label
-    assert all(c == 0 for _, c in first.uncrossed_coeffs())
-    orders = tuple(e.order_to_next for e in seq.entries[:-1])
-    assert orders[0] == 2
-    assert set(orders[1:]) == {1}
-
 
 def test_single_bundle_sequence():
     seq = relative_bgg_sequence(parse_label("A1[x](0)"), make_pair(1, {1}, {1}))
@@ -381,13 +315,16 @@ def test_hasse_matches_brute_force_reference():
     assert (checked, chains) == (300, 186)
 
 
-@settings(max_examples=20, deadline=None)
+@pytest.mark.parametrize("type_tag", "ABCD")
+@seed(5)
+@settings(max_examples=5, deadline=None)
 @given(st.data())
-def test_rank_five_pairs_match_the_model(data):
-    """Sampled nested pairs of A5, B5, C5 and D5, with P-dominant sources, against the model."""
+def test_rank_five_pairs_match_the_model(type_tag, data):
+    """Sampled nested pairs of each rank-5 diagram, with P-dominant sources,
+    against the model.  The fixed seed keeps the samples when the text changes."""
     sigma_q = data.draw(st.sets(st.integers(1, 5), min_size=1))
     sigma_p = {i for i in sorted(sigma_q) if data.draw(st.booleans())}
-    pair = make_pair(5, sigma_q, sigma_p, data.draw(st.sampled_from("ABCD")))
+    pair = make_pair(5, sigma_q, sigma_p, type_tag)
     _check_against_model(pair, _p_dominant_source(pair, lambda lo, hi: data.draw(st.integers(lo, hi))))
 
 

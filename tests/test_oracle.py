@@ -117,13 +117,6 @@ def test_commutator_audit_clean_on_a4(sq, sp):
     assert rep.dim_mismatches == ()
 
 
-def test_dim_agreement_exhaustive_small_ranks():
-    for rank in range(1, 5):
-        for pair in all_pairs(rank):
-            rep = commutator_audit(block_structure_from_pair(pair), bigrade(pair))
-            assert rep.ok, (sorted(pair.sigma_q), sorted(pair.sigma_p), rep)
-
-
 def test_jacobi_identity_sampled():
     bs = block_structure_from_pair(make_pair(4, {1, 4}, {1}))
     x, _, _ = basis_with_bidegrees(bs)
