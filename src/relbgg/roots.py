@@ -11,14 +11,16 @@ from a walk up from the simple roots by simple reflections.  Ranks above
 
 A root is a plain tuple of its simple-root coefficients.  The one cache is
 ``build_root_system``: one immutable ``RootSystem`` per (type, rank) and
-process, holding the Cartan matrix, its sparse table ``sparse_cartan`` and
-the positive roots packed column-major, one byte per coefficient.  It is
-bounded by ``MAX_RANK``: all 124 A-D systems take 1,965,462 bytes
-(``tracemalloc``, CPython 3.11), 970,018 of them packed roots.  The
-sigma-heights of all positive roots come out of the columns as one ``bytes``
-by big-integer addition, and ``positive_roots``, the one place the columns
-are unpacked into coefficient tuples, does so only when it is read.  Every
-reflection is ``_reflect_coords`` over ``sparse_cartan``.
+process, holding the sparse Cartan table ``sparse_cartan`` and the positive
+roots packed as one ``bytes`` per node, one byte per coefficient.  The dense
+Cartan matrix is built only inside ``build_root_system``.  The cache is
+bounded by ``MAX_RANK``: building all 124 A-D systems in a fresh process
+allocates 1,761,837 bytes still held afterwards (``tracemalloc`` current
+size, started after import, CPython 3.11).  The sigma-heights of all positive
+roots come out of the columns as one ``bytes`` by big-integer addition, and
+``positive_roots``, the one place the columns are unpacked into coefficient
+tuples, does so only when it is read.  Every reflection is
+``_reflect_coords`` over ``sparse_cartan``.
 """
 
 from __future__ import annotations
@@ -65,37 +67,30 @@ class Weight:
 
 
 class RootSystem(NamedTuple):
-    """A root system given by its Cartan matrix.
+    """A root system given by its sparse Cartan table.
 
-    ``cartan[i][j]`` is the pairing of the j-th simple root against the i-th
-    simple coroot (0-based storage for 1-based nodes).  ``columns`` holds the
-    positive roots column-major, one byte per coefficient: column i (0-based)
-    is coefficient i of every positive root in the walk's order.
-    ``sparse_cartan[i]`` holds the nonzero entries (m, cartan[m][i]) of
-    column i, at most four: alpha_i in fundamental-weight coordinates, the
-    table ``_reflect_coords`` reflects by.  The fields are read-only and
-    there is no instance ``__dict__``.
+    ``columns[i]`` holds coefficient i (0-based) of every positive root in
+    the walk's order, one byte each.  ``sparse_cartan[i]`` holds the nonzero
+    entries (m, <alpha_i, alpha_m^vee>) of column i of the Cartan matrix, at
+    most four: alpha_i in fundamental-weight coordinates, the table
+    ``_reflect_coords`` reflects by.  The fields are read-only and there is
+    no instance ``__dict__``.
     """
 
     type_tag: str
     rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    columns: bytes
+    columns: tuple[bytes, ...]
     sparse_cartan: _SparseColumns
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise ValueError(f"node index {i} out of range 1..{self.rank}")
 
-    def _column(self, i: int) -> bytes:
-        n = len(self.columns) // self.rank
-        return self.columns[i * n:(i + 1) * n]
-
     @property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
         """The simple-root coefficients of every positive root in the walk's
         order, unpacked from the columns on each read."""
-        return tuple(zip(*map(self._column, range(self.rank))))
+        return tuple(zip(*self.columns))
 
     def sigma_heights(self, nodes: Iterable[int]) -> bytes:
         """The sigma-height of every positive root over the 1-based ``nodes``,
@@ -104,8 +99,8 @@ class RootSystem(NamedTuple):
         total = 0
         for i in nodes:
             self._check_node(i)
-            total += int.from_bytes(self._column(i - 1), "big")
-        return total.to_bytes(len(self.columns) // self.rank, "big")
+            total += int.from_bytes(self.columns[i - 1], "big")
+        return total.to_bytes(len(self.columns[0]), "big")
 
 
 def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
@@ -189,16 +184,15 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     extensions (B/C need rank >= 2, D needs rank >= 3).  The first call for
     a (type, rank) validates it, builds the Cartan matrix and its sparse
     table, walks the positive roots and packs them; later calls return the
-    same ``RootSystem``, and all 124 take 1,965,462 bytes.  A refused input
-    raises, so it adds no entry.  The cache is typed: rank 4.0 is not served
-    A4 but raises TypeError.
+    same ``RootSystem``.  A refused input raises, so it adds no entry.  The
+    cache is typed: rank 4.0 is not served A4 but raises TypeError.
     """
     cartan = _cartan_matrix(type_tag, rank)
     sparse = tuple(tuple((m, a) for m, a in enumerate(col) if a) for col in zip(*cartan))
     # A-D coefficients are at most 2, so each takes one byte; ``bytes``
     # raises on any that would not fit.
-    columns = b"".join(map(bytes, zip(*_enumerate_positive_roots(cartan, sparse))))
-    return RootSystem(type_tag, rank, cartan, columns, sparse)
+    columns = tuple(map(bytes, zip(*_enumerate_positive_roots(cartan, sparse))))
+    return RootSystem(type_tag, rank, columns, sparse)
 
 
 def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:

@@ -134,7 +134,7 @@ def test_criterion_7_rank_telescoping():
         rep = tangent_ranks(bigrade(path_pair(3)))
         assert rep.dim_M == 7
         assert rep.rank_T_rho == 3
-        assert rep.ranks_V[-1] == 4
+        assert rep.ranks_V == {-1: 4}
 
 
 def test_criterion_8_torsion_verdicts():

@@ -61,17 +61,6 @@ def test_legendrean_hasse_sizes_and_lengths():
     assert len(hd.elements) == 3
 
 
-@pytest.mark.parametrize("n", range(2, 6))
-def test_legendrean_hasse_size_is_n_plus_one(n):
-    assert len(relative_hasse(legendrean_pair(n)).elements) == n + 1
-
-
-def test_hasse_size_matches_coset_index():
-    # |W_L| / |W_{L & q}| with L the Levi nodes of p
-    hd = relative_hasse(path_pair())
-    assert len(hd.elements) == 24 // 6
-
-
 def test_rank_one_relative_directions_give_two_bundles():
     # sigma_q = {1,2}, sigma_p = {2}: a single operator in every sequence
     for n in range(2, 5):

@@ -201,13 +201,6 @@ def test_filtration_piece_one_is_p_plus():
 
 # -- tangent ranks -----------------------------------------------------------
 
-def test_path_ranks_dimension_seven():
-    rep = tangent_ranks(bigrade(path_pair(3)))
-    assert rep.dim_M == 7
-    assert rep.rank_T_rho == 3
-    assert rep.ranks_V == {-1: 4}
-
-
 def test_legendrean_ranks_n2():
     rep = tangent_ranks(bigrade(legendrean_pair(2)))
     assert rep.dim_M == 5

@@ -17,11 +17,14 @@ Core claims:
     - simple reflections are involutions on arbitrary integer weights
     - every positive root, rewritten in fundamental-weight coordinates by the
       Cartan matrix, pairs with its own coroot to 2 in the model
-    - a RootSystem is frozen: no attribute can be set and it has no __dict__
+    - a RootSystem is frozen: no attribute can be set and it has no __dict__;
+      its fields are type_tag, rank, columns and sparse_cartan, so it keeps no
+      dense Cartan matrix
     - each system is built and walked once per process and every later call
-      returns the same object, whose roots are packed in immutable bytes and
-      unpacked afresh on each read, within a bound set by MAX_RANK; a refused type
-      or rank adds no cache entry, and a float rank is not served an int's
+      returns the same object, whose roots are packed in one immutable bytes
+      per node and unpacked afresh on each read, within a bound set by
+      MAX_RANK; a refused type or rank adds no cache entry, and a float rank
+      is not served an int's
     - sparse_cartan holds exactly the nonzero entries of each Cartan column
     - the packed sigma-heights never carry from one root's byte into the
       next: over every node they are each root's coefficient sum (up to 63
@@ -53,7 +56,7 @@ def symmetrizer(tag, rank):
 def test_a1_smallest_case():
     rs = build_root_system("A", 1)
     assert len(rs.positive_roots) == 1
-    assert rs.cartan == ((2,),)
+    assert roots._cartan_matrix("A", 1) == ((2,),)
 
 
 @pytest.mark.parametrize("rank", range(1, 9))
@@ -142,7 +145,8 @@ def test_calls_share_no_root_object():
     first, second = build_root_system("C", 6), build_root_system("C", 6)
     assert first == second
     assert first.positive_roots == second.positive_roots == first.positive_roots
-    assert isinstance(first.columns, bytes)
+    assert isinstance(first.columns, tuple) and len(first.columns) == first.rank
+    assert all(type(c) is bytes and len(c) == len(first.positive_roots) for c in first.columns)
     assert first.positive_roots is not second.positive_roots
 
 
@@ -163,7 +167,7 @@ def test_cache_is_bounded_by_the_rank_cap():
     size = 0
     for tag, lo in ALL_TYPES:
         for rank in range(lo, MAX_RANK + 1):
-            size += len(build_root_system(tag, rank).columns)
+            size += sum(len(c) for c in build_root_system(tag, rank).columns)
     assert build_root_system.cache_info().currsize == 124
     assert size < 1_000_000
 
@@ -179,9 +183,9 @@ def test_refused_system_adds_no_cache_entry(tag, rank):
 @pytest.mark.parametrize("tag,lo", ALL_TYPES)
 def test_sparse_cartan_is_the_nonzero_cartan_entries(tag, lo):
     for rank in range(lo, MAX_RANK + 1):
-        rs = build_root_system(tag, rank)
+        rs, cartan = build_root_system(tag, rank), roots._cartan_matrix(tag, rank)
         for i, col in enumerate(rs.sparse_cartan):
-            assert col == tuple((m, row[i]) for m, row in enumerate(rs.cartan) if row[i])
+            assert col == tuple((m, row[i]) for m, row in enumerate(cartan) if row[i])
             assert len(col) <= 4
 
 
@@ -281,9 +285,9 @@ def test_pairing_worked_examples():
     "tag,rank", [("A", 1), ("A", 4), ("A", 6), ("B", 3), ("C", 3), ("D", 4)]
 )
 def test_pairing_of_root_with_itself_is_two(tag, rank):
-    rs, m = build_root_system(tag, rank), WeylModel(tag, rank)
+    rs, m, cartan = build_root_system(tag, rank), WeylModel(tag, rank), roots._cartan_matrix(tag, rank)
     for beta in rs.positive_roots:
-        weight = tuple(sum(c * b for c, b in zip(row, beta)) for row in rs.cartan)
+        weight = tuple(sum(c * b for c, b in zip(row, beta)) for row in cartan)
         assert m.pairing(m.weight(weight), m.eps(beta)) == 2, beta
 
 
@@ -299,7 +303,7 @@ def test_symmetrizer_values():
 def test_symmetrizer_symmetrizes_every_cartan_matrix():
     for tag, lo in ALL_TYPES:
         for rank in range(lo, 25):
-            c = build_root_system(tag, rank).cartan
+            c = roots._cartan_matrix(tag, rank)
             d = symmetrizer(tag, rank)
             assert len(d) == rank and all(x > 0 for x in d)
             assert gcd(*d) == 1
@@ -366,6 +370,10 @@ def test_model_sees_a_wrong_cartan_matrix(monkeypatch, fresh_cache, edit, tags):
 
 
 # -- immutability ------------------------------------------------------------
+
+def test_root_system_keeps_no_dense_cartan_matrix():
+    assert roots.RootSystem._fields == ("type_tag", "rank", "columns", "sparse_cartan")
+
 
 def test_root_system_is_frozen():
     rs = build_root_system("B", 3)
