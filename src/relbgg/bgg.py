@@ -36,7 +36,7 @@ class WeylWord(NamedTuple):
 
 
 # Largest relative Hasse diagram walked; B15 with sigma_q = {1, 15} and
-# sigma_p = {1} has 16,384 elements and takes about half a second.
+# sigma_p = {1} has 16,384 elements and walks in well under a second.
 MAX_HASSE_ELEMENTS = 20_000
 
 
@@ -50,12 +50,6 @@ def _levi_quotient(pair: ParabolicPair) -> tuple[int, int]:
     every = rs.sigma_heights(range(1, rs.rank + 1))
     heights = [h for q, p, h in zip(by_q, by_p, every) if q and not p]
     return len(heights), math.prod(h + 1 for h in heights) // math.prod(heights)
-
-
-def hasse_size(pair: ParabolicPair) -> int:
-    """Number of elements of the relative Hasse diagram, |W_L| / |W_{L & q}|,
-    in closed form (``_levi_quotient``)."""
-    return _levi_quotient(pair)[1]
 
 
 class HasseDiagram(NamedTuple):
@@ -72,19 +66,20 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
     Levi node only where the weight is positive, which lengthens v by one.
     The stabilizer of mu is generated by the nodes outside sigma_q, so orbit
     points nu = v(mu) match the elements w = v^{-1} with w^{-1}(alpha_j)
-    positive for every node j outside sigma_q.  The walk goes by length, so
-    each shorter word is final when it proposes (i,) + word to s_i nu, and a
-    point keeps the smallest proposal: the lexicographically first reduced
-    word of v.  Elements are sorted by length, then by word.
+    positive for every node j outside sigma_q.  The left descents of v are
+    the Levi nodes i with nu_i < 0 (Bjorner & Brenti, 2.4-2.5); each point
+    is entered once, from s_i nu for its first descent i, so its word is the
+    lexicographically first reduced word of v.  Elements are sorted by
+    length, then by word.
 
-    The diagram is a chain when it has one element per length.  Each word
-    then extends the previous one by one generator i, so w_{k+1} = w_k s_i.
-
-    The size |W_L| / |W_{L & q}| is known in closed form before the walk;
-    diagrams above ``MAX_HASSE_ELEMENTS`` are refused with ValueError, and a
-    walk of another size raises InternalCheckError.
+    N, the longest length, and the size |W_L| / |W_{L & q}| are known in
+    closed form; a size above ``MAX_HASSE_ELEMENTS`` is refused with
+    ValueError before the walk, and a walk of another size or with lengths
+    other than 0..N raises InternalCheckError.  So the diagram is a chain, one
+    element per length, exactly when its size is N + 1; each word then
+    extends the previous one by one generator i, so w_{k+1} = w_k s_i.
     """
-    size = hasse_size(pair)
+    n, size = _levi_quotient(pair)
     if size > MAX_HASSE_ELEMENTS:
         raise ValueError(
             f"the relative Hasse diagram has {size} elements, "
@@ -94,24 +89,23 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
     cols = rs.sparse_cartan
     levi = [i for i in range(rs.rank) if i + 1 not in pair.sigma_p]
     mu = tuple(int(i in pair.sigma_q and i not in pair.sigma_p) for i in range(1, rs.rank + 1))
-    v_words = {mu: ()}  # orbit point nu = v(mu) -> reduced word of v
-    orbit = [mu]
-    for nu in orbit:
+    orbit = [(mu, ())]  # orbit point nu = v(mu) and the reduced word of v
+    for nu, word in orbit:
         for i in levi:
             if nu[i] > 0:
-                nxt, word = _reflect_coords(cols, i, nu), (i + 1,) + v_words[nu]
-                if nxt not in v_words:
-                    orbit.append(nxt)
-                v_words[nxt] = min(word, v_words.get(nxt, word))
-    if len(orbit) != size:
+                nxt = _reflect_coords(cols, i, nu)
+                if i == next(j for j in levi if nxt[j] < 0):
+                    orbit.append((nxt, (i + 1,) + word))
+    lengths = {len(v) for _, v in orbit}
+    if len(orbit) != size or lengths != set(range(n + 1)):
         raise InternalCheckError(
-            f"the relative Hasse walk reached {len(orbit)} points, not |W_L|/|W_(L&q)| = {size}, "
+            f"the relative Hasse walk reached {len(orbit)} points over {len(lengths)} lengths "
+            f"up to {max(lengths)}, not |W_L|/|W_(L&q)| = {size} over the lengths 0..{n}, "
             f"on {rs.type_tag}{rs.rank} sigma_q={sorted(pair.sigma_q)} "
             f"sigma_p={sorted(pair.sigma_p)}"
         )
-    words = sorted((WeylWord(v[::-1]) for v in v_words.values()), key=lambda w: (w.length, w.gens))
-    is_chain = [w.length for w in words] == list(range(len(words)))
-    return HasseDiagram(pair=pair, elements=tuple(words), is_chain=is_chain)
+    words = sorted((WeylWord(v[::-1]) for _, v in orbit), key=lambda w: (w.length, w.gens))
+    return HasseDiagram(pair=pair, elements=tuple(words), is_chain=size == n + 1)
 
 
 def affine_act(w: WeylWord, lam: Weight, rs: RootSystem) -> Weight:
@@ -142,6 +136,11 @@ class BGGSequence(NamedTuple):
 def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
     """The sequence shape generated by a dominant P-representation label.
 
+    Only a chain has one sequence shape.  A pair whose closed-form size
+    exceeds N + 1 is refused with ValueError before any walk, and a diagram
+    above the cap is left to ``relative_hasse``, which refuses it unwalked;
+    its length check makes every other diagram a chain, one word per length.
+
     Entry k carries the shifted action of the k-th Hasse word on the source
     weight, crossed at sigma_q.  The order to the next entry is
     <lambda_k + rho, beta_k^vee> along the connecting root beta_k = w_k(alpha_i),
@@ -156,9 +155,6 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             f"source label {print_label(src)} is not P-dominant "
             f"(negative at nodes {list(verdict.negative_uncrossed)})"
         )
-    # Lengths run over 0..N, N being that of the longest element, so a chain
-    # has N + 1 elements: a non-chain is refused before any walk.  A diagram
-    # above the cap is left to relative_hasse, which refuses it unwalked.
     n, size = _levi_quotient(pair)
     if n + 1 < size <= MAX_HASSE_ELEMENTS:
         raise ValueError(
@@ -166,10 +162,6 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             "a single sequence shape is not defined"
         )
     diagram = relative_hasse(pair)
-    if not diagram.is_chain:
-        raise InternalCheckError(
-            f"the relative Hasse walk is not a chain though it has N + 1 = {n + 1} elements"
-        )
     ends = [w.gens[-1] for w in diagram.elements[1:]]  # w_{k+1} = w_k s_i
     # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>,
     # which is src_i + 1 since rho is the all-ones weight.

@@ -4,10 +4,10 @@ Everything is plain Python integers, so arithmetic is exact by construction.
 Node indices (simple roots, fundamental weights, reflections) are 1-based,
 matching the usual Dynkin-diagram numbering.
 
-Type A is the fully supported case; the B/C/D constructors are provided as
-extensions and go through the same generic machinery: positive roots come
-from a walk up from the simple roots by simple reflections.  Ranks above
-``MAX_RANK`` are refused, so every accepted input is small.
+Types A-D share one generic machinery, and the tests check every A-D system
+up to ``MAX_RANK`` against an epsilon-basis model; only the matrix oracle is
+limited to type A.  Positive roots come from a walk up from the simple roots
+by simple reflections.  Larger ranks are refused, so every input is small.
 
 A root is a plain tuple of its simple-root coefficients.  The one cache is
 ``build_root_system``: one immutable ``RootSystem`` per (type, rank) and
@@ -180,12 +180,12 @@ def _enumerate_positive_roots(
 def build_root_system(type_tag: str, rank: int) -> RootSystem:
     """Construct a root system of the given type and rank, once per process.
 
-    Type A is the primary supported family; B, C and D are accepted
-    extensions (B/C need rank >= 2, D needs rank >= 3).  The first call for
-    a (type, rank) validates it, builds the Cartan matrix and its sparse
-    table, walks the positive roots and packs them; later calls return the
-    same ``RootSystem``.  A refused input raises, so it adds no entry.  The
-    cache is typed: rank 4.0 is not served A4 but raises TypeError.
+    Types A-D are accepted up to ``MAX_RANK`` (B/C need rank >= 2, D needs
+    rank >= 3).  The first call for a (type, rank) validates it, builds the
+    Cartan matrix and its sparse table, walks the positive roots and packs
+    them; later calls return the same ``RootSystem``.  A refused input
+    raises, so it adds no entry.  The cache is typed: rank 4.0 is not served
+    A4 but raises TypeError.
     """
     cartan = _cartan_matrix(type_tag, rank)
     sparse = tuple(tuple((m, a) for m, a in enumerate(col) if a) for col in zip(*cartan))

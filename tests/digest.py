@@ -34,10 +34,12 @@ import pathlib
 import random
 import sys
 
-from common import all_pairs, label_text, p_dominant_coeffs
+# The engine comes from src/, so the script runs from a plain checkout.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+from common import all_pairs, label_text, p_dominant_coeffs  # noqa: E402
 
-from relbgg import relative_hasse
-from relbgg.cli import main
+from relbgg import relative_hasse  # noqa: E402
+from relbgg.cli import main  # noqa: E402
 
 # Beside this module, not in golden/: that directory holds exactly the CLI
 # reports that test_cli replays.

@@ -14,6 +14,7 @@ Core claims:
 """
 
 import random
+import re
 
 import pytest
 from common import all_pairs, label_text, legendrean_pair, make_pair, p_dominant_coeffs, path_pair
@@ -32,7 +33,7 @@ from relbgg import (
     relative_hasse,
 )
 from relbgg import bgg
-from relbgg.bgg import MAX_HASSE_ELEMENTS, hasse_size
+from relbgg.bgg import MAX_HASSE_ELEMENTS, _levi_quotient
 
 
 # -- Hasse diagrams ----------------------------------------------------------
@@ -85,6 +86,18 @@ def test_non_linear_diagram_detected():
     assert len(hd.elements) == 6
     assert [w.length for w in hd.elements] == [0, 1, 2, 2, 3, 4]
     assert not hd.is_chain
+
+
+@pytest.mark.parametrize("sq, n", [({1, 2}, 3), ({1, 3}, 4)], ids=["chain", "non-chain"])
+def test_walked_lengths_must_run_over_zero_to_n(monkeypatch, sq, n):
+    """A closed form that reports N + 1 for the longest length, with the size
+    unchanged, leaves the walk one length short: relative_hasse names the input."""
+    pair = make_pair(4, sq, {1})
+    assert _levi_quotient(pair)[0] == n
+    monkeypatch.setattr(bgg, "_levi_quotient", lambda pair: (n + 1, _levi_quotient(pair)[1]))
+    where = f"over the lengths 0..{n + 1}, on A4 sigma_q={sorted(sq)} sigma_p=[1]"
+    with pytest.raises(bgg.InternalCheckError, match=re.escape(where)):
+        relative_hasse(pair)
 
 
 # -- shifted action ----------------------------------------------------------
@@ -324,13 +337,13 @@ def test_hasse_size_closed_form_matches_walk():
     for type_tag, rank in diagrams:
         for pair in all_pairs(rank, type_tag):
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
-            assert hasse_size(pair) == len(relative_hasse(pair).elements), where
+            assert _levi_quotient(pair)[1] == len(relative_hasse(pair).elements), where
             checked += 1
     assert checked == 948
 
 
 def test_hasse_size_cap_boundary():
-    assert hasse_size(make_pair(15, {1, 15}, {1}, "B")) == 2**14 <= MAX_HASSE_ELEMENTS
-    assert hasse_size(make_pair(16, {1, 16}, {1}, "B")) == 2**15 > MAX_HASSE_ELEMENTS
-    assert hasse_size(make_pair(6, range(1, 7), (), "D")) == 2**5 * 720
-    assert hasse_size(make_pair(5, {5}, (), "C")) == 2**5
+    assert _levi_quotient(make_pair(15, {1, 15}, {1}, "B"))[1] == 2**14 <= MAX_HASSE_ELEMENTS
+    assert _levi_quotient(make_pair(16, {1, 16}, {1}, "B"))[1] == 2**15 > MAX_HASSE_ELEMENTS
+    assert _levi_quotient(make_pair(6, range(1, 7), (), "D"))[1] == 2**5 * 720
+    assert _levi_quotient(make_pair(5, {5}, (), "C"))[1] == 2**5

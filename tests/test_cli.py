@@ -13,6 +13,9 @@ from hypothesis import given, strategies as st
 
 from relbgg.cli import MAX_SUPPORT_BYTES, _dump, main
 
+# A child process finds the engine in src/, installed or not.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
@@ -286,8 +289,8 @@ def test_broken_hasse_walk_exits_three(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == (
-        "internal invariant violated: the relative Hasse walk reached 2 points, "
-        "not |W_L|/|W_(L&q)| = 4, on A4 sigma_q=[1, 2] sigma_p=[1]\n"
+        "internal invariant violated: the relative Hasse walk reached 2 points over 2 lengths "
+        "up to 1, not |W_L|/|W_(L&q)| = 4 over the lengths 0..3, on A4 sigma_q=[1, 2] sigma_p=[1]\n"
     )
 
 
@@ -566,13 +569,13 @@ def test_module_entry_point():
         [sys.executable, "-m", "relbgg", "ranks", "A4", "--sq", "1,2", "--sp", "1"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert "dim M = 7" in proc.stdout
 
 
 def test_cli_import_pulls_in_no_numpy():
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     check = (
         "for m in ('numpy', 'fractions', 'decimal', 'dataclasses', 'inspect'):"
         " assert m not in sys.modules, m"
@@ -581,18 +584,17 @@ def test_cli_import_pulls_in_no_numpy():
         [sys.executable, "-c", f"import relbgg.cli, sys\n{check}"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_pulls_in_no_argparse():
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", "import relbgg.cli, sys; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=SRC_ENV,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -613,14 +615,13 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
     # stdout meets a broken pipe, whatever the output size.
     read_fd, write_fd = os.pipe()
     os.close(read_fd)
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "relbgg", *argv],
             stdout=write_fd,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env=SRC_ENV,
         )
     finally:
         os.close(write_fd)
