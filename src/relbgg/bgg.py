@@ -18,11 +18,7 @@ from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
-from .roots import RootSystem, Weight, _reflect_coords
-
-
-class InternalCheckError(RuntimeError):
-    """A structural invariant the engine guarantees was violated."""
+from .roots import InternalCheckError, RootSystem, Weight, _reflect_coords
 
 
 class WeylWord(NamedTuple):

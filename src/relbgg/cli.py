@@ -24,15 +24,11 @@ from itertools import chain
 from json.encoder import encode_basestring as _quote
 from types import SimpleNamespace
 
-# Every module is imported eagerly: perfbench/tracer.py wraps only the relbgg
-# modules already loaded after `import relbgg.cli`, so lazy imports would hide layers.
+# Only what every subcommand runs is imported here; cmd_bgg, cmd_check_torsion
+# and cmd_audit import their own modules, so a process loads only its command's.
 from . import __version__
-from .bgg import InternalCheckError, relative_bgg_sequence
-from .dynkin import parse_label, print_label
 from .grading import ParabolicPair, bigrade, filtration, subalgebra_profile, tangent_ranks
-from .oracle import block_structure_from_pair, commutator_audit
-from .roots import build_root_system
-from .torsion import catalog, corollary_33_check, support_from_json, support_to_json
+from .roots import InternalCheckError, build_root_system
 
 _TYPE_RE = re.compile(r"^([A-Z])(\d+)$", re.ASCII)
 _NODE_RE = re.compile(r"\s*\d+\s*", re.ASCII)
@@ -130,6 +126,9 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
 
 
 def cmd_bgg(args) -> tuple[dict, dict, list[str]]:
+    from .bgg import relative_bgg_sequence
+    from .dynkin import parse_label, print_label
+
     src = parse_label(args.label)
     pair = ParabolicPair(
         rs=src.rs, sigma_q=_parse_nodes(args.sq), sigma_p=_parse_nodes(args.sp)
@@ -196,6 +195,8 @@ def cmd_ranks(args) -> tuple[dict, dict, list[str]]:
 
 
 def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
+    from .torsion import catalog, corollary_33_check, support_from_json, support_to_json
+
     if args.catalog:
         if any(v is not None for v in (args.type, args.sq, args.sp, args.support)):
             raise ValueError("--catalog does not combine with --type, --sq, --sp or --support")
@@ -246,6 +247,8 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
 
 
 def cmd_audit(args) -> tuple[dict, dict, list[str]]:
+    from .oracle import block_structure_from_pair, commutator_audit
+
     pair = _pair_from_args(args)
     comm = commutator_audit(block_structure_from_pair(pair), bigrade(pair))
     result = {

@@ -36,6 +36,13 @@ MAX_RANK = 32
 _SparseColumns = tuple[tuple[tuple[int, int], ...], ...]  # RootSystem.sparse_cartan
 
 
+class InternalCheckError(RuntimeError):
+    """A structural invariant the engine guarantees was violated.
+
+    Defined here, in the module every command loads, so the CLI catches it
+    without importing ``bgg``, which raises it and re-exports it."""
+
+
 class Weight:
     """An immutable weight in fundamental-weight coordinates, equal only to a
     Weight: not to a WeylWord or a plain tuple with the same entries."""

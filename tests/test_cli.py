@@ -89,12 +89,12 @@ def test_block_display_transpose_antisymmetry(capsys, pair):
 
 
 def test_block_display_does_not_call_the_oracle(capsys, golden, monkeypatch):
-    import relbgg.cli as cli
+    import relbgg.oracle as oracle
 
     def refuse(pair):
         raise AssertionError("the block display called the matrix oracle")
 
-    monkeypatch.setattr(cli, "block_structure_from_pair", refuse)
+    monkeypatch.setattr(oracle, "block_structure_from_pair", refuse)
     with pytest.raises(AssertionError):
         main(["audit", "A4", "--sq", "1,4", "--sp", "1"])
     for name, flags in (("bigrade_a4_legendrean.txt", ()), ("bigrade_a4_legendrean.json", ("--json",))):
@@ -587,6 +587,38 @@ def test_cli_import_pulls_in_no_numpy():
         env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Every subcommand loads BASE_MODULES, and only these others besides.
+BASE_MODULES = ["relbgg", "relbgg.cli", "relbgg.grading", "relbgg.roots"]
+SUBCOMMAND_MODULES = [
+    (("bigrade", "A4", "--sq", "1,4", "--sp", "1"), []),
+    (("filtration", "A4", "--sq", "1,4", "--sp", "1"), []),
+    (("ranks", "A4", "--sq", "1,2", "--sp", "1"), []),
+    (("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"), ["relbgg.bgg", "relbgg.dynkin"]),
+    (("audit", "A4", "--sq", "1,4", "--sp", "1"), ["relbgg.oracle"]),
+    (("check-torsion", "--catalog", "legendrean(3)"), ["relbgg.torsion"]),
+]
+
+
+@pytest.mark.parametrize("argv, extra", SUBCOMMAND_MODULES, ids=[argv[0] for argv, _ in SUBCOMMAND_MODULES])
+def test_each_subcommand_loads_only_its_modules(argv, extra):
+    script = (
+        "import sys\nfrom relbgg.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'relbgg'), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV)
+    assert proc.stderr == f"0 {sorted(BASE_MODULES + extra)}\n"
+
+
+def test_bare_package_import_loads_no_submodule():
+    script = (
+        "import sys, relbgg\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'relbgg'), set(relbgg.__all__) <= set(dir(relbgg)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=SRC_ENV)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "['relbgg'] True\n", "")
 
 
 def test_cli_import_pulls_in_no_argparse():
