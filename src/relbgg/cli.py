@@ -27,7 +27,7 @@ from types import SimpleNamespace
 # Only what every subcommand runs is imported here; cmd_bgg, cmd_check_torsion
 # and cmd_audit import their own modules, so a process loads only its command's.
 from . import __version__
-from .grading import ParabolicPair, bigrade, filtration, subalgebra_profile, tangent_ranks
+from .grading import ParabolicPair, RootRows, bigrade, filtration, subalgebra_profile, tangent_ranks
 from .roots import InternalCheckError, build_root_system
 
 _TYPE_RE = re.compile(r"^([A-Z])(\d+)$", re.ASCII)
@@ -105,7 +105,7 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
     if args.json:  # the text lines list no roots, so only JSON builds them
         spaces = bg.root_spaces()
         for c in result["components"]:
-            c["roots"] = [list(r) for r in spaces[tuple(c["bidegree"])]]
+            c["roots"] = spaces[tuple(c["bidegree"])]
     inputs = _pair_inputs(pair)
     lines = [
         f"bigrading of {inputs['type']} for "
@@ -369,13 +369,33 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, func=func, **args)
 
 
+# bytes.translate table for root rows: coefficients 0..2 to their digits and
+# every other byte, the row marker "|" included, to "|".
+_DIGITS = b"012" + b"|" * 253
+
+
+def _root_digits(rows: tuple[bytes, ...], sep: str) -> str:
+    """The coefficients of ``rows`` as digits joined by ``sep``, with a "|"
+    between two rows, in a fixed number of C-level calls.  A coefficient the
+    digit table does not cover shows as an extra "|" and raises."""
+    text = b"|".join(rows).translate(_DIGITS).decode()
+    if text.count("|") != len(rows) - 1:
+        raise InternalCheckError("a root coefficient outside 0..2 reached the root listing")
+    return sep.join(text)
+
+
 def _dump(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` for the
-    values a report holds: dicts with str keys, lists, str, int, bool, None.
+    values a report holds: dicts with str keys, lists, str, int, bool, None,
+    and ``RootRows``, which print as a list of int lists.
 
     An indent sends ``json.dumps`` to its pure-Python encoder; here strings
-    go through the C quoting function, a list of ints is one join, and a list
-    of int lists (``bigrade``'s root listing) one join per row.
+    go through the C quoting function, a list of ints is one join, a list of
+    int lists (the bidegree lists of ``filtration`` and ``bigrade``) one join
+    per row, and a ``RootRows`` (``bigrade``'s root listing) a fixed number of
+    bulk string operations per half, however many rows it holds: "-" goes
+    before each digit of the negated half, as no indent or separator holds a
+    digit, and one replace turns every "|" into a row break.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -389,6 +409,17 @@ def _dump(obj, pad: str = "\n") -> str:
         return int.__repr__(obj)
     inner = pad + "  "
     sep = "," + inner
+    if type(obj) is RootRows:
+        deep = inner + "  "
+        negated, positive = obj
+        halves = [_root_digits(negated, "," + deep).replace("1", "-1").replace("2", "-2")] if negated else []
+        if positive:
+            halves.append(_root_digits(positive, "," + deep))
+        if not halves:
+            return "[]"
+        marker = "," + deep + "|," + deep
+        rows = marker.join(halves).replace(marker, inner + "]" + sep + "[" + deep)
+        return "[" + inner + "[" + deep + rows + inner + "]" + pad + "]"
     if isinstance(obj, list):
         if not obj:
             return "[]"

@@ -66,6 +66,18 @@ def in_q(bd: Bidegree) -> bool:
     return bd.i_prime >= 0 and bd.i_dprime >= 0
 
 
+class RootRows(tuple):
+    """One component's roots as ``(negated, positive)``: two tuples of rows,
+    one ``bytes`` per positive root and one byte per simple-root coefficient,
+    as in ``RootSystem.columns``.  The component lists the negatives of the
+    ``negated`` rows, then the ``positive`` rows, ascending as coefficient
+    tuples: g_{-bd} holds exactly the negatives of g_{bd}, so ``negated`` is
+    the sorted bucket of -bd in reverse, and (0, 0) lists the negated Levi
+    roots first."""
+
+    __slots__ = ()
+
+
 class Bigrading(NamedTuple):
     """Each root space once: ``dims`` maps every bidegree of either sign to the
     dimension of its component (the Cartan counted at (0, 0)), read-only.
@@ -77,22 +89,18 @@ class Bigrading(NamedTuple):
 
     __reduce__ = _reduce_report
 
-    def root_spaces(self) -> dict[Bidegree, tuple[tuple[int, ...], ...]]:
-        """The simple-root coefficients of every component's roots, keyed like
-        ``dims`` and sorted, from one pass over ``rs.positive_roots``.
-
-        g_{-bd} holds exactly the negatives of g_{bd}, and negation reverses
-        the order, so (0, 0) lists the negated Levi roots first."""
-        positive: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-        for key, coeffs in zip(zip(*_height_strings(self.pair)), self.pair.rs.positive_roots):
-            positive.setdefault(key, []).append(coeffs)
+    def root_spaces(self) -> dict[Bidegree, RootRows]:
+        """The roots of every component packed as ``RootRows``, keyed like
+        ``dims``: one pass over ``rs.positive_roots`` buckets each root's
+        ``bytes`` row by bidegree, and each bucket is sorted as ``bytes``,
+        which for rows of equal length is the order of coefficient tuples.
+        Only ``bigrade --json`` reads them."""
+        positive: dict[tuple[int, int], list[bytes]] = {}
+        for key, row in zip(zip(*_height_strings(self.pair)), map(bytes, self.pair.rs.positive_roots)):
+            positive.setdefault(key, []).append(row)
         for bucket in positive.values():
             bucket.sort()
-        spaces = {}
-        for bd in self.dims:
-            negative = [tuple([-c for c in t]) for t in reversed(positive.get(-bd, ()))]
-            spaces[bd] = tuple(negative + positive.get(bd, []))
-        return spaces
+        return {bd: RootRows((tuple(positive.get(-bd, ())[::-1]), tuple(positive.get(bd, ())))) for bd in self.dims}
 
     def dim_component(self, bd: Bidegree) -> int:
         return self.dims.get(Bidegree(*bd), 0)

@@ -44,6 +44,13 @@ def all_pairs(rank, type_tag="A"):
     return (make_pair(rank, sq, sp, type_tag) for sq, sp in nested_pairs(rank))
 
 
+def listed_roots(rows):
+    """The coefficient tuples a ``RootRows`` lists, in order: the negatives of
+    its negated rows, then its positive rows."""
+    negated, positive = rows
+    return tuple(tuple(-c for c in r) for r in negated) + tuple(map(tuple, positive))
+
+
 def label_text(type_tag, rank, crossed, coeffs):
     """A Dynkin label as the CLI reads it, such as A4[x,o,o,o](-2,1,0,0)."""
     marks = ",".join("x" if i in crossed else "o" for i in range(1, rank + 1))

@@ -416,19 +416,48 @@ def test_json_reports_are_deterministic(capsys):
     assert report["inputs"]["sigma_q"] == [1, 4]
 
 
-@pytest.mark.parametrize("type_tag, n_positive", [("B", 576), ("C", 576), ("D", 552)])
-def test_bigrade_root_listing_round_trips_at_rank_24(capsys, type_tag, n_positive):
-    """The largest root listings sweep prints equal indented json.dumps and
-    hold every root of either sign once: |Phi+| is n^2 for B and C, n(n-1) for D."""
-    code, out, _ = run_cli(capsys, "bigrade", f"{type_tag}24", "--sq", "1,8,24", "--sp", "8", "--json")
+# |Phi+| is n(n+1)/2 for A, n^2 for B and C, n(n-1) for D.
+@pytest.mark.parametrize("diagram, sq, sp, n_positive", [
+    pytest.param("B24", "1,8,24", "8", 576, id="B-576"),
+    pytest.param("C24", "1,8,24", "8", 576, id="C-576"),
+    pytest.param("D24", "1,8,24", "8", 552, id="D-552"),
+    pytest.param("A24", "1,8,24", "none", 300, id="A24-sp-none"),
+    pytest.param("A1", "1", "none", 1, id="A1-sp-none"),
+    pytest.param("A32", "1,16,32", "16", 528, id="A32"),
+    pytest.param("B32", "1,16,32", "16", 1024, id="B32"),
+    pytest.param("C32", "1,16,32", "16", 1024, id="C32"),
+    pytest.param("D32", "1,16,32", "16", 992, id="D32"),
+    pytest.param("D24", ",".join(map(str, range(1, 25))), "8,24", 552, id="D24-sq-every-node"),
+])
+def test_bigrade_root_listing_round_trips_at_rank_24(capsys, diagram, sq, sp, n_positive):
+    """The largest root listings, and the smallest, equal indented json.dumps
+    and hold every root of either sign once, as many in each component as
+    its dimension leaves beside the Cartan; with every node in sigma_q, the
+    (0, 0) component lists no root."""
+    code, out, _ = run_cli(capsys, "bigrade", diagram, "--sq", sq, "--sp", sp, "--json")
     assert code == 0
     report = json.loads(out)
     want = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
     if out != want:  # name the line: pytest's diff of two outputs this long runs for minutes
         line = out.count("\n", 0, len(os.path.commonprefix([out, want]))) + 1
         pytest.fail(f"bigrade --json differs from indented json.dumps from line {line}")
-    listed = [tuple(r) for c in report["result"]["components"] for r in c["roots"]]
+    components = report["result"]["components"]
+    rank = int(diagram[1:])
+    assert all(len(c["roots"]) == c["dim"] - rank * c["includes_cartan"] for c in components)
+    listed = [tuple(r) for c in components for r in c["roots"]]
     assert len(listed) == len(set(listed)) == 2 * n_positive
+
+
+def test_uncovered_root_coefficient_is_an_internal_error(capsys, monkeypatch):
+    """A root coefficient outside the listing's digit table exits 3 with one
+    stderr line and no JSON, never a wrong listing."""
+    from relbgg.roots import RootSystem
+
+    read = RootSystem.positive_roots.fget
+    monkeypatch.setattr(RootSystem, "positive_roots", property(lambda rs: ((3, *read(rs)[0][1:]), *read(rs)[1:])))
+    code, out, err = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant violated: ") and err.count("\n") == 1
 
 
 _TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\r\t\u2028éλ𝔤 a')
