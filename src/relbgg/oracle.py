@@ -1,33 +1,28 @@
-"""Brute-force verification of the bigrading through sl(m) matrices.
+"""Verification of the bigrading through the elementary matrices of sl(m).
 
 The combinatorial bidegree assignment is cross-checked against the concrete
 realization of sl(m) by elementary matrices.  A node set sigma defines the
 diagonal grading element Z_sigma, whose eigenvalue on the u-th basis vector
 of C^m is z_u = #{k in sigma : k >= u}; the matrix entry (u, w) then has
-sigma-height z_u - z_w.  Z_p and Z_q grade every matrix, and every claim
-about the grading becomes a statement about explicit commutators: a
-homogeneous [X, Y] satisfies [Z, [X, Y]] = deg * [X, Y] entry by entry.
+sigma-height z_u - z_w.  Z_p and Z_q grade every matrix.
 
-Matrices are sparse dicts {(u, w): int} of exact Python ints with 0-based
-indices; every basis element has at most two entries.  The commutators of
-the basis depend on m alone, so each process brackets the basis of sl(m)
-once per m: only the pairs whose supports meet, O(m^3) of them (every other
-commutator is zero by support), keeping each nonzero entry as six bytes.
-The table is bounded by ``MAX_RANK``: all 32 ranks hold 4,019,136 bytes.
-An audit then compares entry heights with summed bidegrees, and all
-(m^2 - 1)^2 pairs are counted.
+The basis of sl(m) is homogeneous: [Z, E_uw] = (z_u - z_w) E_uw, and the
+Cartan H_i = E_ii - E_{i+1,i+1} commutes with Z.  So the audit checks one
+basis element at a time against the engine's root listing: E_uw with
+0-based u < w is the root vector of e_u - e_w, the root with ones on the
+1-based nodes u+1..w, and E_wu that of its negative.  Each must be listed
+exactly once, under the bidegree its heights give.  The grading of every
+bracket then follows by the Jacobi identity,
+[Z, [X, Y]] = [[Z, X], Y] + [X, [Z, Y]], so no commutator is formed.
+Humphreys section 1.2; Fulton & Harris, Lecture 15.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
-from functools import cache
 from typing import NamedTuple
 
 from .grading import Bidegree, Bigrading, ParabolicPair
-
-Matrix = dict[tuple[int, int], int]
 
 
 class BlockStructure(NamedTuple):
@@ -59,58 +54,12 @@ def block_structure_from_pair(pair: ParabolicPair) -> BlockStructure:
     return BlockStructure(z_p=eigenvalues(pair.sigma_p), z_q=eigenvalues(pair.sigma_q))
 
 
-def _basis(m: int) -> tuple[list[Matrix], list[str]]:
-    """Basis of sl(m): elementary matrices E_uv, then H_i = E_ii - E_{i+1,i+1}."""
-    offdiag = [(u, v) for u in range(m) for v in range(m) if u != v]
-    mats = [{e: 1} for e in offdiag] + [{(i, i): 1, (i + 1, i + 1): -1} for i in range(m - 1)]
-    names = [f"E[{u + 1},{v + 1}]" for u, v in offdiag] + [f"H[{i + 1}]" for i in range(m - 1)]
-    return mats, names
-
-
 def _bidegrees(bs: BlockStructure) -> list[Bidegree]:
-    """Bidegrees of the basis of ``_basis(bs.m)``; the Cartan part is at (0, 0)."""
+    """Bidegrees of the basis of sl(m): E_uw for u != w in row-major order, then
+    the Cartan H_i = E_ii - E_{i+1,i+1} at (0, 0)."""
     m = bs.m
     offdiag = [bs.bidegree(u, v) for u in range(m) for v in range(m) if u != v]
     return offdiag + [Bidegree(0, 0)] * (m - 1)
-
-
-def bracket(x: Matrix, y: Matrix) -> Matrix:
-    """Exact commutator xy - yx of two sparse integer matrices."""
-    out: Matrix = {}
-    for (u, v), s in x.items():
-        for (v2, w), t in y.items():
-            if v == v2:
-                out[u, w] = out.get((u, w), 0) + s * t
-            if w == u:
-                out[v2, v] = out.get((v2, v), 0) - s * t
-    return {k: c for k, c in out.items() if c}
-
-
-@cache
-def _commutator_table(m: int) -> tuple[array, tuple[str, ...]]:
-    """Every nonzero entry of every basis commutator of sl(m), and the basis names.
-
-    The table is a flat ``array('H')`` of triples (i, j, u * m + w), one per
-    nonzero entry (u, w) of [X_i, X_j], X-major, Y-minor, six bytes each.
-    Only pairs whose supports meet are bracketed: xy is zero unless a row of
-    Y is a column of X, and yx unless a column of Y is a row of X, so every
-    other [X, Y] is zero by support and cannot violate.  With m <= MAX_RANK + 1
-    = 33, every index is below 33² and fits the unsigned short.
-    """
-    mats, names = _basis(m)
-    # basis positions with an entry in each row, and in each column
-    with_row: list[list[int]] = [[] for _ in range(m)]
-    with_col: list[list[int]] = [[] for _ in range(m)]
-    for j, y in enumerate(mats):
-        for u, w in y:
-            with_row[u].append(j)
-            with_col[w].append(j)
-    table = array("H")
-    for i, x in enumerate(mats):
-        for j in sorted({j for u, v in x for js in (with_row[v], with_col[u]) for j in js}):
-            for u, w in bracket(x, mats[j]):
-                table.extend((i, j, u * m + w))
-    return table, tuple(names)
 
 
 class OracleReport(NamedTuple):
@@ -121,35 +70,42 @@ class OracleReport(NamedTuple):
 
 
 def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
-    """Check [X, Y] against the summed bidegree for every pair of basis elements.
+    """Check every root vector of sl(m) against the bidegree the engine lists.
 
-    Every nonzero entry (u, w) of a commutator must have sigma_p- and
-    sigma_q-heights z_u - z_w equal to those summed from the inputs'
-    bidegrees, i.e. [Z, [X, Y]] = deg * [X, Y] for Z_p and Z_q.
-    The commutators depend on m alone, so they come from the per-process
-    table of ``_commutator_table``, bracketed once per rank; an audit only
-    compares each table entry's heights with the summed bidegree of its pair.
-    ``pairs_checked`` counts all (m^2 - 1)^2 pairs, and each violating pair
-    is listed once, X-major, Y-minor.
+    Each row of ``bg.root_spaces()`` must be a type-A root e_u - e_w (u < w),
+    its coefficients ones on the nodes u+1..w; a row of the ``negated`` half
+    stands for E_wu, one of the positive half for E_uw.  Every E_uw with
+    u != w must be listed exactly once, under ``bs.bidegree(u, w)``.  Each
+    violating element is listed once, in row-major order, as E[u,w]
+    (1-based), followed by the coefficients of every row that is no root.
     Component dimensions of the root picture are compared with the counts of
-    basis elements per bidegree as well.  Nilradical raising follows: with
-    X in p_plus, [X, Y] sits at first index i'(X) + i'(Y) > i'(Y).
+    basis elements per bidegree as well.
+
+    By Jacobi, [X, Y] of homogeneous X and Y sits at the sum of their
+    bidegrees, so the per-element check settles every pair of basis
+    elements: ``pairs_checked`` counts those (m^2 - 1)^2 pairs.  Nilradical
+    raising follows: with X in p_plus, [X, Y] sits at first index
+    i'(X) + i'(Y) > i'(Y).
     """
-    m, zp, zq = bs.m, bs.z_p, bs.z_q
-    table, names = _commutator_table(m)
+    m = bs.m
     bidegs = _bidegrees(bs)
-    # sigma_p- and sigma_q-heights of each entry position u * m + w and of each basis element
-    hp = [zp[u] - zp[w] for u in range(m) for w in range(m)]
-    hq = [zq[u] - zq[w] for u in range(m) for w in range(m)]
-    dp = [bd.i_prime for bd in bidegs]
-    dq = [bd.i_prime + bd.i_dprime for bd in bidegs]
-    violations = []
-    last = None
-    triples = iter(table)
-    for i, j, k in zip(triples, triples, triples):
-        if (hp[k] != dp[i] + dp[j] or hq[k] != dq[i] + dq[j]) and (i, j) != last:
-            last = i, j
-            violations.append(f"[{names[i]},{names[j]}]")
+    # E_uw sits at i = u * (m - 1) + w - (w > u) in ``bidegs``; hits[i] gains 1
+    # per listing under that bidegree and 2 per listing under another, so it
+    # is 1 exactly when E_uw is listed once, under its own bidegree
+    hits = [0] * (m * m - m)
+    non_roots = []
+    for bd, (negated, positive) in bg.root_spaces().items():
+        for sign, rows in (("-", negated), ("", positive)):
+            for row in rows:
+                u = row.find(1)
+                w = u + row.count(1)
+                if u < 0 or w >= m or row != bytes(u) + b"\1" * (w - u) + bytes(m - 1 - w):
+                    non_roots.append(f"{sign}{tuple(row)}")
+                    continue
+                i = w * (m - 1) + u if sign else u * (m - 1) + w - 1
+                hits[i] += 1 if bidegs[i] == bd else 2
+    offdiag = [(u, w) for u in range(m) for w in range(m) if u != w]
+    violations = [f"E[{u + 1},{w + 1}]" for (u, w), n in zip(offdiag, hits) if n != 1] + non_roots
 
     block_counts = Counter(bidegs)
     mismatches = []
@@ -162,6 +118,6 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     return OracleReport(
         ok=not violations and not mismatches,
         violations=tuple(violations),
-        pairs_checked=len(names) ** 2,
+        pairs_checked=(m * m - 1) ** 2,
         dim_mismatches=tuple(mismatches),
     )

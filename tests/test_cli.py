@@ -108,7 +108,6 @@ DIMS_ONLY_RUNS = [
     ("filtration", "A6", "--sq", "1,2,6", "--sp", "1"),
     ("check-torsion", "--type", "A6", "--sq", "1,6", "--sp", "1", "--support", "support.json"),
     ("check-torsion", "--catalog", "legendrean(5)"),
-    ("audit", "A6", "--sq", "1,6", "--sp", "1"),
     ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"),
 ]
 # Text bigrade prints dims and, for type A, the block matrix, but no root.
@@ -119,9 +118,9 @@ TEXT_BIGRADE_RUNS = [
 
 
 def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
-    """Only bigrade --json lists roots; every other report, text bigrade
-    included, reads component dims or packed heights, so none reads the root
-    listing."""
+    """Only bigrade --json lists roots, and only audit checks each root vector
+    against the listing; every other report, text bigrade included, reads
+    component dims or packed heights, so none reads the root listing."""
     from relbgg.roots import RootSystem
 
     support = {"components": [{"in1": [-1, 0], "in2": [0, -1], "out": [-1, -1], "tag": "t"}]}
@@ -134,8 +133,10 @@ def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
         raise AssertionError("the root listing was read")
 
     monkeypatch.setattr(RootSystem, "positive_roots", property(refuse))
-    with pytest.raises(AssertionError):
-        main(["bigrade", "A6", "--sq", "1,2,6", "--sp", "1", "--json"])
+    for control in (["bigrade", "A6", "--sq", "1,2,6", "--sp", "1", "--json"],
+                    ["audit", "A6", "--sq", "1,6", "--sp", "1"]):
+        with pytest.raises(AssertionError):
+            main(control)
     for argv, before in zip(runs, unpatched):
         assert before[0] == 0, argv
         assert run_cli(capsys, *argv) == before, argv
