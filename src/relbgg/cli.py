@@ -1,13 +1,13 @@
 """Command-line front end: human-readable tables or deterministic JSON.
 
-Each ``cmd_*`` builds one result dict and returns ``(inputs, result, text
-lines)``, the lines read from that result; ``main`` prints the JSON report
-under ``--json`` and the lines otherwise.  ``bigrade`` builds its root
-listing only under ``--json``: no text line reads it.  ``parse_args`` reads
-argv in one pass against the ``COMMANDS`` table: options in any order, as
-``--opt value`` or ``--opt=value``, unique prefixes, and ``--`` to end them.
-Help and ``--version`` print to stdout and raise ``SystemExit(0)``; a usage
-error prints one ``error:`` line to stderr and raises ``SystemExit(2)``.
+Each ``cmd_*`` returns ``(inputs, result, text lines)``, the lines read from
+its one result dict.  ``main`` renders the JSON report under ``--json`` (one
+fragment list, joined once) or joins the lines, and prints once: a failure
+while rendering prints nothing.  ``parse_args`` reads argv in one pass
+against the ``COMMANDS`` table: options in any order, as ``--opt value`` or
+``--opt=value``, unique prefixes, and ``--`` to end them.  Help and
+``--version`` print to stdout and raise ``SystemExit(0)``; a usage error
+prints one ``error:`` line to stderr and raises ``SystemExit(2)``.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 bad input, 3 a
 violated internal invariant (a failed audit or an inconsistency the library
@@ -369,9 +369,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, func=func, **args)
 
 
-# bytes.translate table for root rows: coefficients 0..2 to their digits and
-# every other byte, the row marker "|" included, to "|".
+# bytes.translate table for root rows: coefficients 0..2 to their digits, any other byte (the marker "|" too) to "|".
 _DIGITS = b"012" + b"|" * 253
+_KINDS = frozenset((str, int, bool, type(None), list, dict, RootRows))  # the exact types a report holds
 
 
 def _root_digits(rows: tuple[bytes, ...], sep: str) -> str:
@@ -379,15 +379,16 @@ def _root_digits(rows: tuple[bytes, ...], sep: str) -> str:
     between two rows, in a fixed number of C-level calls.  A coefficient the
     digit table does not cover shows as an extra "|" and raises."""
     text = b"|".join(rows).translate(_DIGITS).decode()
-    if text.count("|") != len(rows) - 1:
+    if text.count("|") != max(len(rows) - 1, 0):
         raise InternalCheckError("a root coefficient outside 0..2 reached the root listing")
     return sep.join(text)
 
 
-def _dump(obj, pad: str = "\n") -> str:
+def _dump(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` for the
     values a report holds: dicts with str keys, lists, str, int, bool, None,
-    and ``RootRows``, which print as a list of int lists.
+    and ``RootRows``, which print as a list of int lists.  The report's
+    fragments go to one list, joined once: no byte is copied per container.
 
     An indent sends ``json.dumps`` to its pure-Python encoder; here strings
     go through the C quoting function, a list of ints is one join, a list of
@@ -395,61 +396,60 @@ def _dump(obj, pad: str = "\n") -> str:
     per row, and a ``RootRows`` (``bigrade``'s root listing) a fixed number of
     bulk string operations per half, however many rows it holds: "-" goes
     before each digit of the negated half, as no indent or separator holds a
-    digit, and one replace turns every "|" into a row break.
-    """
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    sep = "," + inner
-    if type(obj) is RootRows:
-        deep = inner + "  "
-        negated, positive = obj
-        halves = [_root_digits(negated, "," + deep).replace("1", "-1").replace("2", "-2")] if negated else []
-        if positive:
-            halves.append(_root_digits(positive, "," + deep))
-        if not halves:
-            return "[]"
-        marker = "," + deep + "|," + deep
-        rows = marker.join(halves).replace(marker, inner + "]" + sep + "[" + deep)
-        return "[" + inner + "[" + deep + rows + inner + "]" + pad + "]"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        kinds = {*map(type, obj)}
-        if kinds == {int}:
-            return "[" + inner + sep.join(map(str, obj)) + pad + "]"
-        if kinds == {list} and {*map(type, chain.from_iterable(obj))} <= {int}:
-            deep = inner + "  "
+    digit, and one replace turns every "|" into a row break."""
+    return "".join(_write(obj, "\n", []))
+
+
+def _write(obj, pad: str, out: list[str]) -> list[str]:
+    """Append the fragments of ``obj``, its lines indented from ``pad``, to ``out``; return ``out``."""
+    kind = type(obj)
+    if kind not in _KINDS:  # a subclass of str, int, list or dict prints as its base
+        kind = next((k for k in (str, int, list, dict) if isinstance(obj, k)), kind)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool or obj is None:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind not in _KINDS:
+        raise TypeError(f"{kind.__name__} is not a report value")
+    else:
+        sep, deep = "," + (inner := pad + "  "), pad + "    "
+        if kind is RootRows:  # either half may be empty
+            negated, positive = obj
+            halves = (_root_digits(negated, "," + deep).replace("1", "-1").replace("2", "-2"),
+                      _root_digits(positive, "," + deep))
+            marker = "," + deep + "|," + deep
+            rows = marker.join(filter(None, halves)).replace(marker, inner + "]" + sep + "[" + deep)
+            out += ("[" + inner + "[" + deep, rows, inner + "]" + pad + "]") if rows else ("[]",)
+        elif kind is dict:  # a key that is no str makes _quote raise TypeError
+            opener = "{" + inner
+            for k in sorted(obj):
+                out.append(opener + _quote(k) + ": ")
+                _write(obj[k], inner, out)
+                opener = sep
+            out.append(pad + "}" if obj else "{}")
+        elif (kinds := {*map(type, obj)}) == {int}:
+            out += ("[" + inner, sep.join(map(str, obj)), pad + "]")
+        elif kinds == {list} and {*map(type, chain.from_iterable(obj))} <= {int}:
             rows = ["[" + deep + ("," + deep).join(map(str, row)) + inner + "]" if row else "[]" for row in obj]
-            return "[" + inner + sep.join(rows) + pad + "]"
-        return "[" + inner + sep.join([_dump(v, inner) for v in obj]) + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        if not all(isinstance(k, str) for k in obj):
-            raise TypeError("report keys must be str")
-        items = [_quote(k) + ": " + _dump(obj[k], inner) for k in sorted(obj)]
-        return "{" + inner + sep.join(items) + pad + "}"
-    raise TypeError(f"{type(obj).__name__} is not a report value")
+            out += ("[" + inner, sep.join(rows), pad + "]")
+        else:
+            opener = "[" + inner
+            for v in obj:
+                out.append(opener)
+                _write(v, inner, out)
+                opener = sep
+            out.append(pad + "]" if obj else "[]")
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         inputs, result, lines = args.func(args)
-        if args.json:
-            report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
-            print(_dump(report))
-        else:
-            print("\n".join(lines))
+        report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
+        print(_dump(report) if args.json else "\n".join(lines))
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout; at devnull, the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

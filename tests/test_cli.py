@@ -1,5 +1,6 @@
 """Command-line behavior: output lines, JSON determinism, exit codes."""
 
+import enum
 import json
 import os
 import pathlib
@@ -7,11 +8,13 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from relbgg.cli import MAX_SUPPORT_BYTES, _dump, main
+from relbgg.cli import MAX_SUPPORT_BYTES, _dump, main, parse_args
+from relbgg.grading import RootRows
 
 # A child process finds the engine in src/, installed or not.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().parents[1] / "src")}
@@ -461,18 +464,81 @@ def test_uncovered_root_coefficient_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("internal invariant violated: ") and err.count("\n") == 1
 
 
+def test_late_uncovered_root_coefficient_prints_nothing(capsys, monkeypatch):
+    """The bad coefficient in the root listed last, the highest root of the
+    last component, fails after the rest of the report is rendered: still
+    exit 3, one stderr line and nothing on stdout."""
+    from relbgg.roots import RootSystem
+
+    read = RootSystem.positive_roots.fget
+    monkeypatch.setattr(RootSystem, "positive_roots", property(lambda rs: (*read(rs)[:-1], (1, 3, 1, 1))))
+    code, out, err = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal invariant violated: ") and err.count("\n") == 1
+
+
+def test_report_writer_peaks_near_twice_the_output():
+    """The writer keeps the report's fragments and their one join, not a copy
+    of each subtree per container: rendering B32's root listing peaks within
+    2.5 times the output length under tracemalloc (about 2.02 with one
+    fragment list; 3.0 when every container built its own string)."""
+    args = parse_args(["bigrade", "B32", "--sq", "1,16,32", "--sp", "16", "--json"])
+    inputs, result, _ = args.func(args)
+    report = {"command": args.command, "inputs": inputs, "result": result, "version": "0"}
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        text = _dump(report)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_000_000
+    assert peak <= 2.5 * len(text), f"peak {peak} bytes for {len(text)} bytes of output"
+
+
+class _Level(enum.IntEnum):
+    LOW = -7
+    HIGH = 2**70
+
+
+class _Name(str):
+    pass
+
+
+def _root_rows(width: int):
+    """``RootRows`` of rows ``width`` long, coefficients 0..2, either half possibly empty."""
+    half = st.lists(st.lists(st.integers(0, 2), min_size=width, max_size=width).map(bytes), max_size=4)
+    return st.tuples(half.map(tuple), half.map(tuple)).map(RootRows)
+
+
+def _listed(value):
+    """``value`` with each ``RootRows`` as the list it prints: the negated rows negated, then the positive rows."""
+    if type(value) is RootRows:
+        negated, positive = value
+        return [[-c for c in row] for row in negated] + [list(row) for row in positive]
+    if isinstance(value, list):
+        return [_listed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _listed(v) for k, v in value.items()}
+    return value
+
+
 _TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\r\t\u2028éλ𝔤 a')
-_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _TEXT
+_KEYS = _TEXT | _TEXT.map(_Name)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _KEYS | st.sampled_from(_Level)
 _REPORT_VALUES = st.recursive(
-    _SCALARS | st.lists(st.integers()),
-    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
+    _SCALARS | st.lists(st.integers()) | st.integers(1, 6).flatmap(_root_rows),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_KEYS, inner, max_size=5),
     max_leaves=40,
 )
 
 
 @given(_REPORT_VALUES)
 def test_report_writer_matches_indented_json_dumps(value):
-    assert _dump(value) == json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    """At any depth, ``RootRows`` leaves print as their list form, and int
+    and str subclasses as their base values, as ``json.dumps`` prints them."""
+    assert _dump(value) == json.dumps(_listed(value), indent=2, sort_keys=True, ensure_ascii=False)
 
 
 @pytest.mark.parametrize(
