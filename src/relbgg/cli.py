@@ -202,7 +202,6 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
             raise ValueError("--catalog does not combine with --type, --sq, --sp or --support")
         geom = catalog(args.catalog, assume_involutive_f=args.assume_involutive_f)
         pair, support = geom.pair, geom.support
-        name = support.geometry_tag
     else:
         if args.assume_involutive_f:
             raise ValueError("--assume-involutive-F applies only to --catalog")
@@ -218,7 +217,7 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
         except RecursionError:
             raise ValueError(f"support JSON {args.support!r} is nested too deeply") from None
         support = support_from_json(data)
-        name = support.geometry_tag or "custom"
+    name = support.geometry_tag or "custom"
     cor = corollary_33_check(support, bigrade(pair))
     inv = cor.involutivity
     result = {

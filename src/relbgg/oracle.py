@@ -54,14 +54,6 @@ def block_structure_from_pair(pair: ParabolicPair) -> BlockStructure:
     return BlockStructure(z_p=eigenvalues(pair.sigma_p), z_q=eigenvalues(pair.sigma_q))
 
 
-def _bidegrees(bs: BlockStructure) -> list[Bidegree]:
-    """Bidegrees of the basis of sl(m): E_uw for u != w in row-major order, then
-    the Cartan H_i = E_ii - E_{i+1,i+1} at (0, 0)."""
-    m = bs.m
-    offdiag = [bs.bidegree(u, v) for u in range(m) for v in range(m) if u != v]
-    return offdiag + [Bidegree(0, 0)] * (m - 1)
-
-
 class OracleReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
@@ -88,26 +80,25 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     i'(X) + i'(Y) > i'(Y).
     """
     m = bs.m
-    bidegs = _bidegrees(bs)
-    # E_uw sits at i = u * (m - 1) + w - (w > u) in ``bidegs``; hits[i] gains 1
-    # per listing under that bidegree and 2 per listing under another, so it
-    # is 1 exactly when E_uw is listed once, under its own bidegree
-    hits = [0] * (m * m - m)
+    own = {(u, w): bs.bidegree(u, w) for u in range(m) for w in range(m) if u != w}
+    # the row of root e_u - e_w (u < w): ones on the nodes u+1..w
+    root_entry = {bytes(u) + b"\1" * (w - u) + bytes(m - 1 - w): (u, w) for u, w in own if u < w}
+    listed = {}  # (u, w) -> the bidegree E_uw is listed under, None once listed twice
     non_roots = []
     for bd, (negated, positive) in bg.root_spaces().items():
         for sign, rows in (("-", negated), ("", positive)):
             for row in rows:
-                u = row.find(1)
-                w = u + row.count(1)
-                if u < 0 or w >= m or row != bytes(u) + b"\1" * (w - u) + bytes(m - 1 - w):
+                entry = root_entry.get(row)
+                if entry is None:
                     non_roots.append(f"{sign}{tuple(row)}")
                     continue
-                i = w * (m - 1) + u if sign else u * (m - 1) + w - 1
-                hits[i] += 1 if bidegs[i] == bd else 2
-    offdiag = [(u, w) for u in range(m) for w in range(m) if u != w]
-    violations = [f"E[{u + 1},{w + 1}]" for (u, w), n in zip(offdiag, hits) if n != 1] + non_roots
+                entry = entry[::-1] if sign else entry
+                listed[entry] = None if entry in listed else bd
+    violations = [f"E[{u + 1},{w + 1}]" for (u, w), bd in own.items() if listed.get((u, w)) != bd]
+    violations += non_roots
 
-    block_counts = Counter(bidegs)
+    block_counts = Counter(own.values())
+    block_counts[Bidegree(0, 0)] += m - 1  # the Cartan H_i = E_ii - E_{i+1,i+1}
     mismatches = []
     for bd in sorted(set(block_counts) | set(bg.dims)):
         left = block_counts.get(bd, 0)

@@ -108,7 +108,7 @@ class Corollary33Verdict(NamedTuple):
     part1: bool  # graded leaf-space tangent pieces exist at every level
     part2: bool  # and parallel sections are exactly pullbacks
     involutivity: TorsionVerdict
-    per_level: Mapping[int, tuple[bool, bool]]  # i' -> (non-strict ok, strict ok or None-as-True)
+    per_level: Mapping[int, tuple[bool, bool]]  # i' -> (non-strict ok, strict ok; True at i' = 0)
 
     __reduce__ = _reduce_report
 
@@ -117,20 +117,17 @@ def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
     """Conjunction of the level conditions: part1 over i' <= 0 non-strict,
     part2 additionally strict over i' < 0 plus involutivity."""
     first = bg.first_index_values()
-    lowest = min(first) if first else 0
     inv = involutivity_check(ts)
-    per_level = {}
-    part1 = True
-    part2 = inv.ok
-    for ip in range(lowest, 1):
-        ok1 = theorem_322_check(ts, ip, strict=False).ok
-        ok2 = theorem_322_check(ts, ip, strict=True).ok if ip < 0 else True
-        per_level[ip] = (ok1, ok2)
-        part1 = part1 and ok1
-        if ip < 0:
-            part2 = part2 and ok2
+    per_level = {
+        ip: (theorem_322_check(ts, ip).ok, ip == 0 or theorem_322_check(ts, ip, strict=True).ok)
+        for ip in range(min(first) if first else 0, 1)
+    }
+    non_strict, strict = zip(*per_level.values())  # level 0 is always there
     return Corollary33Verdict(
-        part1=part1, part2=part2, involutivity=inv, per_level=MappingProxyType(per_level)
+        part1=all(non_strict),
+        part2=inv.ok and all(strict),
+        involutivity=inv,
+        per_level=MappingProxyType(per_level),
     )
 
 
@@ -142,8 +139,29 @@ class Geometry(NamedTuple):
     support: TorsionSupport
 
 
-def _catalog_root_system(kind: str, n: int):
-    """sl(n+2), the algebra of catalog ``kind(n)``; n runs over 1..MAX_RANK - 1."""
+# kind -> (sigma_q as a function of n, hand-typed rows (in1, in2, out, tag)); every
+# catalog kind(n) lives on sl(n+2) with sigma_p = {1}
+_CATALOGS = {
+    "legendrean": (
+        lambda n: {1, n + 1},
+        (
+            ((-1, 0), (-1, 0), (0, -1), "Λ²E*⊗F"),
+            ((-1, 0), (0, -1), (0, 0), "E*⊗F*⊗L(E,E)"),
+            ((0, -1), (0, -1), (-1, 0), "Λ²F*⊗E"),
+        ),
+    ),
+    "path-geometry": (
+        lambda n: {1, 2},
+        (
+            ((-1, 0), (-1, -1), (0, -1), "E*⊗(TM/H)*⊗V"),
+            ((0, -1), (-1, -1), (0, 0), "V*⊗(TM/H)*⊗L(V,V)"),
+        ),
+    ),
+}
+
+
+def _catalog(kind: str, n: int, assume_involutive_f: bool = False) -> Geometry:
+    """Catalog ``kind(n)``, n in 1..MAX_RANK - 1; the hypothesis drops a named row."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_RANK - 1:
@@ -151,7 +169,15 @@ def _catalog_root_system(kind: str, n: int):
             f"catalog {kind}({n}) needs n <= {MAX_RANK - 1}: "
             f"sl(n+2) has rank n+1, above the supported maximum {MAX_RANK}"
         )
-    return build_root_system("A", n + 1)
+    sigma_q, rows = _CATALOGS[kind]
+    drop = {"Λ²F*⊗E"} if assume_involutive_f else set()
+    if drop - {row[3] for row in rows}:
+        raise ValueError(f"catalog {kind}({n}) has no row for the involutive-F hypothesis to drop")
+    rs = build_root_system("A", n + 1)
+    pair = ParabolicPair(rs=rs, sigma_q=frozenset(sigma_q(n)), sigma_p=frozenset({1}))
+    comps = frozenset(TorsionComponent(*row) for row in rows if row[3] not in drop)
+    tag = f"{kind}({n})" + (" involutive-F" if assume_involutive_f else "")
+    return Geometry(name=f"{kind}({n})", pair=pair, support=TorsionSupport(comps, tag))
 
 
 def legendrean_catalog(n: int, assume_involutive_f: bool = False) -> Geometry:
@@ -165,27 +191,7 @@ def legendrean_catalog(n: int, assume_involutive_f: bool = False) -> Geometry:
     line bundles and the Λ² components vanish, so the n = 1 verdicts are not
     harmonic-curvature verdicts.
     """
-    rs = _catalog_root_system("legendrean", n)
-    pair = ParabolicPair(rs=rs, sigma_q=frozenset({1, n + 1}), sigma_p=frozenset({1}))
-    comps = {
-        TorsionComponent(
-            in1=Bidegree(-1, 0), in2=Bidegree(-1, 0), out=Bidegree(0, -1), tag="Λ²E*⊗F"
-        ),
-        TorsionComponent(
-            in1=Bidegree(-1, 0), in2=Bidegree(0, -1), out=Bidegree(0, 0), tag="E*⊗F*⊗L(E,E)"
-        ),
-    }
-    if not assume_involutive_f:
-        comps.add(
-            TorsionComponent(
-                in1=Bidegree(0, -1), in2=Bidegree(0, -1), out=Bidegree(-1, 0), tag="Λ²F*⊗E"
-            )
-        )
-    support = TorsionSupport(
-        components=frozenset(comps),
-        geometry_tag=f"legendrean({n})" + (" involutive-F" if assume_involutive_f else ""),
-    )
-    return Geometry(name=f"legendrean({n})", pair=pair, support=support)
+    return _catalog("legendrean", n, assume_involutive_f)
 
 
 def path_geometry_catalog(n: int) -> Geometry:
@@ -199,26 +205,7 @@ def path_geometry_catalog(n: int) -> Geometry:
     n = 1 the pair is A2/B, whose two harmonic components both land in q, so
     the n = 1 verdicts are not harmonic-curvature verdicts.
     """
-    rs = _catalog_root_system("path-geometry", n)
-    pair = ParabolicPair(rs=rs, sigma_q=frozenset({1, 2}), sigma_p=frozenset({1}))
-    comps = frozenset(
-        {
-            TorsionComponent(
-                in1=Bidegree(-1, 0),
-                in2=Bidegree(-1, -1),
-                out=Bidegree(0, -1),
-                tag="E*⊗(TM/H)*⊗V",
-            ),
-            TorsionComponent(
-                in1=Bidegree(0, -1),
-                in2=Bidegree(-1, -1),
-                out=Bidegree(0, 0),
-                tag="V*⊗(TM/H)*⊗L(V,V)",
-            ),
-        }
-    )
-    support = TorsionSupport(components=comps, geometry_tag=f"path-geometry({n})")
-    return Geometry(name=f"path-geometry({n})", pair=pair, support=support)
+    return _catalog("path-geometry", n)
 
 
 _CATALOG_RE = re.compile(r"^([a-z-]+)\((\d+)\)$", re.ASCII)
@@ -226,17 +213,16 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 def catalog(name: str, assume_involutive_f: bool = False) -> Geometry:
-    """Look up ``legendrean(n)`` or ``path-geometry(n)``; their noted gaps are
-    kept while ``perfbench/checks.py`` hand-types the same supports."""
+    """Look up ``legendrean(n)`` or ``path-geometry(n)``, refusing a hypothesis
+    with no row to drop; their noted gaps are kept while
+    ``perfbench/checks.py`` hand-types the same supports."""
     m = _CATALOG_RE.match(name.strip())
     if not m:
         raise ValueError(f"malformed catalog name {name!r}")
     kind, n = m.group(1), int(m.group(2))
-    if kind == "legendrean":
-        return legendrean_catalog(n, assume_involutive_f=assume_involutive_f)
-    if kind == "path-geometry":
-        return path_geometry_catalog(n)
-    raise ValueError(f"unknown catalog {kind!r}")
+    if kind not in _CATALOGS:
+        raise ValueError(f"unknown catalog {kind!r}")
+    return _catalog(kind, n, assume_involutive_f)
 
 
 def _bidegree_from_json(value, where: str) -> Bidegree:

@@ -327,6 +327,7 @@ def test_catalog_at_cap_runs(capsys):
          "--assume-involutive-F"),
         ("--type", "A4", "--support", "support.json"),
         ("--type", "A4", "--sq", "1,2", "--support", "support.json"),
+        ("--catalog", "path-geometry(3)", "--assume-involutive-F"),
     ],
 )
 def test_conflicting_check_torsion_inputs_exit_two(capsys, tmp_path, monkeypatch, argv):

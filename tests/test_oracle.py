@@ -99,7 +99,9 @@ def test_cartan_to_root_dim_cross_check():
     pair = make_pair(4, {1, 2}, {1})
     bg = bigrade(pair)
     bs = block_structure_from_pair(pair)
-    bidegs = oracle._bidegrees(bs)
+    # E_uw for u != w, then the m - 1 Cartan elements H_i at (0, 0)
+    bidegs = [bs.bidegree(u, w) for u in range(bs.m) for w in range(bs.m) if u != w]
+    bidegs += [Bidegree(0, 0)] * (bs.m - 1)
     for bd in bg.dims:
         block_dim = sum(1 for b in bidegs if b == bd)
         assert block_dim == bg.dim_component(Bidegree(*bd))

@@ -1,6 +1,7 @@
 """Torsion-admissibility verdicts on catalog and synthetic supports."""
 
 import itertools
+import random
 
 import pytest
 from common import (
@@ -8,7 +9,9 @@ from common import (
     OUT_BIDEGREES,
     check_strict_implies_non_strict,
     check_torsion_monotonicity,
+    legendrean_pair,
     make_pair,
+    random_support,
 )
 
 from relbgg import (
@@ -96,6 +99,8 @@ def test_catalog_parser():
         catalog("legendrean[3]")
     with pytest.raises(ValueError):
         catalog("spheres(2)")
+    with pytest.raises(ValueError, match=r"catalog path-geometry\(3\) has no row"):
+        catalog("path-geometry(3)", assume_involutive_f=True)
 
 
 def test_support_json_round_trip():
@@ -121,6 +126,34 @@ def test_monotone_under_adding_components():
 
 def test_strict_implies_non_strict_and_part2_implies_part1():
     check_strict_implies_non_strict(13, 300)
+
+
+@pytest.mark.parametrize(
+    "pair, lowest",
+    [
+        (make_pair(4, {1, 2}, ()), 0),
+        (legendrean_pair(4), -1),
+        (make_pair(4, {2, 4}, {4}, "B"), -2),
+    ],
+    ids=["sigma-p-empty", "legendrean-4", "B4-deeper"],
+)
+def test_corollary_33_is_the_conjunction_of_its_levels(pair, lowest):
+    """per_level runs over the first indices lowest..0 with theorem 3.2.2's two
+    verdicts (strict is True at level 0); part1 and part2 are their conjunctions."""
+    bg = bigrade(pair)
+    assert min(bg.first_index_values()) == lowest
+    rng = random.Random(33)
+    for _ in range(100):
+        ts = random_support(rng)
+        cor = corollary_33_check(ts, bg)
+        assert list(cor.per_level) == list(range(lowest, 1))
+        for ip, entry in cor.per_level.items():
+            strict = ip == 0 or theorem_322_check(ts, ip, strict=True).ok
+            assert entry == (theorem_322_check(ts, ip).ok, strict)
+        assert cor.part1 == all(ok1 for ok1, _ in cor.per_level.values())
+        assert cor.part2 == (
+            involutivity_check(ts).ok and all(ok2 for _, ok2 in cor.per_level.values())
+        )
 
 
 def test_verdicts_ignore_input_order():
