@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair
-from .roots import InternalCheckError, RootSystem, Weight, _reflect_coords
+from .roots import InternalCheckError, RootSystem, Weight, _reflect_coords, _SparseColumns
 
 
 class WeylWord(NamedTuple):
@@ -54,7 +54,9 @@ class HasseDiagram(NamedTuple):
     is_chain: bool
 
 
-def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
+def relative_hasse(
+    pair: ParabolicPair, *, closed_form: tuple[int, int] | None = None
+) -> HasseDiagram:
     """Minimal-length representatives indexing the relative sequence.
 
     Walks the orbit of mu = sum of omega_j over sigma_q minus sigma_p under
@@ -69,13 +71,15 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
     length, then by word.
 
     N, the longest length, and the size |W_L| / |W_{L & q}| are known in
-    closed form; a size above ``MAX_HASSE_ELEMENTS`` is refused with
-    ValueError before the walk, and a walk of another size or with lengths
-    other than 0..N raises InternalCheckError.  So the diagram is a chain, one
-    element per length, exactly when its size is N + 1; each word then
-    extends the previous one by one generator i, so w_{k+1} = w_k s_i.
+    closed form; ``closed_form`` passes in (N, size) as ``_levi_quotient``
+    gives it, which is evaluated here when left None.  A size above
+    ``MAX_HASSE_ELEMENTS`` is refused with ValueError before the walk, and a
+    walk of another size or with lengths other than 0..N raises
+    InternalCheckError.  So the diagram is a chain, one element per length,
+    exactly when its size is N + 1; each word then extends the previous one
+    by one generator i, so w_{k+1} = w_k s_i.
     """
-    n, size = _levi_quotient(pair)
+    n, size = _levi_quotient(pair) if closed_form is None else closed_form
     if size > MAX_HASSE_ELEMENTS:
         raise ValueError(
             f"the relative Hasse diagram has {size} elements, "
@@ -104,18 +108,22 @@ def relative_hasse(pair: ParabolicPair) -> HasseDiagram:
     return HasseDiagram(pair=pair, elements=tuple(words), is_chain=size == n + 1)
 
 
+def _shifted(cols: _SparseColumns, gens: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
+    """w(mu) - rho for mu = l + rho, unchecked: the letters of w move mu by the
+    walk's ``_reflect_coords`` over ``cols``, rightmost first."""
+    for g in reversed(gens):
+        mu = _reflect_coords(cols, g - 1, mu)
+    return tuple(c - 1 for c in mu)
+
+
 def affine_act(w: WeylWord, lam: Weight, rs: RootSystem) -> Weight:
     """Shifted action w.l = w(l + rho) - rho, where rho, the half-sum of the
-    positive roots, is the all-ones weight.  The letters move l + rho by the
-    walk's ``_reflect_coords``, rightmost first."""
+    positive roots, is the all-ones weight."""
     if len(lam.coeffs) != rs.rank:
         raise ValueError("weight length does not match rank")
     for g in w.gens:
         rs._check_node(g)
-    cols, mu = rs.sparse_cartan, tuple(c + 1 for c in lam.coeffs)
-    for g in reversed(w.gens):
-        mu = _reflect_coords(cols, g - 1, mu)
-    return Weight(tuple(c - 1 for c in mu))
+    return Weight(_shifted(rs.sparse_cartan, w.gens, tuple(c + 1 for c in lam.coeffs)))
 
 
 class BGGEntry(NamedTuple):
@@ -132,13 +140,15 @@ class BGGSequence(NamedTuple):
 def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
     """The sequence shape generated by a dominant P-representation label.
 
-    Only a chain has one sequence shape.  A pair whose closed-form size
-    exceeds N + 1 is refused with ValueError before any walk, and a diagram
-    above the cap is left to ``relative_hasse``, which refuses it unwalked;
-    its length check makes every other diagram a chain, one word per length.
+    Only a chain has one sequence shape.  The closed form (N, size) is
+    evaluated once: a pair whose size exceeds N + 1 is refused with
+    ValueError before any walk, and the same value goes to ``relative_hasse``,
+    which refuses a diagram above the cap unwalked; its length check makes
+    every other diagram a chain, one word per length.
 
     Entry k carries the shifted action of the k-th Hasse word on the source
-    weight, crossed at sigma_q.  The order to the next entry is
+    weight, crossed at sigma_q; a negative coefficient at an uncrossed node
+    raises InternalCheckError.  The order to the next entry is
     <lambda_k + rho, beta_k^vee> along the connecting root beta_k = w_k(alpha_i),
     where w_{k+1} = w_k s_i.
     """
@@ -151,23 +161,24 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             f"source label {print_label(src)} is not P-dominant "
             f"(negative at nodes {list(verdict.negative_uncrossed)})"
         )
-    n, size = _levi_quotient(pair)
+    closed_form = n, size = _levi_quotient(pair)
     if n + 1 < size <= MAX_HASSE_ELEMENTS:
         raise ValueError(
             "the relative Hasse diagram is not linear for this pair; "
             "a single sequence shape is not defined"
         )
-    diagram = relative_hasse(pair)
+    diagram = relative_hasse(pair, closed_form=closed_form)
     ends = [w.gens[-1] for w in diagram.elements[1:]]  # w_{k+1} = w_k s_i
     # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>,
     # which is src_i + 1 since rho is the all-ones weight.
     orders = [src.coeffs.coeffs[i - 1] + 1 for i in ends] + [None]
+    cols, mu = rs.sparse_cartan, tuple(c + 1 for c in src.coeffs.coeffs)
+    uncrossed = [i for i in range(rs.rank) if i + 1 not in pair.sigma_q]
     entries = []
     for k, (word, order) in enumerate(zip(diagram.elements, orders)):
-        coeffs = affine_act(word, src.coeffs, rs)
-        label = DynkinLabel(rs=rs, crossed=pair.sigma_q, coeffs=coeffs)
-        q_verdict = validate_label(label, "Q", pair)
-        if not q_verdict.ok:
+        coeffs = _shifted(cols, word.gens, mu)
+        label = DynkinLabel(rs=rs, crossed=pair.sigma_q, coeffs=Weight(coeffs))
+        if any(coeffs[i] < 0 for i in uncrossed):
             raise InternalCheckError(
                 f"entry {k} produced the Q-invalid label {print_label(label)}"
             )

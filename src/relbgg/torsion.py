@@ -72,14 +72,32 @@ class TorsionVerdict(NamedTuple):
     violators: tuple[TorsionComponent, ...]
 
 
+def _involutivity(torsion: tuple[TorsionComponent, ...]) -> TorsionVerdict:
+    bad = [
+        c
+        for c in torsion
+        if in_relative_range(c.in1) and in_relative_range(c.in2) and c.out.i_prime < 0
+    ]
+    return TorsionVerdict(ok=not bad, violators=tuple(bad))
+
+
 def involutivity_check(ts: TorsionSupport) -> TorsionVerdict:
     """Relative directions close under bracket iff no component maps two of
     them outside the relative range."""
-    bad = [
-        c
-        for c in ts.torsion_components()
-        if in_relative_range(c.in1) and in_relative_range(c.in2) and c.out.i_prime < 0
-    ]
+    return _involutivity(ts.torsion_components())
+
+
+def _theorem_322(
+    torsion: tuple[TorsionComponent, ...], i_prime: int, strict: bool
+) -> TorsionVerdict:
+    bound = i_prime + 1 if strict else i_prime
+    bad = []
+    for c in torsion:
+        for one, other in ((c.in1, c.in2), (c.in2, c.in1)):
+            if in_relative_range(one) and other.i_prime >= i_prime:
+                if c.out.i_prime < bound:
+                    bad.append(c)
+                break
     return TorsionVerdict(ok=not bad, violators=tuple(bad))
 
 
@@ -93,15 +111,7 @@ def theorem_322_check(ts: TorsionSupport, i_prime: int, strict: bool = False) ->
         raise ValueError("strict mode needs i_prime < 0")
     if not strict and i_prime > 0:
         raise ValueError("i_prime must be <= 0")
-    bound = i_prime + 1 if strict else i_prime
-    bad = []
-    for c in ts.torsion_components():
-        for one, other in ((c.in1, c.in2), (c.in2, c.in1)):
-            if in_relative_range(one) and other.i_prime >= i_prime:
-                if c.out.i_prime < bound:
-                    bad.append(c)
-                break
-    return TorsionVerdict(ok=not bad, violators=tuple(bad))
+    return _theorem_322(ts.torsion_components(), i_prime, strict)
 
 
 class Corollary33Verdict(NamedTuple):
@@ -115,11 +125,13 @@ class Corollary33Verdict(NamedTuple):
 
 def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
     """Conjunction of the level conditions: part1 over i' <= 0 non-strict,
-    part2 additionally strict over i' < 0 plus involutivity."""
+    part2 additionally strict over i' < 0 plus involutivity.  The torsion
+    components are filtered and sorted once for every level."""
     first = bg.first_index_values()
-    inv = involutivity_check(ts)
+    torsion = ts.torsion_components()
+    inv = _involutivity(torsion)
     per_level = {
-        ip: (theorem_322_check(ts, ip).ok, ip == 0 or theorem_322_check(ts, ip, strict=True).ok)
+        ip: (_theorem_322(torsion, ip, False).ok, ip == 0 or _theorem_322(torsion, ip, True).ok)
         for ip in range(min(first) if first else 0, 1)
     }
     non_strict, strict = zip(*per_level.values())  # level 0 is always there

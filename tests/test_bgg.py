@@ -72,10 +72,12 @@ def test_rank_one_relative_directions_give_two_bundles():
 def test_broken_shifted_action_trips_q_validity_guard(monkeypatch):
     import relbgg.bgg as bgg
 
-    def wrong_order(w, lam, rs):  # w's letters applied left to right
-        return Weight(WeylModel(rs.type_tag, rs.rank).label(w.gens[::-1], lam.coeffs))
+    shifted = bgg._shifted
 
-    monkeypatch.setattr(bgg, "affine_act", wrong_order)
+    def wrong_order(cols, gens, mu):  # the word's letters applied left to right
+        return shifted(cols, gens[::-1], mu)
+
+    monkeypatch.setattr(bgg, "_shifted", wrong_order)
     src = parse_label("A4[x,o,o,o](-2,1,0,0)")
     with pytest.raises(bgg.InternalCheckError, match="entry 2 produced the Q-invalid label"):
         relative_bgg_sequence(src, path_pair())
@@ -220,9 +222,9 @@ def test_sequence_walks_through_relative_hasse_once(monkeypatch):
     on bgg.relative_hasse (as a benchmark tracer does) sees every walk."""
     walk, calls = bgg.relative_hasse, []
 
-    def counted(pair):
-        calls.append(pair)
-        return walk(pair)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return walk(*args, **kwargs)
 
     monkeypatch.setattr(bgg, "relative_hasse", counted)
     seq = relative_bgg_sequence(parse_label("A4[x,o,o,o](-2,1,0,0)"), path_pair())
@@ -232,6 +234,42 @@ def test_sequence_walks_through_relative_hasse_once(monkeypatch):
     with pytest.raises(ValueError, match="not linear"):
         relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), make_pair(4, {1, 3}, {1}))
     assert calls == []
+
+
+def test_sequence_evaluates_the_closed_form_once(monkeypatch):
+    """A chain request evaluates _levi_quotient once and hands the value to
+    relative_hasse; a refused non-chain evaluates it once and walks nothing."""
+    quotient, walk, evaluated, walked = bgg._levi_quotient, bgg.relative_hasse, [], []
+
+    def counted_quotient(pair):
+        evaluated.append(pair)
+        return quotient(pair)
+
+    def counted_walk(*args, **kwargs):
+        walked.append(args[0])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(bgg, "_levi_quotient", counted_quotient)
+    monkeypatch.setattr(bgg, "relative_hasse", counted_walk)
+    relative_bgg_sequence(parse_label("A4[x,o,o,o](-2,1,0,0)"), path_pair())
+    assert (evaluated, walked) == ([path_pair()], [path_pair()])
+    evaluated.clear()
+    walked.clear()
+    with pytest.raises(ValueError, match="not linear"):
+        relative_bgg_sequence(parse_label("A4[x,o,o,o](1,1,1,1)"), make_pair(4, {1, 3}, {1}))
+    assert (evaluated, walked) == ([make_pair(4, {1, 3}, {1})], [])
+
+
+def test_passed_closed_form_is_checked_against_the_walk():
+    """relative_hasse walks with the (N, size) it is given and still names the
+    input when the walk disagrees with it."""
+    pair = make_pair(4, {1, 2}, {1})
+    n, size = _levi_quotient(pair)
+    assert relative_hasse(pair, closed_form=(n, size)) == relative_hasse(pair)
+    with pytest.raises(bgg.InternalCheckError, match=re.escape(f"= {size + 1} over the lengths 0..{n}")):
+        relative_hasse(pair, closed_form=(n, size + 1))
+    with pytest.raises(ValueError, match="above the supported maximum"):
+        relative_hasse(pair, closed_form=(n, MAX_HASSE_ELEMENTS + 1))
 
 
 # -- structural invariants ---------------------------------------------------
@@ -328,6 +366,23 @@ def test_rank_five_pairs_match_the_model(type_tag, data):
     sigma_p = {i for i in sorted(sigma_q) if data.draw(st.booleans())}
     pair = make_pair(5, sigma_q, sigma_p, type_tag)
     _check_against_model(pair, _p_dominant_source(pair, lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+
+@pytest.mark.parametrize(
+    "type_tag, sigma_q, sigma_p, entries",
+    [("A", {1}, (), 33), ("B", {1}, (), 64), ("C", {1}, (), 64), ("D", {1, 31, 32}, {31, 32}, 31)],
+    ids="ABCD",
+)
+def test_rank_cap_chain_labels_match_the_model(type_tag, sigma_q, sigma_p, entries):
+    """Every label of four chains at the rank cap, from a seeded P-dominant
+    source, against the model; their orders are left to
+    test_orders_match_source_coefficients' Weyl invariance."""
+    pair = make_pair(32, sigma_q, sigma_p, type_tag)
+    src = _p_dominant_source(pair, random.Random(32).randint)
+    seq, m = relative_bgg_sequence(src, pair), WeylModel(type_tag, 32)
+    assert len(seq.entries) == entries
+    for e in seq.entries:
+        assert e.label.coeffs.coeffs == m.label(e.word.gens, src.coeffs.coeffs), e.word
 
 
 def test_hasse_size_closed_form_matches_walk():
