@@ -3,9 +3,10 @@
 The bundles of a relative BGG sequence are indexed by minimal-length coset
 representatives taken inside the Weyl group of the Levi factor of p: an
 element w qualifies iff w^{-1} keeps the simple roots of the uncrossed
-sigma_q nodes positive.  Words compose right-to-left (rightmost generator
-acts first), and weights move by the shifted action w.l = w(l + rho) - rho.
-This convention is pinned by the worked examples in the test suite.
+sigma_q nodes positive.  One breadth-first orbit walk lists them by length,
+then by word, as it finds them.  Words compose right-to-left (rightmost
+generator acts first), and weights move by the shifted action
+w.l = w(l + rho) - rho, as the worked examples in the test suite pin.
 
 Only sequence shapes are computed: bundle labels and operator orders, no
 differential operators.
@@ -17,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
-from .grading import ParabolicPair
+from .grading import ParabolicPair, _height_strings
 from .roots import InternalCheckError, RootSystem, Weight, _reflect_coords, _SparseColumns
 
 
@@ -37,14 +38,12 @@ MAX_HASSE_ELEMENTS = 20_000
 
 
 def _levi_quotient(pair: ParabolicPair) -> tuple[int, int]:
-    """(N, |W_L| / |W_{L & q}|) over the positive roots of the Levi of p
-    (support outside sigma_p) that are not roots of the Levi of q (support
-    meets sigma_q): N counts them, the length of the longest element, and
-    the size is Macdonald's product of (ht + 1) / ht over them."""
+    """(N, |W_L| / |W_{L & q}|) over the positive roots of bidegree (0, i'' > 0),
+    the roots of the Levi of p outside the Levi of q: N counts them, the longest
+    length, and the size is Macdonald's product of (ht + 1) / ht over them."""
     rs = pair.rs
-    by_q, by_p = rs.sigma_heights(pair.sigma_q), rs.sigma_heights(pair.sigma_p)
     every = rs.sigma_heights(range(1, rs.rank + 1))
-    heights = [h for q, p, h in zip(by_q, by_p, every) if q and not p]
+    heights = [h for ip, idp, h in zip(*_height_strings(pair), every) if not ip and idp]
     return len(heights), math.prod(h + 1 for h in heights) // math.prod(heights)
 
 
@@ -66,15 +65,16 @@ def relative_hasse(
     points nu = v(mu) match the elements w = v^{-1} with w^{-1}(alpha_j)
     positive for every node j outside sigma_q.  The left descents of v are
     the Levi nodes i with nu_i < 0 (Bjorner & Brenti, 2.4-2.5); each point
-    is entered once, from s_i nu for its first descent i, so its word is the
-    lexicographically first reduced word of v.  Elements are sorted by
-    length, then by word.
+    is entered once, from s_i nu for its first descent i, so its word, read
+    from the left as w = v^{-1}, is its parent's with i appended.  Parents
+    come in list order and letters ascend, so the list comes out of the walk
+    sorted by length, then by word, with lengths 0..top, top the last word's.
 
     N, the longest length, and the size |W_L| / |W_{L & q}| are known in
     closed form; ``closed_form`` passes in (N, size) as ``_levi_quotient``
     gives it, which is evaluated here when left None.  A size above
     ``MAX_HASSE_ELEMENTS`` is refused with ValueError before the walk, and a
-    walk of another size or with lengths other than 0..N raises
+    walk of another size or with top other than N raises
     InternalCheckError.  So the diagram is a chain, one element per length,
     exactly when its size is N + 1; each word then extends the previous one
     by one generator i, so w_{k+1} = w_k s_i.
@@ -89,23 +89,22 @@ def relative_hasse(
     cols = rs.sparse_cartan
     levi = [i for i in range(rs.rank) if i + 1 not in pair.sigma_p]
     mu = tuple(int(i in pair.sigma_q and i not in pair.sigma_p) for i in range(1, rs.rank + 1))
-    orbit = [(mu, ())]  # orbit point nu = v(mu) and the reduced word of v
+    orbit = [(mu, ())]  # orbit point nu = v(mu) and the reduced word of w = v^{-1}
     for nu, word in orbit:
         for i in levi:
             if nu[i] > 0:
                 nxt = _reflect_coords(cols, i, nu)
                 if i == next(j for j in levi if nxt[j] < 0):
-                    orbit.append((nxt, (i + 1,) + word))
-    lengths = {len(v) for _, v in orbit}
-    if len(orbit) != size or lengths != set(range(n + 1)):
+                    orbit.append((nxt, word + (i + 1,)))
+    top = len(orbit[-1][1])
+    if len(orbit) != size or top != n:
         raise InternalCheckError(
-            f"the relative Hasse walk reached {len(orbit)} points over {len(lengths)} lengths "
-            f"up to {max(lengths)}, not |W_L|/|W_(L&q)| = {size} over the lengths 0..{n}, "
+            f"the relative Hasse walk reached {len(orbit)} points over {top + 1} lengths "
+            f"up to {top}, not |W_L|/|W_(L&q)| = {size} over the lengths 0..{n}, "
             f"on {rs.type_tag}{rs.rank} sigma_q={sorted(pair.sigma_q)} "
             f"sigma_p={sorted(pair.sigma_p)}"
         )
-    words = sorted((WeylWord(v[::-1]) for _, v in orbit), key=lambda w: (w.length, w.gens))
-    return HasseDiagram(pair=pair, elements=tuple(words), is_chain=size == n + 1)
+    return HasseDiagram(pair=pair, elements=tuple(WeylWord(w) for _, w in orbit), is_chain=size == n + 1)
 
 
 def _shifted(cols: _SparseColumns, gens: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -168,10 +167,10 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
             "a single sequence shape is not defined"
         )
     diagram = relative_hasse(pair, closed_form=closed_form)
-    ends = [w.gens[-1] for w in diagram.elements[1:]]  # w_{k+1} = w_k s_i
-    # Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> = <src + rho, alpha_i^vee>,
-    # which is src_i + 1 since rho is the all-ones weight.
-    orders = [src.coeffs.coeffs[i - 1] + 1 for i in ends] + [None]
+    # A chain's words are prefixes of its last, so w_{k+1} = w_k s_i for its
+    # (k+1)-th letter i.  Weyl invariance: <w_k(src + rho), w_k(alpha_i)^vee> =
+    # <src + rho, alpha_i^vee> = src_i + 1, since rho is the all-ones weight.
+    orders = [src.coeffs.coeffs[i - 1] + 1 for i in diagram.elements[-1].gens] + [None]
     cols, mu = rs.sparse_cartan, tuple(c + 1 for c in src.coeffs.coeffs)
     uncrossed = [i for i in range(rs.rank) if i + 1 not in pair.sigma_q]
     entries = []

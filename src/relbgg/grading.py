@@ -94,7 +94,7 @@ class Bigrading(NamedTuple):
         ``dims``: one pass over ``rs.positive_roots`` buckets each root's
         ``bytes`` row by bidegree, and each bucket is sorted as ``bytes``,
         which for rows of equal length is the order of coefficient tuples.
-        Only ``bigrade --json`` reads them."""
+        ``bigrade --json`` prints them and ``audit`` checks them."""
         positive: dict[tuple[int, int], list[bytes]] = {}
         for key, row in zip(zip(*_height_strings(self.pair)), map(bytes, self.pair.rs.positive_roots)):
             positive.setdefault(key, []).append(row)

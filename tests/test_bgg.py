@@ -15,6 +15,7 @@ Core claims:
 
 import random
 import re
+import time
 
 import pytest
 from common import all_pairs, label_text, legendrean_pair, make_pair, p_dominant_coeffs, path_pair
@@ -34,6 +35,7 @@ from relbgg import (
 )
 from relbgg import bgg
 from relbgg.bgg import MAX_HASSE_ELEMENTS, _levi_quotient
+from relbgg.grading import bigrade, tangent_ranks
 
 
 # -- Hasse diagrams ----------------------------------------------------------
@@ -392,9 +394,32 @@ def test_hasse_size_closed_form_matches_walk():
     for type_tag, rank in diagrams:
         for pair in all_pairs(rank, type_tag):
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
-            assert _levi_quotient(pair)[1] == len(relative_hasse(pair).elements), where
+            n, size = _levi_quotient(pair)
+            assert size == len(relative_hasse(pair).elements), where
+            if pair.sigma_p:  # both count the roots of bidegree (0, i'' > 0)
+                assert n == tangent_ranks(bigrade(pair)).rank_T_rho, where
             checked += 1
     assert checked == 948
+
+
+@pytest.mark.parametrize("type_tag", ["B", "C"])
+def test_walk_lists_the_largest_diagram_in_order(type_tag):
+    """At the cap (16,384 elements) the walk's list is already sorted by
+    (length, word), each word minus its last letter is an earlier element,
+    the lengths run over 0..N, and the walk takes under half a second."""
+    pair = make_pair(15, {1, 15}, {1}, type_tag)
+    n, size = _levi_quotient(pair)
+    start = time.perf_counter()
+    hd = relative_hasse(pair)
+    assert time.perf_counter() - start < 0.5
+    words = list(hd.elements)
+    assert len(words) == size == 2**14
+    assert words == sorted(words, key=lambda w: (w.length, w.gens))
+    seen = set()
+    for w in words:
+        assert w.gens == () or w.gens[:-1] in seen, w
+        seen.add(w.gens)
+    assert sorted({w.length for w in words}) == list(range(n + 1))
 
 
 def test_hasse_size_cap_boundary():

@@ -187,48 +187,51 @@ def test_check_torsion_custom_support(capsys, tmp_path):
 
 # -- exit codes ---------------------------------------------------------------
 
-def test_invalid_pair_exits_two(capsys):
-    code, _, err = run_cli(capsys, "bigrade", "A4", "--sq", "1", "--sp", "2")
-    assert code == 2
-    assert "error" in err
+CAP_MESSAGE = "needs n <= 31: sl(n+2) has rank n+1, above the supported maximum 32"
+
+# Every refused input: (id, argv, a fragment of its one stderr line).
+REFUSED = [
+    ("invalid-pair", ("bigrade", "A4", "--sq", "1", "--sp", "2"),
+     "error: sigma_p [2] is not contained in sigma_q [1]"),
+    ("malformed-label", ("bgg", "A4[x,o](1,2)", "--sq", "1,2", "--sp", "1"),
+     "error: 2 node markers for rank 4 in 'A4[x,o](1,2)'"),
+    ("bad-node-list", ("bigrade", "A4", "--sq", "1,zebra", "--sp", "1"),
+     "error: malformed node list '1,zebra'"),
+    ("unknown-catalog", ("check-torsion", "--catalog", "nope(3)"), "error: unknown catalog 'nope'"),
+    # Digits outside ASCII, or signs and underscores int() would accept.
+    ("non-ascii-type-rank", ("ranks", "A\u0661\u0662", "--sq", "1,10", "--sp", "10"),
+     "error: malformed type token"),
+    ("non-ascii-node-underscore", ("ranks", "A12", "--sq", "1_0", "--sp", "10"), "error: malformed node list"),
+    ("non-ascii-node-digits", ("ranks", "A12", "--sq", "10", "--sp", "\u0661\u0660"),
+     "error: malformed node list"),
+    ("non-ascii-node-sign", ("ranks", "A12", "--sq", "+1,10", "--sp", "10"), "error: malformed node list"),
+    ("non-ascii-label-coeff", ("bgg", "A4[x,o,o,o](-\u0662,1,0,0)", "--sq", "1,2", "--sp", "1"),
+     "error: malformed label"),
+    ("non-ascii-label-rank", ("bgg", "A\uff14[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"),
+     "error: malformed label"),
+    ("non-ascii-catalog-n", ("check-torsion", "--catalog", "legendrean(\u0663)"), "error: malformed catalog name"),
+    ("rank-above-cap-type", ("ranks", "A100000", "--sq", "1", "--sp", "1"),
+     "rank 100000 is above the supported maximum 32"),
+    ("rank-above-cap-catalog", ("check-torsion", "--catalog", "legendrean(100000)"),
+     f"catalog legendrean(100000) {CAP_MESSAGE}"),
+    ("rank-above-cap-label", ("bgg", "A33[x" + ",o" * 32 + "](0" + ",0" * 32 + ")", "--sq", "1", "--sp", "1"),
+     "rank 33 is above the supported maximum 32"),
+    ("catalog-above-cap-legendrean", ("check-torsion", "--catalog", "legendrean(32)"),
+     f"catalog legendrean(32) {CAP_MESSAGE}"),
+    ("catalog-above-cap-path-geometry", ("check-torsion", "--catalog", "path-geometry(32)"),
+     f"catalog path-geometry(32) {CAP_MESSAGE}"),
+]
 
 
-def test_malformed_label_exits_two(capsys):
-    code, _, err = run_cli(capsys, "bgg", "A4[x,o](1,2)", "--sq", "1,2", "--sp", "1")
-    assert code == 2
-    assert "error" in err
-
-
-def test_bad_node_list_exits_two(capsys):
-    code, _, err = run_cli(capsys, "bigrade", "A4", "--sq", "1,zebra", "--sp", "1")
-    assert code == 2
-    assert "malformed node list" in err
-
-
-def test_unknown_catalog_exits_two(capsys):
-    code, _, err = run_cli(capsys, "check-torsion", "--catalog", "nope(3)")
-    assert code == 2
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("ranks", "A\u0661\u0662", "--sq", "1,10", "--sp", "10"),
-        ("ranks", "A12", "--sq", "1_0", "--sp", "10"),
-        ("ranks", "A12", "--sq", "10", "--sp", "\u0661\u0660"),
-        ("ranks", "A12", "--sq", "+1,10", "--sp", "10"),
-        ("bgg", "A4[x,o,o,o](-\u0662,1,0,0)", "--sq", "1,2", "--sp", "1"),
-        ("bgg", "A\uff14[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"),
-        ("check-torsion", "--catalog", "legendrean(\u0663)"),
-    ],
-    ids=["type-rank", "node-underscore", "node-digits", "node-sign", "label-coeff", "label-rank", "catalog-n"],
-)
-def test_non_ascii_digits_exit_two(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: malformed ")
+@pytest.mark.parametrize("argv, fragment", [row[1:] for row in REFUSED], ids=[row[0] for row in REFUSED])
+def test_refused_input_exits_two(capsys, argv, fragment):
+    """A refused input exits 2 with nothing on stdout and one stderr line that
+    starts with "error: " and names the fault, in text and in --json."""
+    for mode in ((), ("--json",)):
+        code, out, err = run_cli(capsys, *argv, *mode)
+        assert (code, out) == (2, ""), mode
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (mode, err)
+        assert fragment in err, (mode, err)
 
 
 @pytest.mark.parametrize(
@@ -250,22 +253,6 @@ def test_usage_error_is_one_stderr_line(capsys, argv):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("ranks", "A100000", "--sq", "1", "--sp", "1"),
-        ("check-torsion", "--catalog", "legendrean(100000)"),
-        ("bgg", "A33[x" + ",o" * 32 + "](0" + ",0" * 32 + ")", "--sq", "1", "--sp", "1"),
-    ],
-)
-def test_rank_above_cap_exits_two(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert "above the supported maximum 32" in err
 
 
 def test_huge_hasse_diagram_exits_two_up_front(capsys):
@@ -296,16 +283,6 @@ def test_broken_hasse_walk_exits_three(capsys, monkeypatch):
         "internal invariant violated: the relative Hasse walk reached 2 points over 2 lengths "
         "up to 1, not |W_L|/|W_(L&q)| = 4 over the lengths 0..3, on A4 sigma_q=[1, 2] sigma_p=[1]\n"
     )
-
-
-@pytest.mark.parametrize("kind", ["legendrean", "path-geometry"])
-def test_catalog_above_cap_names_the_catalog(capsys, kind):
-    code, out, err = run_cli(capsys, "check-torsion", "--catalog", f"{kind}(32)")
-    assert code == 2
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert f"catalog {kind}(32) needs n <= 31" in err
-    assert "above the supported maximum 32" in err
 
 
 def test_catalog_at_cap_runs(capsys):
