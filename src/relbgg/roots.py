@@ -110,40 +110,30 @@ class RootSystem(NamedTuple):
         return total.to_bytes(len(self.columns[0]), "big")
 
 
+# type -> least rank it is defined at; ``_cartan_matrix`` refuses any other tag
+_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
+
+
 def _cartan_matrix(type_tag: str, rank: int) -> tuple[tuple[int, ...], ...]:
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if rank > MAX_RANK:
         raise ValueError(f"rank {rank} is above the supported maximum {MAX_RANK}")
-    if type_tag == "A":
-        pass
-    elif type_tag in ("B", "C"):
-        if rank < 2:
-            raise ValueError(f"type {type_tag} needs rank >= 2")
-    elif type_tag == "D":
-        if rank < 3:
-            raise ValueError("type D needs rank >= 3")
-    else:
+    if type_tag not in _MIN_RANK:
         raise ValueError(f"unsupported type tag {type_tag!r}")
+    if rank < _MIN_RANK[type_tag]:
+        raise ValueError(f"type {type_tag} needs rank >= {_MIN_RANK[type_tag]}")
 
-    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-
-    def join(i: int, j: int) -> None:
-        c[i][j] = -1
-        c[j][i] = -1
-
+    bonds = [(i, i + 1) for i in range(rank - 1)]
     if type_tag == "D":
-        for i in range(rank - 3):
-            join(i, i + 1)
-        join(rank - 3, rank - 2)
-        join(rank - 3, rank - 1)
-    else:
-        for i in range(rank - 1):
-            join(i, i + 1)
-        if type_tag == "B":
-            c[rank - 1][rank - 2] = -2  # last simple root short
-        elif type_tag == "C":
-            c[rank - 2][rank - 1] = -2  # last simple root long
+        bonds[-1] = (rank - 3, rank - 1)  # the fork
+    c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for i, j in bonds:
+        c[i][j] = c[j][i] = -1
+    if type_tag == "B":
+        c[rank - 1][rank - 2] = -2  # last simple root short
+    elif type_tag == "C":
+        c[rank - 2][rank - 1] = -2  # last simple root long
     return tuple(tuple(row) for row in c)
 
 

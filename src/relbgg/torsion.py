@@ -3,8 +3,8 @@
 Torsion is recorded by its bidegree support: each component consumes two
 tangent directions (bidegrees outside q, i.e. with a negative index) and
 outputs one.  An output bidegree inside q marks a curvature component that
-dies under the projection to the tangent bundle; such components are kept
-for bookkeeping but ignored by every predicate below.
+dies under the projection to the tangent bundle; every predicate below reads
+such components, and none can flag one.
 
 The relative directions are exactly the bidegrees (0, i'') with i'' < 0.
 """
@@ -72,46 +72,40 @@ class TorsionVerdict(NamedTuple):
     violators: tuple[TorsionComponent, ...]
 
 
-def _involutivity(torsion: tuple[TorsionComponent, ...]) -> TorsionVerdict:
-    bad = [
-        c
-        for c in torsion
-        if in_relative_range(c.in1) and in_relative_range(c.in2) and c.out.i_prime < 0
-    ]
-    return TorsionVerdict(ok=not bad, violators=tuple(bad))
-
-
 def involutivity_check(ts: TorsionSupport) -> TorsionVerdict:
     """Relative directions close under bracket iff no component maps two of
     them outside the relative range."""
-    return _involutivity(ts.torsion_components())
-
-
-def _theorem_322(
-    torsion: tuple[TorsionComponent, ...], i_prime: int, strict: bool
-) -> TorsionVerdict:
-    bound = i_prime + 1 if strict else i_prime
-    bad = []
-    for c in torsion:
-        for one, other in ((c.in1, c.in2), (c.in2, c.in1)):
-            if in_relative_range(one) and other.i_prime >= i_prime:
-                if c.out.i_prime < bound:
-                    bad.append(c)
-                break
-    return TorsionVerdict(ok=not bad, violators=tuple(bad))
+    bad = [
+        c
+        for c in ts.components
+        if c.out.i_prime < 0 and in_relative_range(c.in1) and in_relative_range(c.in2)
+    ]
+    return TorsionVerdict(ok=not bad, violators=tuple(sorted(bad)))
 
 
 def theorem_322_check(ts: TorsionSupport, i_prime: int, strict: bool = False) -> TorsionVerdict:
     """Does torsion keep (relative direction, first index >= i') inside the bundle?
 
     Non-strict needs output first index >= i'; strict needs >= i' + 1 (the
-    condition under which parallel sections are exactly pullbacks).
+    condition under which parallel sections are exactly pullbacks).  Every
+    component is read, but a curvature output lies in q, so its first index is
+    >= 0 and never below the bound, which is at most 0.
     """
     if strict and i_prime >= 0:
         raise ValueError("strict mode needs i_prime < 0")
     if not strict and i_prime > 0:
         raise ValueError("i_prime must be <= 0")
-    return _theorem_322(ts.torsion_components(), i_prime, strict)
+    bound = i_prime + 1 if strict else i_prime
+    bad = [
+        c
+        for c in ts.components
+        if c.out.i_prime < bound
+        and (
+            in_relative_range(c.in1) and c.in2.i_prime >= i_prime
+            or in_relative_range(c.in2) and c.in1.i_prime >= i_prime
+        )
+    ]
+    return TorsionVerdict(ok=not bad, violators=tuple(sorted(bad)))
 
 
 class Corollary33Verdict(NamedTuple):
@@ -125,14 +119,11 @@ class Corollary33Verdict(NamedTuple):
 
 def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
     """Conjunction of the level conditions: part1 over i' <= 0 non-strict,
-    part2 additionally strict over i' < 0 plus involutivity.  The torsion
-    components are filtered and sorted once for every level."""
-    first = bg.first_index_values()
-    torsion = ts.torsion_components()
-    inv = _involutivity(torsion)
+    part2 additionally strict over i' < 0 plus involutivity."""
+    inv = involutivity_check(ts)
     per_level = {
-        ip: (_theorem_322(torsion, ip, False).ok, ip == 0 or _theorem_322(torsion, ip, True).ok)
-        for ip in range(min(first) if first else 0, 1)
+        ip: (theorem_322_check(ts, ip).ok, ip == 0 or theorem_322_check(ts, ip, strict=True).ok)
+        for ip in range(min(bd.i_prime for bd in bg.dims), 1)
     }
     non_strict, strict = zip(*per_level.values())  # level 0 is always there
     return Corollary33Verdict(

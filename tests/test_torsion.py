@@ -43,11 +43,36 @@ def test_empty_support_passes_everything():
     assert cor.part1 and cor.part2
 
 
+def _every_component():
+    """Every component with inputs in NEG_BIDEGREES and output in OUT_BIDEGREES."""
+    return frozenset(
+        itertools.starmap(
+            TorsionComponent, itertools.product(NEG_BIDEGREES, NEG_BIDEGREES, OUT_BIDEGREES)
+        )
+    )
+
+
 def test_curvature_components_are_ignored():
     geom = legendrean_catalog(3, assume_involutive_f=True)
     curvature = [c for c in geom.support.components if not c.is_torsion]
     assert [c.tag for c in curvature] == ["E*⊗F*⊗L(E,E)"]
     assert curvature[0] not in geom.support.torsion_components()
+    # A curvature output lies in q, so no verdict can flag it: not alone at any
+    # level, and not next to the torsion of a random support.
+    curvatures = sorted(c for c in _every_component() if not c.is_torsion)
+    assert {c.out for c in curvatures} == {(0, 0), (1, 0), (0, 1)}
+    for c in curvatures:
+        ts = TorsionSupport(components=frozenset({c}))
+        assert involutivity_check(ts).ok
+        for ip in range(-3, 1):
+            assert theorem_322_check(ts, ip).ok
+            assert ip == 0 or theorem_322_check(ts, ip, strict=True).ok
+    bg = bigrade(legendrean_pair(4))
+    rng = random.Random(39)
+    for _ in range(100):
+        ts = random_support(rng)
+        more = TorsionSupport(components=ts.components | {rng.choice(curvatures)})
+        assert corollary_33_check(more, bg) == corollary_33_check(ts, bg)
 
 
 def _one_component(in1, in2, out):
@@ -143,13 +168,20 @@ def test_corollary_33_is_the_conjunction_of_its_levels(pair, lowest):
     bg = bigrade(pair)
     assert min(bg.first_index_values()) == lowest
     rng = random.Random(33)
-    for _ in range(100):
-        ts = random_support(rng)
+    # the support of every component flags many at once, in hash order
+    full = TorsionSupport(components=_every_component())
+    for ts in [full] + [random_support(rng) for _ in range(100)]:
         cor = corollary_33_check(ts, bg)
         assert list(cor.per_level) == list(range(lowest, 1))
         for ip, entry in cor.per_level.items():
             strict = ip == 0 or theorem_322_check(ts, ip, strict=True).ok
             assert entry == (theorem_322_check(ts, ip).ok, strict)
+        # every verdict lists its violators in the components' sort order
+        verdicts = [involutivity_check(ts)]
+        verdicts += [theorem_322_check(ts, ip) for ip in cor.per_level]
+        verdicts += [theorem_322_check(ts, ip, strict=True) for ip in cor.per_level if ip < 0]
+        for verdict in verdicts:
+            assert verdict.violators == tuple(sorted(verdict.violators))
         assert cor.part1 == all(ok1 for ok1, _ in cor.per_level.values())
         assert cor.part2 == (
             involutivity_check(ts).ok and all(ok2 for _, ok2 in cor.per_level.values())
