@@ -66,12 +66,16 @@ def parse_label(text: str) -> DynkinLabel:
     return DynkinLabel(rs=rs, crossed=crossed, coeffs=Weight(coeffs))
 
 
-def print_label(lbl: DynkinLabel) -> str:
-    marks = ",".join(
-        "x" if i in lbl.crossed else "o" for i in range(1, lbl.rs.rank + 1)
-    )
-    coeffs = ",".join(str(c) for c in lbl.coeffs.coeffs)
-    return f"{lbl.rs.type_tag}{lbl.rs.rank}[{marks}]({coeffs})"
+def label_head(rs: RootSystem, crossed: frozenset[int]) -> str:
+    """The part of a label before its coefficients, e.g. ``A4[x,o,o,o]``."""
+    marks = ",".join("x" if i in crossed else "o" for i in range(1, rs.rank + 1))
+    return f"{rs.type_tag}{rs.rank}[{marks}]"
+
+
+def print_label(lbl: DynkinLabel, *, head: str | None = None) -> str:
+    """``head`` is ``label_head(lbl.rs, lbl.crossed)``, built here unless given."""
+    coeffs = ",".join(map(str, lbl.coeffs.coeffs))
+    return f"{head or label_head(lbl.rs, lbl.crossed)}({coeffs})"
 
 
 class LabelVerdict(NamedTuple):

@@ -11,15 +11,17 @@ Cartan H_i = E_ii - E_{i+1,i+1} commutes with Z.  So the audit checks one
 basis element at a time against the engine's root listing: E_uw with
 0-based u < w is the root vector of e_u - e_w, the root with ones on the
 1-based nodes u+1..w, and E_wu that of its negative.  Each must be listed
-exactly once, under the bidegree its heights give.  The grading of every
-bracket then follows by the Jacobi identity,
+exactly once, under the bidegree its heights give.  Heights depend only on
+eigenvalues, so the audit reads one bidegree per pair of blocks (runs of equal
+(z_p, z_q)), and counts basis elements per bidegree from the block sizes.
+The grading of every bracket then follows by the Jacobi identity,
 [Z, [X, Y]] = [[Z, X], Y] + [X, [Z, Y]], so no commutator is formed.
 Humphreys section 1.2; Fulton & Harris, Lecture 15.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import accumulate, groupby
 from typing import NamedTuple
 
 from .grading import Bidegree, Bigrading, ParabolicPair
@@ -49,7 +51,8 @@ def block_structure_from_pair(pair: ParabolicPair) -> BlockStructure:
     m = rs.rank + 1
 
     def eigenvalues(sigma: frozenset[int]) -> tuple[int, ...]:
-        return tuple(sum(1 for k in sigma if k > u) for u in range(m))
+        # z_u = z_{u+1} + [u+1 in sigma], counted up from z_{m-1} = 0
+        return tuple(accumulate((k in sigma for k in range(m - 1, 0, -1)), initial=0))[::-1]
 
     return BlockStructure(z_p=eigenvalues(pair.sigma_p), z_q=eigenvalues(pair.sigma_q))
 
@@ -71,7 +74,9 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     violating element is listed once, in row-major order, as E[u,w]
     (1-based), followed by the coefficients of every row that is no root.
     Component dimensions of the root picture are compared with the counts of
-    basis elements per bidegree as well.
+    basis elements per bidegree as well.  A block is a run of equal (z_p[u],
+    z_q[u]): ``bs.bidegree`` is read once per pair of blocks, and the counts
+    come from the block sizes.
 
     By Jacobi, [X, Y] of homogeneous X and Y sits at the sum of their
     bidegrees, so the per-element check settles every pair of basis
@@ -80,9 +85,13 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     i'(X) + i'(Y) > i'(Y).
     """
     m = bs.m
-    own = {(u, w): bs.bidegree(u, w) for u in range(m) for w in range(m) if u != w}
-    # the row of root e_u - e_w (u < w): ones on the nodes u+1..w
-    root_entry = {bytes(u) + b"\1" * (w - u) + bytes(m - 1 - w): (u, w) for u, w in own if u < w}
+    sizes = [len(list(run)) for _, run in groupby(zip(bs.z_p, bs.z_q))]
+    starts = list(accumulate(sizes, initial=0))[:-1]
+    block = [a for a, size in enumerate(sizes) for _ in range(size)]
+    table = [[bs.bidegree(start, other) for other in starts] for start in starts]
+    # the row of root e_u - e_w (u < w), ones on the nodes u+1..w: a slice of w - u padded ones
+    runs = [bytes(m - 1) + b"\1" * d + bytes(m - 1) for d in range(m)]
+    root_entry = {runs[w - u][m - 1 - u : 2 * m - 2 - u]: (u, w) for u in range(m) for w in range(u + 1, m)}
     listed = {}  # (u, w) -> the bidegree E_uw is listed under, None once listed twice
     non_roots = []
     for bd, (negated, positive) in bg.root_spaces().items():
@@ -94,11 +103,15 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
                     continue
                 entry = entry[::-1] if sign else entry
                 listed[entry] = None if entry in listed else bd
-    violations = [f"E[{u + 1},{w + 1}]" for (u, w), bd in own.items() if listed.get((u, w)) != bd]
+    violations = [f"E[{u + 1},{w + 1}]" for u, a in enumerate(block) for w, c in enumerate(block)
+                  if u != w and listed.get((u, w)) != table[a][c]]
     violations += non_roots
 
-    block_counts = Counter(own.values())
-    block_counts[Bidegree(0, 0)] += m - 1  # the Cartan H_i = E_ii - E_{i+1,i+1}
+    # the Cartan H_i = E_ii - E_{i+1,i+1}, then the E_uw with u != w of each block pair
+    block_counts = {Bidegree(0, 0): m - 1}
+    for a, size in enumerate(sizes):
+        for c, other in enumerate(sizes):
+            block_counts[table[a][c]] = block_counts.get(table[a][c], 0) + size * (other - (a == c))
     mismatches = []
     for bd in sorted(set(block_counts) | set(bg.dims)):
         left = block_counts.get(bd, 0)

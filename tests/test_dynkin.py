@@ -64,6 +64,18 @@ def test_print_specific_labels():
     assert print_label(zero) == "A4[x,x,o,o](0,0,0,0)"
 
 
+def test_shared_head_prints_the_same_label():
+    """A head built once for a crossed set prints every label crossed there
+    byte for byte as ``print_label`` alone does."""
+    from relbgg.dynkin import label_head
+
+    for text in ("A4[x,x,o,o](-2,1,0,0)", "B3[o,o,o](0,0,0)", "D5[o,x,o,x,x](1,-10,0,3,0)"):
+        lbl = parse_label(text)
+        head = label_head(lbl.rs, lbl.crossed)
+        assert text.startswith(head + "(")
+        assert print_label(lbl, head=head) == print_label(lbl) == text
+
+
 def test_label_construction_guards():
     rs = build_root_system("A", 3)
     with pytest.raises(ValueError):

@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -218,3 +219,87 @@ def test_non_root_row_is_caught(monkeypatch, coeffs):
     assert not rep.ok
     assert rep.violations == ("E[1,3]", str(coeffs))
     assert rep.dim_mismatches == ()
+
+
+def test_audit_reads_each_block_pair_once(monkeypatch):
+    """The bidegree is constant on each pair of blocks, so the audit reads it
+    (number of blocks)^2 times, not once per matrix entry."""
+    calls = []
+
+    def counted(self, u, w):
+        calls.append((u, w))
+        return _bidegree(self, u, w)
+
+    monkeypatch.setattr(oracle.BlockStructure, "bidegree", counted)
+    for rank, sq, sp, blocks in ((12, {2, 7, 9}, {7}, 4), (4, {1, 4}, {1}, 3), (4, set(), set(), 1)):
+        pair = make_pair(rank, sq, sp)
+        calls.clear()
+        assert commutator_audit(block_structure_from_pair(pair), bigrade(pair)).ok
+        assert len(calls) == blocks ** 2, (rank, sq, sp, len(calls))
+
+
+def _per_entry_audit(bs, bg):
+    """Reference: the audit with one bidegree read per matrix entry and the
+    dimensions counted over the entries."""
+    m = bs.m
+    own = {(u, w): bs.bidegree(u, w) for u in range(m) for w in range(m) if u != w}
+    root_entry = {bytes(u) + b"\1" * (w - u) + bytes(m - 1 - w): (u, w) for u, w in own if u < w}
+    listed, non_roots = {}, []
+    for bd, (negated, positive) in bg.root_spaces().items():
+        for sign, rows in (("-", negated), ("", positive)):
+            for row in rows:
+                entry = root_entry.get(row)
+                if entry is None:
+                    non_roots.append(f"{sign}{tuple(row)}")
+                    continue
+                entry = entry[::-1] if sign else entry
+                listed[entry] = None if entry in listed else bd
+    violations = [f"E[{u + 1},{w + 1}]" for (u, w), bd in own.items() if listed.get((u, w)) != bd]
+    violations += non_roots
+    counts = Counter(own.values())
+    counts[Bidegree(0, 0)] += m - 1
+    mismatches = [
+        f"{tuple(bd)}: block dim {counts.get(bd, 0)} vs root dim {bg.dim_component(bd)}"
+        for bd in sorted(set(counts) | set(bg.dims))
+        if counts.get(bd, 0) != bg.dim_component(bd)
+    ]
+    return oracle.OracleReport(
+        ok=not violations and not mismatches,
+        violations=tuple(violations),
+        pairs_checked=(m * m - 1) ** 2,
+        dim_mismatches=tuple(mismatches),
+    )
+
+
+def _assert_matches_per_entry_rule(block_pairs, grading_pairs):
+    """Every block structure of ``block_pairs`` against every grading of
+    ``grading_pairs``; the eigenvalues are z_u = #{k in sigma : k > u}."""
+    gradings = [bigrade(pair) for pair in grading_pairs]
+    for block_pair in block_pairs:
+        bs = block_structure_from_pair(block_pair)
+        sigmas = (block_pair.sigma_p, block_pair.sigma_q)
+        assert bs == tuple(tuple(sum(k > u for k in s) for u in range(bs.m)) for s in sigmas)
+        for bg in gradings:
+            assert commutator_audit(bs, bg) == _per_entry_audit(bs, bg), (block_pair, bg.pair)
+
+
+_ROW_MUTANTS = {
+    3: [(Bidegree(1, 0), 1, bytes([1, 0, 1])), (Bidegree(1, 0), 1, bytes([0, 2, 0]))],
+    4: [(Bidegree(1, 0), 1, bytes([1, 0, 0, 0]))],
+}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_audit_matches_the_per_entry_rule(monkeypatch, rank):
+    """Block by block, the audit gives the report of the per-entry rule on
+    every same-rank combination of blocks and grading, clean or not, and
+    under the row-replacing mutants of the tests above."""
+    pairs = list(all_pairs(rank))
+    _assert_matches_per_entry_rule(pairs, pairs)
+    for bd, index, row in _ROW_MUTANTS.get(rank, []):
+        # the mutant replaces a positive row of bd: gradings listing that row
+        hit = [p for p in pairs if len(bigrade(p).root_spaces().get(bd, ((), ()))[1]) > index]
+        assert hit
+        with monkeypatch.context() as patch:
+            _replace_row(patch, bd, index, row)
+            _assert_matches_per_entry_rule(pairs, hit)
