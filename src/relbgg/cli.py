@@ -1,13 +1,13 @@
 """Command-line front end: human-readable tables or deterministic JSON.
 
 Each ``cmd_*`` returns ``(inputs, result, text lines)``, the lines read from
-its one result dict.  ``main`` renders the JSON report under ``--json`` (one
-fragment list, joined once) or joins the lines, and prints once: a failure
-while rendering prints nothing.  ``parse_args`` reads argv in one pass
-against the ``COMMANDS`` table: options in any order, as ``--opt value`` or
-``--opt=value``, unique prefixes, and ``--`` to end them.  Help and
-``--version`` print to stdout and raise ``SystemExit(0)``; a usage error
-prints one ``error:`` line to stderr and raises ``SystemExit(2)``.
+its one result dict.  ``run`` answers one request as ``(code, stdout, stderr)``
+and writes nothing; a failure while rendering the JSON report (one fragment
+list, joined once) or the lines leaves stdout empty.  ``main`` only writes.
+``parse_args`` reads argv in one pass against the ``COMMANDS`` table: options
+in any order, as ``--opt value`` or ``--opt=value``, unique prefixes, and
+``--`` to end them.  Help and ``--version`` are stdout with exit 0; a usage
+error is one ``error:`` line on stderr with exit 2.
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 bad input, 3 a
 violated internal invariant (a failed audit or an inconsistency the library
@@ -295,12 +295,8 @@ _DEST = {o: o[2:].replace("-", "_").lower() for *_, options, flags in COMMANDS.v
 _HELP = ("-h, --help", "show this help message and exit")
 
 
-def _exit(code: int, text: str):
-    """Help and version to stdout with exit 0; a usage error as one stderr line with exit 2.
-
-    Flushed here, so that a closed stdout fails inside ``main``'s ``try``."""
-    print(text, file=sys.stderr if code else sys.stdout, flush=True)
-    raise SystemExit(code)
+class _Exit(Exception):
+    """``(code, text)`` from ``parse_args``: help or version with code 0, a usage error with code 2."""
 
 
 def _resolve(arg: str, names: list[str]) -> str:
@@ -309,7 +305,7 @@ def _resolve(arg: str, names: list[str]) -> str:
         return arg
     found = [n for n in names if n.startswith(arg)] if arg.startswith("--") else []
     if len(found) != 1:
-        _exit(2, f"error: option {arg!r} is " + (f"ambiguous: {', '.join(found)}" if found else "unknown"))
+        raise _Exit(2, f"error: option {arg!r} is " + (f"ambiguous: {', '.join(found)}" if found else "unknown"))
     return found[0]
 
 
@@ -334,9 +330,9 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     command, *rest = argv or [""]
     if command not in COMMANDS:
         if not command.startswith("-"):
-            _exit(2, f"error: expected a command, one of {', '.join(COMMANDS)}; got {command!r}")
+            raise _Exit(2, f"error: expected a command, one of {', '.join(COMMANDS)}; got {command!r}")
         top = _resolve(command, ["-h", "--help", "--version"])
-        _exit(0, f"relbgg {__version__}" if top == "--version" else _help(None))
+        raise _Exit(0, f"relbgg {__version__}" if top == "--version" else _help(None))
     func, _, positional, options, flags = COMMANDS[command]
     args = {**{_DEST[o]: None for o in options}, **{_DEST[f]: False for f in flags}}
     free, it = [], iter(rest)
@@ -350,22 +346,22 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             option = _resolve(option, [*options, *flags, "-h", "--help"])
             if option in options:
                 if not eq and (value := next(it, "-")).startswith("-"):
-                    _exit(2, f"error: option {option} expects a value")
+                    raise _Exit(2, f"error: option {option} expects a value")
                 args[_DEST[option]] = value
             elif eq:
-                _exit(2, f"error: option {option} takes no value")
+                raise _Exit(2, f"error: option {option} takes no value")
             elif option in flags:
                 args[_DEST[option]] = True
             else:
-                _exit(0, _help(command))
+                raise _Exit(0, _help(command))
     if positional and free:
         args[positional[0]] = free.pop(0)
     if free:
-        _exit(2, f"error: unrecognized arguments: {' '.join(map(repr, free))}")
+        raise _Exit(2, f"error: unrecognized arguments: {' '.join(map(repr, free))}")
     missing = [positional[0]] if positional and positional[0] not in args else []
     missing += [o for o, (required, _) in options.items() if required and args[_DEST[o]] is None]
     if missing:
-        _exit(2, f"error: the following arguments are required: {', '.join(missing)}")
+        raise _Exit(2, f"error: the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(command=command, func=func, **args)
 
 
@@ -385,10 +381,10 @@ def _root_digits(rows: tuple[bytes, ...], sep: str) -> str:
 
 
 def _dump(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` for the
-    values a report holds: dicts with str keys, lists, str, int, bool, None,
-    and ``RootRows``, which print as a list of int lists.  The report's
-    fragments go to one list, joined once: no byte is copied per container.
+    """``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)`` and a
+    newline, for the values a report holds: dicts with str keys, lists, str,
+    int, bool, None, and ``RootRows``, which print as a list of int lists.  The
+    fragments and the newline go to one list, joined once: no byte is copied per container.
 
     An indent sends ``json.dumps`` to its pure-Python encoder; here strings
     go through the C quoting function, a list of ints is one join, a list of
@@ -397,14 +393,12 @@ def _dump(obj) -> str:
     bulk string operations per half, however many rows it holds: "-" goes
     before each digit of the negated half, as no indent or separator holds a
     digit, and one replace turns every "|" into a row break."""
-    return "".join(_write(obj, "\n", []))
+    return "".join([*_write(obj, "\n", []), "\n"])
 
 
 def _write(obj, pad: str, out: list[str]) -> list[str]:
     """Append the fragments of ``obj``, its lines indented from ``pad``, to ``out``; return ``out``."""
     kind = type(obj)
-    if kind not in _KINDS:  # a subclass of str, int, list or dict prints as its base
-        kind = next((k for k in (str, int, list, dict) if isinstance(obj, k)), kind)
     if kind is str:
         out.append(_quote(obj))
     elif kind is int:
@@ -444,23 +438,35 @@ def _write(obj, pad: str, out: list[str]) -> list[str]:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
+def run(argv: list[str]) -> tuple[int, str, str]:
+    """One request's exit code, stdout and stderr; nothing is written."""
     try:
-        args = parse_args(sys.argv[1:] if argv is None else argv)
+        args = parse_args(argv)
         inputs, result, lines = args.func(args)
         report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
-        print(_dump(report) if args.json else "\n".join(lines))
+        out = _dump(report) if args.json else "\n".join([*lines, ""])
+    except _Exit as exc:
+        code, text = exc.args
+        return (code, "", text + "\n") if code else (0, text + "\n", "")
+    except InternalCheckError as exc:
+        return 3, "", f"internal invariant violated: {exc}\n"
+    except (ValueError, OSError) as exc:
+        return 2, "", f"error: {exc}\n"
+    return 3 if result.get("violations") else 0, out, ""
+
+
+def main(argv: list[str] | None = None) -> int:
+    code, out, err = run(sys.argv[1:] if argv is None else argv)
+    try:  # TextIOWrapper drops a short write to a pipe its reader closed unreported;
+        # the newline, buffered apart as print writes it, meets the closed pipe at the flush
+        sys.stdout.write(out[:-1])
+        sys.stdout.write(out[-1:])
         sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout; at devnull, the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except InternalCheckError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 3 if result.get("violations") else 0
+    sys.stderr.write(err)
+    return code
 
 
 if __name__ == "__main__":

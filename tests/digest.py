@@ -1,7 +1,7 @@
 """Equivalence digest: one sha256 per (type, rank, subcommand, format) bucket.
 
 Each bucket hashes the argv, exit code, stdout and stderr of every run of
-``relbgg.cli.main`` (in process) that falls into it:
+``relbgg.cli.run`` (in process) that falls into it:
 
 - ``bigrade``, ``filtration``, ``ranks`` and ``audit`` on every nested pair
   sigma_p <= sigma_q of A1-A6, B2-B5, C2-C5 and D3-D5, in the order of
@@ -26,9 +26,7 @@ A mismatch names the bucket, so a change of output shows where it happened.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import io
 import json
 import pathlib
 import random
@@ -39,7 +37,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from common import all_pairs, label_text, p_dominant_coeffs  # noqa: E402
 
 from relbgg import relative_hasse  # noqa: E402
-from relbgg.cli import main  # noqa: E402
+from relbgg.cli import run  # noqa: E402
 
 # Beside this module, not in golden/: that directory holds exactly the CLI
 # reports that test_cli replays.
@@ -60,13 +58,7 @@ def _nodes(nodes: frozenset[int]) -> str:
 
 
 def _run(argv: list[str]) -> bytes:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return repr((argv, code, out.getvalue(), err.getvalue())).encode() + b"\n"
+    return repr((argv, *run(argv))).encode() + b"\n"
 
 
 def _argv_lists(type_tag: str, rank: int) -> dict[tuple[str, str], list[list[str]]]:

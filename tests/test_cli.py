@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from relbgg.cli import MAX_SUPPORT_BYTES, _dump, main, parse_args
+from relbgg.cli import MAX_SUPPORT_BYTES, _dump, main, parse_args, run
 from relbgg.grading import RootRows
 
 # A child process finds the engine in src/, installed or not.
@@ -22,30 +22,24 @@ SRC_ENV = {**os.environ, "PYTHONPATH": str(pathlib.Path(__file__).resolve().pare
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 # -- worked invocations -------------------------------------------------------
 
-def test_bigrade_path_line(capsys):
-    code, out, _ = run_cli(capsys, "bigrade", "A4", "--sq", "1,2", "--sp", "1")
+def test_bigrade_path_line():
+    code, out, _ = run(["bigrade", "A4", "--sq", "1,2", "--sp", "1"])
     assert code == 0
     assert "(-1,-1): dim 3" in out
 
 
-def test_bigrade_rank_one(capsys):
-    code, out, _ = run_cli(capsys, "bigrade", "A1", "--sq", "1", "--sp", "1")
+def test_bigrade_rank_one():
+    code, out, _ = run(["bigrade", "A1", "--sq", "1", "--sp", "1"])
     assert code == 0
     for needle in ("(-1,0): dim 1", "(0,0): dim 1", "(1,0): dim 1"):
         assert needle in out
 
 
-def block_display(capsys, *pair_args):
+def block_display(*pair_args):
     """Block sizes and matrix cells of a bigrade report; the JSON sizes must agree."""
-    code, out, _ = run_cli(capsys, "bigrade", *pair_args)
+    code, out, _ = run(["bigrade", *pair_args])
     assert code == 0
     lines = out.splitlines()
     at = next(i for i, line in enumerate(lines) if line.startswith("block sizes: "))
@@ -55,13 +49,13 @@ def block_display(capsys, *pair_args):
         for line in lines[at + 1 : at + 1 + len(sizes)]
     ]
     assert all(len(row) == len(sizes) for row in cells)
-    _, out, _ = run_cli(capsys, "bigrade", *pair_args, "--json")
+    _, out, _ = run(["bigrade", *pair_args, "--json"])
     assert tuple(json.loads(out)["result"]["block_sizes"]) == sizes
     return sizes, cells
 
 
-def test_legendrean_block_display(capsys):
-    sizes, cells = block_display(capsys, "A4", "--sq", "1,4", "--sp", "1")
+def test_legendrean_block_display():
+    sizes, cells = block_display("A4", "--sq", "1,4", "--sp", "1")
     assert sizes == (1, 3, 1)
     assert cells[2][0] == (-1, -1)
     assert cells[1][0] == (-1, 0)
@@ -70,28 +64,28 @@ def test_legendrean_block_display(capsys):
     assert cells[0][2] == (1, 1)
 
 
-def test_path_block_display(capsys):
-    sizes, cells = block_display(capsys, "A4", "--sq", "1,2", "--sp", "1")
+def test_path_block_display():
+    sizes, cells = block_display("A4", "--sq", "1,2", "--sp", "1")
     assert sizes == (1, 1, 3)
     # same bidegree pattern, but the (-1,-1) block is now 3-dimensional
     assert cells[2][0] == (-1, -1)
     assert sizes[2] * sizes[0] == 3
 
 
-def test_smallest_block_display(capsys):
-    assert block_display(capsys, "A1", "--sq", "1", "--sp", "1")[0] == (1, 1)
+def test_smallest_block_display():
+    assert block_display("A1", "--sq", "1", "--sp", "1")[0] == (1, 1)
 
 
 @pytest.mark.parametrize("pair", [("A4", "1,4", "1"), ("A4", "1,2", "1"), ("A5", "2,3,5", "3")])
-def test_block_display_transpose_antisymmetry(capsys, pair):
+def test_block_display_transpose_antisymmetry(pair):
     t, sq, sp = pair
-    _, cells = block_display(capsys, t, "--sq", sq, "--sp", sp)
+    _, cells = block_display(t, "--sq", sq, "--sp", sp)
     for a, row in enumerate(cells):
         for b, (ip, idp) in enumerate(row):
             assert cells[b][a] == (-ip, -idp)
 
 
-def test_block_display_does_not_call_the_oracle(capsys, golden, monkeypatch):
+def test_block_display_does_not_call_the_oracle(golden, monkeypatch):
     import relbgg.oracle as oracle
 
     def refuse(pair):
@@ -99,9 +93,9 @@ def test_block_display_does_not_call_the_oracle(capsys, golden, monkeypatch):
 
     monkeypatch.setattr(oracle, "block_structure_from_pair", refuse)
     with pytest.raises(AssertionError):
-        main(["audit", "A4", "--sq", "1,4", "--sp", "1"])
+        run(["audit", "A4", "--sq", "1,4", "--sp", "1"])
     for name, flags in (("bigrade_a4_legendrean.txt", ()), ("bigrade_a4_legendrean.json", ("--json",))):
-        code, out, err = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", *flags)
+        code, out, err = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", *flags])
         assert (code, err) == (0, "")
         golden(name, out)
 
@@ -120,7 +114,7 @@ TEXT_BIGRADE_RUNS = [
 ]
 
 
-def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
+def test_dims_only_reports_negate_no_root(tmp_path, monkeypatch):
     """Only bigrade --json lists roots, and only audit checks each root vector
     against the listing; every other report, text bigrade included, reads
     component dims or packed heights, so none reads the root listing."""
@@ -130,7 +124,7 @@ def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
     (tmp_path / "support.json").write_text(json.dumps(support))
     monkeypatch.chdir(tmp_path)
     runs = [argv + flag for argv in DIMS_ONLY_RUNS for flag in ((), ("--json",))] + TEXT_BIGRADE_RUNS
-    unpatched = [run_cli(capsys, *argv) for argv in runs]
+    unpatched = [run(list(argv)) for argv in runs]
 
     def refuse(*args):
         raise AssertionError("the root listing was read")
@@ -139,36 +133,32 @@ def test_dims_only_reports_negate_no_root(capsys, tmp_path, monkeypatch):
     for control in (["bigrade", "A6", "--sq", "1,2,6", "--sp", "1", "--json"],
                     ["audit", "A6", "--sq", "1,6", "--sp", "1"]):
         with pytest.raises(AssertionError):
-            main(control)
+            run(control)
     for argv, before in zip(runs, unpatched):
         assert before[0] == 0, argv
-        assert run_cli(capsys, *argv) == before, argv
+        assert run(list(argv)) == before, argv
 
 
-def test_bgg_second_sequence(capsys):
-    code, out, _ = run_cli(
-        capsys, "bgg", "A4[x,o,o,o](-3,0,1,0)", "--sq", "1,2", "--sp", "1"
-    )
+def test_bgg_second_sequence():
+    code, out, _ = run(["bgg", "A4[x,o,o,o](-3,0,1,0)", "--sq", "1,2", "--sp", "1"])
     assert code == 0
     assert out.strip().splitlines()[1].startswith("A4[x,x,o,o](-2,-2,2,0)")
 
 
-def test_bgg_single_bundle(capsys):
-    code, out, _ = run_cli(capsys, "bgg", "A1[x](0)", "--sq", "1", "--sp", "1")
+def test_bgg_single_bundle():
+    code, out, _ = run(["bgg", "A1[x](0)", "--sq", "1", "--sp", "1"])
     assert code == 0
     assert out.strip() == "A1[x](0)"
     assert "order" not in out
 
 
-def test_check_torsion_catalog(capsys):
-    code, out, _ = run_cli(
-        capsys, "check-torsion", "--catalog", "legendrean(3)", "--assume-involutive-F"
-    )
+def test_check_torsion_catalog():
+    code, out, _ = run(["check-torsion", "--catalog", "legendrean(3)", "--assume-involutive-F"])
     assert code == 0
     assert "part1: PASS part2: PASS" in out
 
 
-def test_check_torsion_custom_support(capsys, tmp_path):
+def test_check_torsion_custom_support(tmp_path):
     support = {
         "components": [
             {"in1": [-1, 0], "in2": [-1, -1], "out": [0, -1], "tag": "custom"}
@@ -176,11 +166,7 @@ def test_check_torsion_custom_support(capsys, tmp_path):
     }
     path = tmp_path / "support.json"
     path.write_text(json.dumps(support))
-    code, out, _ = run_cli(
-        capsys,
-        "check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1",
-        "--support", str(path),
-    )
+    code, out, _ = run(["check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1", "--support", str(path)])
     assert code == 0
     assert "part1: PASS part2: PASS" in out
 
@@ -224,11 +210,11 @@ REFUSED = [
 
 
 @pytest.mark.parametrize("argv, fragment", [row[1:] for row in REFUSED], ids=[row[0] for row in REFUSED])
-def test_refused_input_exits_two(capsys, argv, fragment):
+def test_refused_input_exits_two(argv, fragment):
     """A refused input exits 2 with nothing on stdout and one stderr line that
     starts with "error: " and names the fault, in text and in --json."""
     for mode in ((), ("--json",)):
-        code, out, err = run_cli(capsys, *argv, *mode)
+        code, out, err = run([*argv, *mode])
         assert (code, out) == (2, ""), mode
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (mode, err)
         assert fragment in err, (mode, err)
@@ -245,30 +231,26 @@ def test_refused_input_exits_two(capsys, argv, fragment):
     ],
     ids=["missing-option", "unknown-subcommand", "no-arguments", "unknown-flag", "line-breaks-in-argv"],
 )
-def test_usage_error_is_one_stderr_line(capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+def test_usage_error_is_one_stderr_line(argv):
+    code, out, err = run(list(argv))
+    assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
 
 
-def test_huge_hasse_diagram_exits_two_up_front(capsys):
+def test_huge_hasse_diagram_exits_two_up_front():
     label = "B18[x" + ",o" * 17 + "](0" + ",0" * 17 + ")"
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "bgg", label, "--sq", "1,18", "--sp", "1")
+    code, out, err = run(["bgg", label, "--sq", "1,18", "--sp", "1"])
     assert time.perf_counter() - start < 0.5
-    assert code == 2
-    assert out == ""
+    assert (code, out) == (2, "")
     assert err == (
         "error: the relative Hasse diagram has 131072 elements, "
         "above the supported maximum 20000\n"
     )
 
 
-def test_broken_hasse_walk_exits_three(capsys, monkeypatch):
+def test_broken_hasse_walk_exits_three(monkeypatch):
     import relbgg.bgg as bgg
     from relbgg.roots import _reflect_coords
 
@@ -276,17 +258,16 @@ def test_broken_hasse_walk_exits_three(capsys, monkeypatch):
         return v if i == 2 else _reflect_coords(cols, i, v)
 
     monkeypatch.setattr(bgg, "_reflect_coords", skip_node_3)
-    code, out, err = run_cli(capsys, "bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1")
-    assert code == 3
-    assert out == ""
+    code, out, err = run(["bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"])
+    assert (code, out) == (3, "")
     assert err == (
         "internal invariant violated: the relative Hasse walk reached 2 points over 2 lengths "
         "up to 1, not |W_L|/|W_(L&q)| = 4 over the lengths 0..3, on A4 sigma_q=[1, 2] sigma_p=[1]\n"
     )
 
 
-def test_catalog_at_cap_runs(capsys):
-    code, out, _ = run_cli(capsys, "check-torsion", "--catalog", "legendrean(31)")
+def test_catalog_at_cap_runs():
+    code, out, _ = run(["check-torsion", "--catalog", "legendrean(31)"])
     assert code == 0
     assert out.startswith("geometry: legendrean(31)\n")
 
@@ -307,13 +288,12 @@ def test_catalog_at_cap_runs(capsys):
         ("--catalog", "path-geometry(3)", "--assume-involutive-F"),
     ],
 )
-def test_conflicting_check_torsion_inputs_exit_two(capsys, tmp_path, monkeypatch, argv):
+def test_conflicting_check_torsion_inputs_exit_two(tmp_path, monkeypatch, argv):
     (tmp_path / "support.json").write_text('{"components": []}')
     monkeypatch.chdir(tmp_path)
     for flag in ([], ["--json"]):
-        code, out, err = run_cli(capsys, "check-torsion", *argv, *flag)
-        assert code == 2
-        assert out == ""
+        code, out, err = run(["check-torsion", *argv, *flag])
+        assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1
 
 
@@ -339,17 +319,14 @@ def test_conflicting_check_torsion_inputs_exit_two(capsys, tmp_path, monkeypatch
         pytest.param("[" * 20_000 + "]" * 20_000, id="deeply-nested"),
     ],
 )
-def test_malformed_support_exits_two(capsys, tmp_path, text):
+def test_malformed_support_exits_two(tmp_path, text):
     path = tmp_path / "support.json"
     path.write_text(text)
     for flag in ([], ["--json"]):
-        code, out, err = run_cli(
-            capsys,
-            "check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1",
-            "--support", str(path), *flag,
+        code, out, err = run(
+            ["check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1", "--support", str(path), *flag]
         )
-        assert code == 2
-        assert out == ""
+        assert (code, out) == (2, "")
         assert len(err.strip().splitlines()) == 1
         if text.startswith("[["):  # under the size cap, so refused for its nesting
             assert err.endswith("is nested too deeply\n")
@@ -358,39 +335,36 @@ def test_malformed_support_exits_two(capsys, tmp_path, text):
 CUSTOM_PAIR = ("check-torsion", "--type", "A4", "--sq", "1,2", "--sp", "1", "--support")
 
 
-def test_support_over_the_cap_is_refused_unparsed(capsys, tmp_path):
+def test_support_over_the_cap_is_refused_unparsed(tmp_path):
     path = tmp_path / "support.json"
     path.write_text('{"components": []}'.ljust(MAX_SUPPORT_BYTES))
-    assert run_cli(capsys, *CUSTOM_PAIR, str(path))[0] == 0
+    assert run([*CUSTOM_PAIR, str(path)])[0] == 0
     path.write_text('{"components": []}'.ljust(MAX_SUPPORT_BYTES + 1))
-    code, out, err = run_cli(capsys, *CUSTOM_PAIR, str(path))
-    assert code == 2
-    assert out == ""
+    code, out, err = run([*CUSTOM_PAIR, str(path)])
+    assert (code, out) == (2, "")
     assert err == f"error: support file {str(path)!r} is over {MAX_SUPPORT_BYTES} bytes\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
-def test_endless_support_is_refused(capsys):
-    code, out, err = run_cli(capsys, *CUSTOM_PAIR, "/dev/zero")
-    assert code == 2
-    assert out == ""
+def test_endless_support_is_refused():
+    code, out, err = run([*CUSTOM_PAIR, "/dev/zero"])
+    assert (code, out) == (2, "")
     assert err == f"error: support file '/dev/zero' is over {MAX_SUPPORT_BYTES} bytes\n"
 
 
-def test_deep_nesting_under_the_cap_is_refused(capsys, tmp_path):
+def test_deep_nesting_under_the_cap_is_refused(tmp_path):
     path = tmp_path / "support.json"
     path.write_text("[" * 30_000 + "]" * 30_000)
-    code, out, err = run_cli(capsys, *CUSTOM_PAIR, str(path))
-    assert code == 2
-    assert out == ""
+    code, out, err = run([*CUSTOM_PAIR, str(path)])
+    assert (code, out) == (2, "")
     assert err == f"error: support JSON {str(path)!r} is nested too deeply\n"
 
 
 # -- JSON reports -------------------------------------------------------------
 
-def test_json_reports_are_deterministic(capsys):
-    _, first, _ = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")
-    _, second, _ = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")
+def test_json_reports_are_deterministic():
+    _, first, _ = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json"])
+    _, second, _ = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json"])
     assert first == second
     report = json.loads(first)
     assert report["command"] == "bigrade"
@@ -411,12 +385,12 @@ def test_json_reports_are_deterministic(capsys):
     pytest.param("D32", "1,16,32", "16", 992, id="D32"),
     pytest.param("D24", ",".join(map(str, range(1, 25))), "8,24", 552, id="D24-sq-every-node"),
 ])
-def test_bigrade_root_listing_round_trips_at_rank_24(capsys, diagram, sq, sp, n_positive):
+def test_bigrade_root_listing_round_trips_at_rank_24(diagram, sq, sp, n_positive):
     """The largest root listings, and the smallest, equal indented json.dumps
     and hold every root of either sign once, as many in each component as
     its dimension leaves beside the Cartan; with every node in sigma_q, the
     (0, 0) component lists no root."""
-    code, out, _ = run_cli(capsys, "bigrade", diagram, "--sq", sq, "--sp", sp, "--json")
+    code, out, _ = run(["bigrade", diagram, "--sq", sq, "--sp", sp, "--json"])
     assert code == 0
     report = json.loads(out)
     want = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
@@ -430,19 +404,19 @@ def test_bigrade_root_listing_round_trips_at_rank_24(capsys, diagram, sq, sp, n_
     assert len(listed) == len(set(listed)) == 2 * n_positive
 
 
-def test_uncovered_root_coefficient_is_an_internal_error(capsys, monkeypatch):
+def test_uncovered_root_coefficient_is_an_internal_error(monkeypatch):
     """A root coefficient outside the listing's digit table exits 3 with one
     stderr line and no JSON, never a wrong listing."""
     from relbgg.roots import RootSystem
 
     read = RootSystem.positive_roots.fget
     monkeypatch.setattr(RootSystem, "positive_roots", property(lambda rs: ((3, *read(rs)[0][1:]), *read(rs)[1:])))
-    code, out, err = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")
+    code, out, err = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json"])
     assert (code, out) == (3, "")
     assert err.startswith("internal invariant violated: ") and err.count("\n") == 1
 
 
-def test_late_uncovered_root_coefficient_prints_nothing(capsys, monkeypatch):
+def test_late_uncovered_root_coefficient_prints_nothing(monkeypatch):
     """The bad coefficient in the root listed last, the highest root of the
     last component, fails after the rest of the report is rendered: still
     exit 3, one stderr line and nothing on stdout."""
@@ -450,7 +424,7 @@ def test_late_uncovered_root_coefficient_prints_nothing(capsys, monkeypatch):
 
     read = RootSystem.positive_roots.fget
     monkeypatch.setattr(RootSystem, "positive_roots", property(lambda rs: (*read(rs)[:-1], (1, 3, 1, 1))))
-    code, out, err = run_cli(capsys, "bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json")
+    code, out, err = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json"])
     assert (code, out) == (3, "")
     assert err.startswith("internal invariant violated: ") and err.count("\n") == 1
 
@@ -473,11 +447,6 @@ def test_report_writer_peaks_near_twice_the_output():
         tracemalloc.stop()
     assert len(text) > 1_000_000
     assert peak <= 2.5 * len(text), f"peak {peak} bytes for {len(text)} bytes of output"
-
-
-class _Level(enum.IntEnum):
-    LOW = -7
-    HIGH = 2**70
 
 
 class _Name(str):
@@ -504,7 +473,7 @@ def _listed(value):
 
 _TEXT = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\x7f\n\r\t\u2028éλ𝔤 a')
 _KEYS = _TEXT | _TEXT.map(_Name)
-_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _KEYS | st.sampled_from(_Level)
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _TEXT
 _REPORT_VALUES = st.recursive(
     _SCALARS | st.lists(st.integers()) | st.integers(1, 6).flatmap(_root_rows),
     lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_KEYS, inner, max_size=5),
@@ -514,15 +483,18 @@ _REPORT_VALUES = st.recursive(
 
 @given(_REPORT_VALUES)
 def test_report_writer_matches_indented_json_dumps(value):
-    """At any depth, ``RootRows`` leaves print as their list form, and int
-    and str subclasses as their base values, as ``json.dumps`` prints them."""
-    assert _dump(value) == json.dumps(_listed(value), indent=2, sort_keys=True, ensure_ascii=False)
+    """At any depth, ``RootRows`` leaves print as their list form, and keys
+    of a str subclass as their text, as ``json.dumps`` prints them."""
+    assert _dump(value) == json.dumps(_listed(value), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 @pytest.mark.parametrize(
-    "value", [1.5, [1, 2.0], {"a": [0.0]}, {1: "x"}, {"a": 1, None: 2}, (1, 2), {"a": {3}}]
+    "value",
+    [1.5, [1, 2.0], {"a": [0.0]}, {1: "x"}, {"a": 1, None: 2}, (1, 2), {"a": {3}},
+     enum.IntEnum("Level", "LOW").LOW, ["x", _Name("y")]],
 )
 def test_report_writer_refuses_other_types(value):
+    """Only the exact report types print: a subclass of int or str raises like any other type."""
     with pytest.raises(TypeError):
         _dump(value)
 
@@ -547,24 +519,23 @@ GOLDEN_REPORTS = [
 
 
 @pytest.mark.parametrize("name, argv", GOLDEN_REPORTS)
-def test_golden_reports(capsys, golden, name, argv):
-    code, out, _ = run_cli(capsys, *argv)
+def test_golden_reports(golden, name, argv):
+    code, out, _ = run(list(argv))
     assert code == 0
     golden(name, out)
 
 
-def test_golden_replay_in_one_process_is_byte_identical(capsys, golden):
+def test_golden_replay_in_one_process_is_byte_identical(golden):
     assert sorted(name for name, _ in GOLDEN_REPORTS) == sorted(p.name for p in GOLDEN_DIR.iterdir())
     for order, sequence in enumerate((GOLDEN_REPORTS, GOLDEN_REPORTS[::-1])):
         for name, argv in sequence:
-            code, out, err = run_cli(capsys, *argv)
+            code, out, err = run(list(argv))
             assert (code, err) == (0, ""), name
             golden(name, out)
         if order == 0:
-            with pytest.raises(SystemExit) as exc:
-                main(["bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2"])
-            assert exc.value.code == 2
-            assert "--sp" in capsys.readouterr().err
+            code, out, err = run(["bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2"])
+            assert (code, out) == (2, "")
+            assert "--sp" in err
 
 
 # -- argv grammar --------------------------------------------------------------
@@ -575,16 +546,6 @@ COMMANDS = ("bigrade", "bgg", "filtration", "ranks", "check-torsion", "audit")
 
 def _golden_text(name):
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
-
-
-def _run_argv(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv), a SystemExit read as its code."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def _usage_error(out, err):
@@ -630,10 +591,22 @@ ARGV_CASES += [
 @pytest.mark.parametrize(
     "argv, code, check", [case[1:] for case in ARGV_CASES], ids=[case[0] for case in ARGV_CASES]
 )
-def test_argv_grammar(capsys, argv, code, check):
-    got, out, err = _run_argv(capsys, argv)
+def test_argv_grammar(argv, code, check):
+    got, out, err = run(list(argv))
     assert got == code, (out, err)
     assert check(out, err), (out, err)
+
+
+MAIN_CASES = [(name, argv) for name, argv, *_ in ARGV_CASES] + GOLDEN_REPORTS
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in MAIN_CASES], ids=[name for name, _ in MAIN_CASES])
+def test_main_writes_what_run_returns(capsys, argv):
+    """``main`` returns ``run``'s code and writes exactly its stdout and stderr,
+    for help, version and usage errors too: it returns their codes, never raises."""
+    code, out, err = run(list(argv))
+    assert main(list(argv)) == code
+    assert capsys.readouterr() == (out, err)
 
 
 # -- misc ---------------------------------------------------------------------
@@ -734,7 +707,17 @@ def test_closed_stdout_exits_one_without_a_traceback(argv):
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-def test_listed_runs_complete_quickly(capsys):
+def test_stdout_closed_mid_report_exits_one():
+    """The reader takes one byte of a report far larger than a pipe buffer and
+    closes the pipe while relbgg is still writing: exit 1, nothing on stderr."""
+    argv = [sys.executable, "-m", "relbgg", "bigrade", "D32", "--sq", "1,16,32", "--sp", "16", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SRC_ENV) as proc:
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        assert (proc.wait(timeout=10), proc.stderr.read()) == (1, b"")
+
+
+def test_listed_runs_complete_quickly():
     invocations = [
         ("bigrade", "A4", "--sq", "1,4", "--sp", "1"),
         ("bigrade", "A4", "--sq", "1,2", "--sp", "1"),
@@ -746,7 +729,7 @@ def test_listed_runs_complete_quickly(capsys):
     ]
     for argv in invocations:
         start = time.perf_counter()
-        code, _, _ = run_cli(capsys, *argv)
+        code, _, _ = run(list(argv))
         elapsed = time.perf_counter() - start
         assert code == 0
         assert elapsed < 1.0, f"{argv} took {elapsed:.2f}s"

@@ -16,7 +16,7 @@ from relbgg import (
     commutator_audit,
 )
 from relbgg import oracle
-from relbgg.cli import main
+from relbgg.cli import run
 from relbgg.roots import RootSystem
 
 
@@ -151,7 +151,7 @@ def test_mismatched_grading_is_caught():
 
 
 
-def test_node_reversal_is_caught(monkeypatch, capsys):
+def test_node_reversal_is_caught(monkeypatch):
     """Mutant: sigma-heights read with the diagram's nodes reversed.  The
     reversal is an automorphism of A_n, so every component keeps its
     dimension and the dims comparison alone sees nothing; but every nested
@@ -170,8 +170,9 @@ def test_node_reversal_is_caught(monkeypatch, capsys):
             assert rep.ok == symmetric, (rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
             flagged += not rep.ok
     assert flagged == 1014
-    assert main(["audit", "A4", "--sq", "1,2", "--sp", "1"]) == 3
-    assert capsys.readouterr().out.splitlines()[-1] != "0 violations"
+    code, out, _ = run(["audit", "A4", "--sq", "1,2", "--sp", "1"])
+    assert code == 3
+    assert out.splitlines()[-1] != "0 violations"
 
 
 @pytest.mark.parametrize("block_rank,root_rank", [(3, 4), (4, 3)])
