@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-from itertools import chain
 from json.encoder import encode_basestring as _quote
 from types import SimpleNamespace
 
@@ -387,12 +386,11 @@ def _dump(obj) -> str:
     fragments and the newline go to one list, joined once: no byte is copied per container.
 
     An indent sends ``json.dumps`` to its pure-Python encoder; here strings
-    go through the C quoting function, a list of ints is one join, a list of
-    int lists (the bidegree lists of ``filtration`` and ``bigrade``) one join
-    per row, and a ``RootRows`` (``bigrade``'s root listing) a fixed number of
-    bulk string operations per half, however many rows it holds: "-" goes
-    before each digit of the negated half, as no indent or separator holds a
-    digit, and one replace turns every "|" into a row break."""
+    go through the C quoting function, every other list and dict is one loop
+    over its items, and a ``RootRows`` (``bigrade``'s root listing) a fixed
+    number of bulk string operations per half, however many rows it holds:
+    "-" goes before each digit of the negated half, as no indent or separator
+    holds a digit, and one replace turns every "|" into a row break."""
     return "".join([*_write(obj, "\n", []), "\n"])
 
 
@@ -408,9 +406,10 @@ def _write(obj, pad: str, out: list[str]) -> list[str]:
     elif kind not in _KINDS:
         raise TypeError(f"{kind.__name__} is not a report value")
     else:
-        sep, deep = "," + (inner := pad + "  "), pad + "    "
+        sep = "," + (inner := pad + "  ")
         if kind is RootRows:  # either half may be empty
             negated, positive = obj
+            deep = inner + "  "
             halves = (_root_digits(negated, "," + deep).replace("1", "-1").replace("2", "-2"),
                       _root_digits(positive, "," + deep))
             marker = "," + deep + "|," + deep
@@ -423,11 +422,6 @@ def _write(obj, pad: str, out: list[str]) -> list[str]:
                 _write(obj[k], inner, out)
                 opener = sep
             out.append(pad + "}" if obj else "{}")
-        elif (kinds := {*map(type, obj)}) == {int}:
-            out += ("[" + inner, sep.join(map(str, obj)), pad + "]")
-        elif kinds == {list} and {*map(type, chain.from_iterable(obj))} <= {int}:
-            rows = ["[" + deep + ("," + deep).join(map(str, row)) + inner + "]" if row else "[]" for row in obj]
-            out += ("[" + inner, sep.join(rows), pad + "]")
         else:
             opener = "[" + inner
             for v in obj:

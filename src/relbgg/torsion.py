@@ -53,18 +53,10 @@ class TorsionComponent(_ComponentFields):
                 )
         return self
 
-    @property
-    def is_torsion(self) -> bool:
-        """False for curvature components whose output dies in the tangent projection."""
-        return not in_q(self.out)
-
 
 class TorsionSupport(NamedTuple):
     components: frozenset[TorsionComponent]
     geometry_tag: str = ""
-
-    def torsion_components(self) -> tuple[TorsionComponent, ...]:
-        return tuple(sorted(c for c in self.components if c.is_torsion))
 
 
 class TorsionVerdict(NamedTuple):

@@ -402,18 +402,27 @@ def test_hasse_size_closed_form_matches_walk():
     assert checked == 948
 
 
-@pytest.mark.parametrize("type_tag", ["B", "C"])
-def test_walk_lists_the_largest_diagram_in_order(type_tag):
-    """At the cap (16,384 elements) the walk's list is already sorted by
-    (length, word), each word minus its last letter is an earlier element,
-    the lengths run over 0..N, and the walk takes under half a second."""
-    pair = make_pair(15, {1, 15}, {1}, type_tag)
+@pytest.mark.parametrize(
+    ("type_tag", "rank", "sq", "sp", "expected"),
+    [("B", 15, {1, 15}, {1}, 2**14), ("C", 15, {1, 15}, {1}, 2**14),
+     ("A", 32, {9, 15, 19, 23, 26, 30, 31}, {9, 15, 23, 31}, 19_600)],
+    ids=["B", "C", "A32"],
+)
+def test_walk_lists_the_largest_diagram_in_order(type_tag, rank, sq, sp, expected):
+    """Under the cap, the walk's list is already sorted by (length, word),
+    each word minus its last letter is an earlier element, the lengths run
+    over 0..N, and the walk takes under half a second.  B15 and C15
+    {1,15}/{1} have 16,384 elements and N = 105; the slowest walk found
+    under the cap, A32 {9,15,19,23,26,30,31}/{9,15,23,31}, has 19,600
+    elements and N = 35."""
+    pair = make_pair(rank, sq, sp, type_tag)
     n, size = _levi_quotient(pair)
+    assert size == expected <= MAX_HASSE_ELEMENTS
     start = time.perf_counter()
     hd = relative_hasse(pair)
     assert time.perf_counter() - start < 0.5
     words = list(hd.elements)
-    assert len(words) == size == 2**14
+    assert len(words) == size
     assert words == sorted(words, key=lambda w: (w.length, w.gens))
     seen = set()
     for w in words:

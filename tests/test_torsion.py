@@ -26,6 +26,7 @@ from relbgg import (
     path_geometry_catalog,
     theorem_322_check,
 )
+from relbgg.grading import in_q
 from relbgg.torsion import support_from_json, support_to_json
 
 
@@ -54,12 +55,11 @@ def _every_component():
 
 def test_curvature_components_are_ignored():
     geom = legendrean_catalog(3, assume_involutive_f=True)
-    curvature = [c for c in geom.support.components if not c.is_torsion]
+    curvature = [c for c in geom.support.components if in_q(c.out)]
     assert [c.tag for c in curvature] == ["E*⊗F*⊗L(E,E)"]
-    assert curvature[0] not in geom.support.torsion_components()
     # A curvature output lies in q, so no verdict can flag it: not alone at any
     # level, and not next to the torsion of a random support.
-    curvatures = sorted(c for c in _every_component() if not c.is_torsion)
+    curvatures = sorted(c for c in _every_component() if in_q(c.out))
     assert {c.out for c in curvatures} == {(0, 0), (1, 0), (0, 1)}
     for c in curvatures:
         ts = TorsionSupport(components=frozenset({c}))
