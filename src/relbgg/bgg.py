@@ -139,15 +139,16 @@ class BGGSequence(NamedTuple):
 def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
     """The sequence shape generated by a dominant P-representation label.
 
-    Only a chain has one sequence shape.  The closed form (N, size) is
-    evaluated once: a pair whose size exceeds N + 1 is refused with
-    ValueError before any walk, and the same value goes to ``relative_hasse``,
-    which refuses a diagram above the cap unwalked; its length check makes
-    every other diagram a chain, one word per length.
+    ``validate_label`` decides dominance on both ends: a source that fails it
+    for role P is refused with ValueError, and an entry that fails it for
+    role Q raises InternalCheckError.  Only a chain has one sequence shape.
+    The closed form (N, size) is evaluated once: a pair whose size exceeds
+    N + 1 is refused with ValueError before any walk, and the same value goes
+    to ``relative_hasse``, which refuses a diagram above the cap unwalked; its
+    length check makes every other diagram a chain, one word per length.
 
     Entry k carries the shifted action of the k-th Hasse word on the source
-    weight, crossed at sigma_q; a negative coefficient at an uncrossed node
-    raises InternalCheckError.  The order to the next entry is
+    weight, crossed at sigma_q.  The order to the next entry is
     <lambda_k + rho, beta_k^vee> along the connecting root beta_k = w_k(alpha_i),
     where w_{k+1} = w_k s_i.
     """
@@ -172,12 +173,10 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
     # <src + rho, alpha_i^vee> = src_i + 1, since rho is the all-ones weight.
     orders = [src.coeffs.coeffs[i - 1] + 1 for i in diagram.elements[-1].gens] + [None]
     cols, mu = rs.sparse_cartan, tuple(c + 1 for c in src.coeffs.coeffs)
-    uncrossed = [i for i in range(rs.rank) if i + 1 not in pair.sigma_q]
     entries = []
     for k, (word, order) in enumerate(zip(diagram.elements, orders)):
-        coeffs = _shifted(cols, word.gens, mu)
-        label = DynkinLabel(rs=rs, crossed=pair.sigma_q, coeffs=Weight(coeffs))
-        if any(coeffs[i] < 0 for i in uncrossed):
+        label = DynkinLabel(rs=rs, crossed=pair.sigma_q, coeffs=Weight(_shifted(cols, word.gens, mu)))
+        if not validate_label(label, "Q", pair).ok:
             raise InternalCheckError(
                 f"entry {k} produced the Q-invalid label {print_label(label)}"
             )

@@ -126,20 +126,19 @@ def cmd_bigrade(args) -> tuple[dict, dict, list[str]]:
 
 def cmd_bgg(args) -> tuple[dict, dict, list[str]]:
     from .bgg import relative_bgg_sequence
-    from .dynkin import label_head, parse_label, print_label
+    from .dynkin import parse_label, print_label
 
     src = parse_label(args.label)
     pair = ParabolicPair(
         rs=src.rs, sigma_q=_parse_nodes(args.sq), sigma_p=_parse_nodes(args.sp)
     )
     seq = relative_bgg_sequence(src, pair)
-    head = label_head(pair.rs, pair.sigma_q)  # every entry is crossed at sigma_q
     result = {
         "source": print_label(src),
         "entries": [
             {
                 "word": list(e.word.gens),
-                "label": print_label(e.label, head=head),
+                "label": print_label(e.label),
                 "coeffs": list(e.label.coeffs.coeffs),
                 "order_to_next": e.order_to_next,
             }

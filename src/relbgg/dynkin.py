@@ -39,14 +39,6 @@ class DynkinLabel(_LabelFields):
             raise ValueError(f"{len(coeffs.coeffs)} coefficients for rank {rs.rank}")
         return self
 
-    def uncrossed_coeffs(self) -> tuple[tuple[int, int], ...]:
-        """(node, coefficient) over the uncrossed nodes."""
-        return tuple(
-            (i, self.coeffs.coeffs[i - 1])
-            for i in range(1, self.rs.rank + 1)
-            if i not in self.crossed
-        )
-
 
 def parse_label(text: str) -> DynkinLabel:
     """Parse ``TYPE RANK [x|o,...] (int,...)``, e.g. ``A4[x,o,o,o](-2,1,0,0)``."""
@@ -66,16 +58,13 @@ def parse_label(text: str) -> DynkinLabel:
     return DynkinLabel(rs=rs, crossed=crossed, coeffs=Weight(coeffs))
 
 
-def label_head(rs: RootSystem, crossed: frozenset[int]) -> str:
-    """The part of a label before its coefficients, e.g. ``A4[x,o,o,o]``."""
-    marks = ",".join("x" if i in crossed else "o" for i in range(1, rs.rank + 1))
-    return f"{rs.type_tag}{rs.rank}[{marks}]"
-
-
-def print_label(lbl: DynkinLabel, *, head: str | None = None) -> str:
-    """``head`` is ``label_head(lbl.rs, lbl.crossed)``, built here unless given."""
+def print_label(lbl: DynkinLabel) -> str:
+    """The grammar ``parse_label`` reads, e.g. ``A4[x,o,o,o](-2,1,0,0)``."""
+    rs, marks = lbl.rs, ["o"] * lbl.rs.rank
+    for i in lbl.crossed:
+        marks[i - 1] = "x"
     coeffs = ",".join(map(str, lbl.coeffs.coeffs))
-    return f"{head or label_head(lbl.rs, lbl.crossed)}({coeffs})"
+    return f"{rs.type_tag}{rs.rank}[{','.join(marks)}]({coeffs})"
 
 
 class LabelVerdict(NamedTuple):
@@ -98,5 +87,5 @@ def validate_label(lbl: DynkinLabel, role: Role, pair: ParabolicPair) -> LabelVe
             f"crossed nodes {sorted(lbl.crossed)} do not match the {role}-role set "
             f"{sorted(expected)}"
         )
-    bad = tuple(i for i, c in lbl.uncrossed_coeffs() if c < 0)
+    bad = tuple(i for i, c in enumerate(lbl.coeffs.coeffs, 1) if c < 0 and i not in expected)
     return LabelVerdict(ok=not bad, negative_uncrossed=bad)

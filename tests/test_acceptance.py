@@ -95,7 +95,7 @@ def test_criterion_4_legendrean_line_bundle_shape():
             seq = relative_bgg_sequence(src, pair)
             assert len(seq.entries) == n + 1, n
             first = seq.entries[0].label
-            assert all(c == 0 for _, c in first.uncrossed_coeffs()), n
+            assert all(c == 0 for i, c in enumerate(first.coeffs.coeffs, 1) if i not in first.crossed), n
             orders = tuple(e.order_to_next for e in seq.entries[:-1])
             assert orders[0] == 2, n
             assert all(o == 1 for o in orders[1:]), n

@@ -266,6 +266,21 @@ def test_broken_hasse_walk_exits_three(monkeypatch):
     )
 
 
+def test_broken_shifted_action_exits_three(monkeypatch):
+    """An entry that fails validate_label for role Q is an internal error."""
+    import relbgg.bgg as bgg
+
+    shifted = bgg._shifted
+
+    def wrong_order(cols, gens, mu):  # the word's letters applied left to right
+        return shifted(cols, gens[::-1], mu)
+
+    monkeypatch.setattr(bgg, "_shifted", wrong_order)
+    assert run(["bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"]) == (
+        3, "", "internal invariant violated: entry 2 produced the Q-invalid label A4[x,x,o,o](0,0,-4,3)\n"
+    )
+
+
 def test_catalog_at_cap_runs():
     code, out, _ = run(["check-torsion", "--catalog", "legendrean(31)"])
     assert code == 0

@@ -2,7 +2,7 @@
 
 import pytest
 from common import path_pair
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from relbgg import (
     DynkinLabel,
@@ -12,6 +12,7 @@ from relbgg import (
     print_label,
     validate_label,
 )
+from relbgg.roots import _MIN_RANK, MAX_RANK
 
 
 def test_parse_two_crossings():
@@ -64,18 +65,6 @@ def test_print_specific_labels():
     assert print_label(zero) == "A4[x,x,o,o](0,0,0,0)"
 
 
-def test_shared_head_prints_the_same_label():
-    """A head built once for a crossed set prints every label crossed there
-    byte for byte as ``print_label`` alone does."""
-    from relbgg.dynkin import label_head
-
-    for text in ("A4[x,x,o,o](-2,1,0,0)", "B3[o,o,o](0,0,0)", "D5[o,x,o,x,x](1,-10,0,3,0)"):
-        lbl = parse_label(text)
-        head = label_head(lbl.rs, lbl.crossed)
-        assert text.startswith(head + "(")
-        assert print_label(lbl, head=head) == print_label(lbl) == text
-
-
 def test_label_construction_guards():
     rs = build_root_system("A", 3)
     with pytest.raises(ValueError):
@@ -111,8 +100,10 @@ def test_validate_role_mismatch_is_an_error():
 
 @st.composite
 def labels(draw):
-    rank = draw(st.integers(1, 8))
-    rs = build_root_system("A", rank)
+    """Every type A-D, from its minimum rank up to the rank cap."""
+    type_tag = draw(st.sampled_from(sorted(_MIN_RANK)))
+    rank = draw(st.integers(_MIN_RANK[type_tag], MAX_RANK))
+    rs = build_root_system(type_tag, rank)
     crossed = frozenset(
         i for i in range(1, rank + 1) if draw(st.booleans())
     )
@@ -121,5 +112,10 @@ def labels(draw):
 
 
 @given(labels())
+@example(DynkinLabel(  # the D fork crossed, at the rank cap
+    rs=build_root_system("D", MAX_RANK),
+    crossed={MAX_RANK - 1, MAX_RANK},
+    coeffs=Weight((0,) * (MAX_RANK - 2) + (-9, 9)),
+))
 def test_parse_print_identity(lbl):
     assert parse_label(print_label(lbl)) == lbl
