@@ -48,7 +48,6 @@ def _levi_quotient(pair: ParabolicPair) -> tuple[int, int]:
 
 
 class HasseDiagram(NamedTuple):
-    pair: ParabolicPair
     elements: tuple[WeylWord, ...]
     is_chain: bool
 
@@ -104,7 +103,7 @@ def relative_hasse(
             f"on {rs.type_tag}{rs.rank} sigma_q={sorted(pair.sigma_q)} "
             f"sigma_p={sorted(pair.sigma_p)}"
         )
-    return HasseDiagram(pair=pair, elements=tuple(WeylWord(w) for _, w in orbit), is_chain=size == n + 1)
+    return HasseDiagram(elements=tuple(WeylWord(w) for _, w in orbit), is_chain=size == n + 1)
 
 
 def _shifted(cols: _SparseColumns, gens: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,7 +131,6 @@ class BGGEntry(NamedTuple):
 
 
 class BGGSequence(NamedTuple):
-    source: DynkinLabel
     entries: tuple[BGGEntry, ...]
 
 
@@ -181,4 +179,4 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
                 f"entry {k} produced the Q-invalid label {print_label(label)}"
             )
         entries.append(BGGEntry(word=word, label=label, order_to_next=order))
-    return BGGSequence(source=src, entries=tuple(entries))
+    return BGGSequence(entries=tuple(entries))

@@ -157,18 +157,17 @@ def cmd_filtration(args) -> tuple[dict, dict, list[str]]:
     pair = _pair_from_args(args)
     rep = filtration(bigrade(pair))
     result = {
-        "i_prime_range": list(rep.i_prime_range),
+        "i_prime_range": list(rep.components),
         "components": [
-            {"i_prime": ip, "bidegrees": [list(bd) for bd in rep.components[ip]]}
-            for ip in rep.i_prime_range
+            {"i_prime": ip, "bidegrees": [list(bd) for bd in bds]} for ip, bds in rep.components.items()
         ],
         "modules": [
             {
-                "i_prime": m.i_prime,
+                "i_prime": ip,
                 "dim": m.dim,
                 "steps": [{"i_dprime": idp, "dim": d} for idp, d in m.filtration_steps],
             }
-            for m in (rep.modules[ip] for ip in rep.i_prime_range)
+            for ip, m in rep.modules.items()
         ],
     }
     ips = result["i_prime_range"]

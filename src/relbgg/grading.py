@@ -91,13 +91,16 @@ class Bigrading(NamedTuple):
 
     def root_spaces(self) -> dict[Bidegree, RootRows]:
         """The roots of every component packed as ``RootRows``, keyed like
-        ``dims``: one pass over ``rs.positive_roots`` buckets each root's
-        ``bytes`` row by bidegree, and each bucket is sorted as ``bytes``,
-        which for rows of equal length is the order of coefficient tuples.
-        ``bigrade --json`` prints them and ``audit`` checks them."""
+        ``dims``: root k's row is sliced out of the joined ``rs.columns`` as
+        every count-th byte from byte k, one pass buckets the rows by
+        bidegree, and each bucket is sorted as ``bytes``, which for rows of
+        equal length is the order of coefficient tuples.  No root is unpacked
+        into a tuple.  ``bigrade --json`` prints them and ``audit`` checks them."""
+        columns = self.pair.rs.columns
+        flat, count = b"".join(columns), len(columns[0])
         positive: dict[tuple[int, int], list[bytes]] = {}
-        for key, row in zip(zip(*_height_strings(self.pair)), map(bytes, self.pair.rs.positive_roots)):
-            positive.setdefault(key, []).append(row)
+        for k, key in enumerate(zip(*_height_strings(self.pair))):
+            positive.setdefault(key, []).append(flat[k::count])
         for bucket in positive.values():
             bucket.sort()
         return {bd: RootRows((tuple(positive.get(-bd, ())[::-1]), tuple(positive.get(bd, ())))) for bd in self.dims}
@@ -108,9 +111,6 @@ class Bigrading(NamedTuple):
     @property
     def dim_g(self) -> int:
         return sum(self.dims.values())
-
-    def first_index_values(self) -> list[int]:
-        return sorted({bd.i_prime for bd in self.dims})
 
 
 def _height_strings(pair: ParabolicPair) -> tuple[bytes, bytes]:
@@ -154,17 +154,15 @@ def subalgebra_profile(bg: Bigrading) -> dict[str, SubalgebraInfo]:
 
 
 class ModuleDescriptor(NamedTuple):
-    """One graded module V_{i'} with its second-index filtration step dims."""
+    """One graded module V_{i'}, keyed by i', with its second-index filtration step dims."""
 
-    i_prime: int
     dim: int
     filtration_steps: tuple[tuple[int, int], ...]  # (i'', dim of the image), i'' ascending
 
 
 class FiltrationReport(NamedTuple):
-    i_prime_range: tuple[int, ...]
-    components: Mapping[int, tuple[Bidegree, ...]]  # i' -> bidegrees of the filtration piece
-    modules: Mapping[int, ModuleDescriptor]
+    components: Mapping[int, tuple[Bidegree, ...]]  # every i', ascending -> bidegrees of the filtration piece
+    modules: Mapping[int, ModuleDescriptor]  # the same keys -> V_{i'}
 
     __reduce__ = _reduce_report
 
@@ -177,10 +175,9 @@ def filtration(bg: Bigrading) -> FiltrationReport:
     index (the step at i'' is the image of everything with both indices
     >= (i', i''), i.e. the part of V_{i'} with second index >= i'').
     """
-    values = bg.first_index_values()
     components: dict[int, tuple[Bidegree, ...]] = {}
     modules: dict[int, ModuleDescriptor] = {}
-    for ip in values:
+    for ip in sorted({bd.i_prime for bd in bg.dims}):
         components[ip] = tuple(sorted(bd for bd in bg.dims if bd.i_prime >= ip))
         level = sorted(bd for bd in bg.dims if bd.i_prime == ip)
         total = sum(bg.dims[bd] for bd in level)
@@ -188,8 +185,8 @@ def filtration(bg: Bigrading) -> FiltrationReport:
             (bd.i_dprime, sum(bg.dims[b] for b in level if b.i_dprime >= bd.i_dprime))
             for bd in level
         )
-        modules[ip] = ModuleDescriptor(i_prime=ip, dim=total, filtration_steps=steps)
-    return FiltrationReport(tuple(values), MappingProxyType(components), MappingProxyType(modules))
+        modules[ip] = ModuleDescriptor(dim=total, filtration_steps=steps)
+    return FiltrationReport(MappingProxyType(components), MappingProxyType(modules))
 
 
 class RankReport(NamedTuple):

@@ -18,9 +18,10 @@ bounded by ``MAX_RANK``: building all 124 A-D systems in a fresh process
 allocates 1,761,837 bytes still held afterwards (``tracemalloc`` current
 size, started after import, CPython 3.11).  The sigma-heights of all positive
 roots come out of the columns as one ``bytes`` by big-integer addition, and
-``positive_roots``, the one place the columns are unpacked into coefficient
-tuples, does so only when it is read.  Every reflection is
-``_reflect_coords`` over ``sparse_cartan``.
+``grading.Bigrading.root_spaces`` slices each root's row out of the joined
+columns.  ``positive_roots`` unpacks the columns into coefficient tuples when
+it is read; it is the public tuple view, and no other engine module reads it.
+Every reflection is ``_reflect_coords`` over ``sparse_cartan``.
 """
 
 from __future__ import annotations

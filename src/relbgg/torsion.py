@@ -127,9 +127,8 @@ def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
 
 
 class Geometry(NamedTuple):
-    """A named pair plus the torsion support of its harmonic curvature."""
+    """A catalog pair and its harmonic-curvature torsion support, named by its ``geometry_tag``."""
 
-    name: str
     pair: ParabolicPair
     support: TorsionSupport
 
@@ -172,7 +171,7 @@ def _catalog(kind: str, n: int, assume_involutive_f: bool = False) -> Geometry:
     pair = ParabolicPair(rs=rs, sigma_q=frozenset(sigma_q(n)), sigma_p=frozenset({1}))
     comps = frozenset(TorsionComponent(*row) for row in rows if row[3] not in drop)
     tag = f"{kind}({n})" + (" involutive-F" if assume_involutive_f else "")
-    return Geometry(name=f"{kind}({n})", pair=pair, support=TorsionSupport(comps, tag))
+    return Geometry(pair=pair, support=TorsionSupport(comps, tag))
 
 
 def legendrean_catalog(n: int, assume_involutive_f: bool = False) -> Geometry:

@@ -10,6 +10,8 @@ Core claims:
       of A1-A4, B2-B3, C2-C3 and D3-D4, and of sampled rank-5 pairs, are those
       of the epsilon-basis model of tests/weyl_model.py, which does not read
       the engine's Cartan matrix; so is affine_act on random B, C, D words
+    - the walk's length profile on every nested pair of A1-A5, B2-B4, C2-C4
+      and D3-D5 is Macdonald's product over the model's root heights
     - every other check is structural or derived from an independent identity
 """
 
@@ -366,19 +368,63 @@ def test_rank_cap_chain_labels_match_the_model(type_tag, sigma_q, sigma_p, entri
         assert e.label.coeffs.coeffs == m.label(e.word.gens, src.coeffs.coeffs), e.word
 
 
+def _macdonald_profile(heights):
+    """The coefficients of the product over ``heights`` of (1 - t^{h+1}) / (1 - t^h),
+    constant term first, by exact integer polynomial division."""
+    num, den = [1], [1]
+    for h in heights:
+        for poly, k in ((num, h + 1), (den, h)):  # poly *= 1 - t^k
+            poly += [0] * k
+            for j in range(len(poly) - 1 - k, -1, -1):
+                poly[j + k] -= poly[j]
+    quotient = [0] * (len(num) - len(den) + 1)
+    for k in reversed(range(len(quotient))):
+        quotient[k], r = divmod(num[k + len(den) - 1], den[-1])
+        assert r == 0, heights
+        for j, d in enumerate(den):
+            num[k + j] -= quotient[k] * d
+    assert not any(num), heights
+    return quotient
+
+
+def _length_profile(words):
+    """How many of ``words`` have each length 0..the longest."""
+    profile = [0] * (max(w.length for w in words) + 1)
+    for w in words:
+        profile[w.length] += 1
+    return profile
+
+
 def test_hasse_size_closed_form_matches_walk():
+    """On every nested pair of A1-A5, B2-B4, C2-C4 and D3-D5, all under the
+    cap, the walk has _levi_quotient's size, and its elements of each length
+    number the coefficients of the Poincare polynomial of W_L / W_(L&q)
+    (Macdonald 1972): the product of (1 - t^{h+1}) / (1 - t^h) over the
+    heights h of the model's roots of sigma_p-height 0 and positive
+    sigma_q-height.  A list of the same size with one word moved to another
+    length is told apart."""
     diagrams = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
                 ("C", 2), ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("D", 5)]
     checked = 0
     for type_tag, rank in diagrams:
+        roots = WeylModel(type_tag, rank).positive_roots
         for pair in all_pairs(rank, type_tag):
             where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
             n, size = _levi_quotient(pair)
-            assert size == len(relative_hasse(pair).elements), where
+            elements = relative_hasse(pair).elements
+            assert size == len(elements), where
+            heights = [sum(r) for r in roots
+                       if not any(r[i - 1] for i in pair.sigma_p) and any(r[i - 1] for i in pair.sigma_q)]
+            assert _length_profile(elements) == _macdonald_profile(heights), where
             if pair.sigma_p:  # both count the roots of bidegree (0, i'' > 0)
                 assert n == tangent_ranks(bigrade(pair)).rank_T_rho, where
             checked += 1
     assert checked == 948
+    words = list(relative_hasse(make_pair(3, {1, 2, 3}, set())).elements)
+    assert _length_profile(words) == _macdonald_profile([1, 1, 1, 2, 2, 3]) == [1, 3, 5, 6, 5, 3, 1]
+    words[1] = WeylWord(words[1].gens + (2,))  # s_1 becomes s_1 s_2: still 24 words
+    assert len(words) == 24
+    assert _length_profile(words) == [1, 2, 6, 6, 5, 3, 1] != _macdonald_profile([1, 1, 1, 2, 2, 3])
 
 
 @pytest.mark.parametrize(

@@ -117,25 +117,32 @@ TEXT_BIGRADE_RUNS = [
 def test_dims_only_reports_negate_no_root(tmp_path, monkeypatch):
     """Only bigrade --json lists roots, and only audit checks each root vector
     against the listing; every other report, text bigrade included, reads
-    component dims or packed heights, so none reads the root listing."""
+    component dims or packed heights, so none builds the root listing.  And
+    no command unpacks the roots into tuples: the listing slices its rows
+    out of the packed columns."""
+    from relbgg.grading import Bigrading
     from relbgg.roots import RootSystem
 
     support = {"components": [{"in1": [-1, 0], "in2": [0, -1], "out": [-1, -1], "tag": "t"}]}
     (tmp_path / "support.json").write_text(json.dumps(support))
     monkeypatch.chdir(tmp_path)
     runs = [argv + flag for argv in DIMS_ONLY_RUNS for flag in ((), ("--json",))] + TEXT_BIGRADE_RUNS
-    unpatched = [run(list(argv)) for argv in runs]
+    listing = [("bigrade", "A6", "--sq", "1,2,6", "--sp", "1", "--json"),
+               ("audit", "A6", "--sq", "1,6", "--sp", "1")]
+    unpatched = [run(list(argv)) for argv in runs + listing]
+    assert all(code == 0 for code, _, _ in unpatched)
 
     def refuse(*args):
-        raise AssertionError("the root listing was read")
+        raise AssertionError("a refused root read")
 
     monkeypatch.setattr(RootSystem, "positive_roots", property(refuse))
-    for control in (["bigrade", "A6", "--sq", "1,2,6", "--sp", "1", "--json"],
-                    ["audit", "A6", "--sq", "1,6", "--sp", "1"]):
+    for argv, before in zip(runs + listing, unpatched):
+        assert run(list(argv)) == before, argv
+    monkeypatch.setattr(Bigrading, "root_spaces", refuse)
+    for control in listing:
         with pytest.raises(AssertionError):
-            run(control)
+            run(list(control))
     for argv, before in zip(runs, unpatched):
-        assert before[0] == 0, argv
         assert run(list(argv)) == before, argv
 
 
@@ -419,26 +426,33 @@ def test_bigrade_root_listing_round_trips_at_rank_24(diagram, sq, sp, n_positive
     assert len(listed) == len(set(listed)) == 2 * n_positive
 
 
+def _doctored_columns(monkeypatch, node, at):
+    """Patch the CLI's ``build_root_system`` to serve A4 with coefficient 3 at
+    the 1-based ``node`` of the positive root at index ``at`` of its columns."""
+    from relbgg.roots import build_root_system
+
+    a4 = build_root_system("A", 4)
+    column = bytearray(a4.columns[node - 1])
+    column[at] = 3
+    columns = (*a4.columns[:node - 1], bytes(column), *a4.columns[node:])
+    monkeypatch.setattr("relbgg.cli.build_root_system", lambda *key: a4._replace(columns=columns))
+
+
 def test_uncovered_root_coefficient_is_an_internal_error(monkeypatch):
     """A root coefficient outside the listing's digit table exits 3 with one
-    stderr line and no JSON, never a wrong listing."""
-    from relbgg.roots import RootSystem
-
-    read = RootSystem.positive_roots.fget
-    monkeypatch.setattr(RootSystem, "positive_roots", property(lambda rs: ((3, *read(rs)[0][1:]), *read(rs)[1:])))
+    stderr line and no JSON, never a wrong listing: here the first root in
+    the walk's order, (0, 0, 0, 1), as (3, 0, 0, 1)."""
+    _doctored_columns(monkeypatch, 1, 0)
     code, out, err = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json"])
     assert (code, out) == (3, "")
     assert err.startswith("internal invariant violated: ") and err.count("\n") == 1
 
 
 def test_late_uncovered_root_coefficient_prints_nothing(monkeypatch):
-    """The bad coefficient in the root listed last, the highest root of the
-    last component, fails after the rest of the report is rendered: still
-    exit 3, one stderr line and nothing on stdout."""
-    from relbgg.roots import RootSystem
-
-    read = RootSystem.positive_roots.fget
-    monkeypatch.setattr(RootSystem, "positive_roots", property(lambda rs: (*read(rs)[:-1], (1, 3, 1, 1))))
+    """The bad coefficient in the root the walk lists last, the highest root,
+    as (1, 3, 1, 1): the last component lists it and the first its negative,
+    and still the run exits 3 with one stderr line and nothing on stdout."""
+    _doctored_columns(monkeypatch, 2, -1)
     code, out, err = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json"])
     assert (code, out) == (3, "")
     assert err.startswith("internal invariant violated: ") and err.count("\n") == 1

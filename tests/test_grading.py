@@ -12,12 +12,16 @@ Core claims:
       acceptance criterion 7 checks the rank telescoping on every pair
 """
 
+import random
+import time
+
 import pytest
 from common import all_pairs, legendrean_pair, listed_roots, make_pair, path_pair
 from weyl_model import WeylModel
 
 from relbgg import (
     Bidegree,
+    Bigrading,
     ParabolicPair,
     RootSystem,
     bigrade,
@@ -26,6 +30,7 @@ from relbgg import (
     subalgebra_profile,
     tangent_ranks,
 )
+from relbgg.roots import MAX_RANK
 
 
 # -- sigma height ------------------------------------------------------------
@@ -74,19 +79,23 @@ def test_absent_bidegree_has_no_roots(bd):
 
 
 def test_dims_come_from_packed_heights_alone(monkeypatch):
-    """build_root_system and bigrade never unpack the root listing, and the
-    reports on dims follow suit."""
+    """build_root_system and bigrade never build the root listing, and the
+    reports on dims follow suit; the listing itself slices its rows out of
+    the packed columns, so nothing unpacks the roots into tuples."""
     pairs = [make_pair(24, {1, 8, 24}, {8}, "B"), make_pair(6, {1, 2, 6}, {1}),
              make_pair(5, {2, 5}, {2, 5}, "D")]
-    want = []
+    want, spaces = [], []
     for pair in pairs:
         bg = bigrade(pair)
         want.append((bg, filtration(bg), tangent_ranks(bg)))
+        spaces.append(bg.root_spaces())
 
     def refuse(*args):
-        raise AssertionError("the root listing was read")
+        raise AssertionError("a refused root read")
 
     monkeypatch.setattr(RootSystem, "positive_roots", property(refuse))
+    assert [bigrade(pair).root_spaces() for pair in pairs] == spaces
+    monkeypatch.setattr(Bigrading, "root_spaces", refuse)
     for pair, expected in zip(pairs, want):
         rs = build_root_system(pair.rs.type_tag, pair.rs.rank)
         bg = bigrade(ParabolicPair(rs, pair.sigma_q, pair.sigma_p))
@@ -114,6 +123,38 @@ def test_bigrade_matches_reference_on_every_nested_pair():
                 assert bg.dims[bd] == len(roots) + (rank if bd == (0, 0) else 0), (where, bd)
             checked += 1
     assert checked == 948
+
+
+def test_sliced_rows_equal_the_tuple_view_at_every_rank():
+    """At every A-D type and rank up to MAX_RANK, on three seeded nested pairs,
+    each component of root_spaces, whose rows are sliced from the packed
+    columns, is ``positive_roots`` bucketed by (sigma_p-height,
+    (sigma_q - sigma_p)-height), each bucket sorted as coefficient tuples and
+    the negated half reversed; the 372 listings take well under 2 s."""
+    rng, elapsed, checked = random.Random(44), 0.0, 0
+    for type_tag, low in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(low, MAX_RANK + 1):
+            rs = build_root_system(type_tag, rank)
+            roots = rs.positive_roots
+            for _ in range(3):
+                sigma_q = {i for i in range(1, rank + 1) if rng.random() < 0.5}
+                sigma_p = {i for i in sigma_q if rng.random() < 0.5}
+                buckets = {}
+                for root in roots:
+                    ip = sum(root[i - 1] for i in sigma_p)
+                    buckets.setdefault((ip, sum(root[i - 1] for i in sigma_q) - ip), []).append(root)
+                bg = bigrade(ParabolicPair(rs, sigma_q, sigma_p))
+                start = time.perf_counter()
+                spaces = bg.root_spaces()
+                elapsed += time.perf_counter() - start
+                assert set(spaces) == set(bg.dims), (type_tag, rank, sigma_q, sigma_p)
+                for bd, rows in spaces.items():
+                    negated, positive = (sorted(buckets.get(key, ())) for key in (-bd, bd))
+                    want = (tuple(map(bytes, negated[::-1])), tuple(map(bytes, positive)))
+                    assert rows == want, (type_tag, rank, sigma_q, sigma_p, bd)
+                checked += 1
+    assert checked == 372
+    assert elapsed < 2
 
 
 @pytest.mark.parametrize("rank", range(1, 5))
@@ -160,7 +201,7 @@ def test_profile_partitions(rank):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_legendrean_filtration_module(n):
     rep = filtration(bigrade(legendrean_pair(n)))
-    assert rep.i_prime_range == (-1, 0, 1)
+    assert tuple(rep.components) == tuple(rep.modules) == (-1, 0, 1)
     mod = rep.modules[-1]
     assert mod.dim == n + 1
     assert mod.filtration_steps == ((-1, n + 1), (0, n))
@@ -175,7 +216,7 @@ def test_path_filtration_has_line_step(n):
 
 def test_two_step_filtration():
     rep = filtration(bigrade(make_pair(4, {1, 2, 3}, {1, 3})))
-    assert rep.i_prime_range == (-2, -1, 0, 1, 2)
+    assert tuple(rep.components) == tuple(rep.modules) == (-2, -1, 0, 1, 2)
     assert rep.modules[-1].dim > 0 and rep.modules[-2].dim > 0
 
 
@@ -183,8 +224,9 @@ def test_filtration_nesting_and_monotone_steps():
     for pair in all_pairs(3):
         bg = bigrade(pair)
         rep = filtration(bg)
-        assert set(rep.components[rep.i_prime_range[0]]) == set(bg.dims)
-        for lo, hi in zip(rep.i_prime_range, rep.i_prime_range[1:]):
+        ips = list(rep.components)
+        assert set(rep.components[ips[0]]) == set(bg.dims)
+        for lo, hi in zip(ips, ips[1:]):
             assert set(rep.components[hi]) < set(rep.components[lo])
         for mod in rep.modules.values():
             dims = [d for _, d in mod.filtration_steps]

@@ -119,7 +119,7 @@ def test_component_validation():
 
 def test_catalog_parser():
     assert catalog("legendrean(4)").pair.rs.rank == 5
-    assert catalog("path-geometry(2)").name == "path-geometry(2)"
+    assert catalog("path-geometry(2)").support.geometry_tag == "path-geometry(2)"
     with pytest.raises(ValueError):
         catalog("legendrean[3]")
     with pytest.raises(ValueError):
@@ -166,7 +166,7 @@ def test_corollary_33_is_the_conjunction_of_its_levels(pair, lowest):
     """per_level runs over the first indices lowest..0 with theorem 3.2.2's two
     verdicts (strict is True at level 0); part1 and part2 are their conjunctions."""
     bg = bigrade(pair)
-    assert min(bg.first_index_values()) == lowest
+    assert min(bd.i_prime for bd in bg.dims) == lowest
     rng = random.Random(33)
     # the support of every component flags many at once, in hash order
     full = TorsionSupport(components=_every_component())

@@ -82,7 +82,7 @@ VALUES = {
     "OracleReport": ("ok", lambda: commutator_audit(block_structure_from_pair(_a4()[0]), _a4()[1])),
     "TorsionComponent": ("tag", lambda: min(_legendrean2()[0].support.components)),
     "TorsionSupport": ("components", lambda: _legendrean2()[0].support),
-    "Geometry": ("name", lambda: _legendrean2()[0]),
+    "Geometry": ("pair", lambda: _legendrean2()[0]),
     "Corollary33Verdict": ("part1", lambda: _legendrean2()[1]),
     "TorsionVerdict": ("ok", lambda: _legendrean2()[1].involutivity),
 }
