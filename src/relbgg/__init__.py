@@ -23,7 +23,7 @@ _MODULE_NAMES = {
     "dynkin": "DynkinLabel LabelVerdict parse_label print_label validate_label",
     "bgg": "BGGEntry BGGSequence HasseDiagram WeylWord affine_act relative_bgg_sequence relative_hasse",
     "torsion": "Corollary33Verdict Geometry TorsionComponent TorsionSupport TorsionVerdict catalog "
-    "corollary_33_check involutivity_check legendrean_catalog path_geometry_catalog theorem_322_check",
+    "corollary_33_check involutivity_check theorem_322_check",
     "oracle": "BlockStructure OracleReport block_structure_from_pair commutator_audit",
 }
 _HOME = {name: module for module, names in _MODULE_NAMES.items() for name in names.split()}

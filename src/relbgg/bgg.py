@@ -27,10 +27,6 @@ class WeylWord(NamedTuple):
 
     gens: tuple[int, ...]
 
-    @property
-    def length(self) -> int:
-        return len(self.gens)
-
 
 # Largest relative Hasse diagram walked; B15 with sigma_q = {1, 15} and
 # sigma_p = {1} has 16,384 elements and walks in well under a second.
@@ -171,9 +167,11 @@ def relative_bgg_sequence(src: DynkinLabel, pair: ParabolicPair) -> BGGSequence:
     # <src + rho, alpha_i^vee> = src_i + 1, since rho is the all-ones weight.
     orders = [src.coeffs.coeffs[i - 1] + 1 for i in diagram.elements[-1].gens] + [None]
     cols, mu = rs.sparse_cartan, tuple(c + 1 for c in src.coeffs.coeffs)
+    # _make skips the node and length checks of DynkinLabel(): sigma_q is the
+    # validated pair's and each weight has the validated source's length
     entries = []
     for k, (word, order) in enumerate(zip(diagram.elements, orders)):
-        label = DynkinLabel(rs=rs, crossed=pair.sigma_q, coeffs=Weight(_shifted(cols, word.gens, mu)))
+        label = DynkinLabel._make((rs, pair.sigma_q, Weight(_shifted(cols, word.gens, mu))))
         if not validate_label(label, "Q", pair).ok:
             raise InternalCheckError(
                 f"entry {k} produced the Q-invalid label {print_label(label)}"

@@ -105,9 +105,6 @@ class Bigrading(NamedTuple):
             bucket.sort()
         return {bd: RootRows((tuple(positive.get(-bd, ())[::-1]), tuple(positive.get(bd, ())))) for bd in self.dims}
 
-    def dim_component(self, bd: Bidegree) -> int:
-        return self.dims.get(Bidegree(*bd), 0)
-
     @property
     def dim_g(self) -> int:
         return sum(self.dims.values())

@@ -33,10 +33,6 @@ class BlockStructure(NamedTuple):
     z_p: tuple[int, ...]
     z_q: tuple[int, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.z_q)
-
     def bidegree(self, u: int, w: int) -> Bidegree:
         """Bidegree of the matrix entry (u, w) from the two height differences."""
         hp = self.z_p[u] - self.z_p[w]
@@ -84,7 +80,7 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     raising follows: with X in p_plus, [X, Y] sits at first index
     i'(X) + i'(Y) > i'(Y).
     """
-    m = bs.m
+    m = len(bs.z_q)
     sizes = [len(list(run)) for _, run in groupby(zip(bs.z_p, bs.z_q))]
     starts = list(accumulate(sizes, initial=0))[:-1]
     block = [a for a, size in enumerate(sizes) for _ in range(size)]
@@ -115,7 +111,7 @@ def commutator_audit(bs: BlockStructure, bg: Bigrading) -> OracleReport:
     mismatches = []
     for bd in sorted(set(block_counts) | set(bg.dims)):
         left = block_counts.get(bd, 0)
-        right = bg.dim_component(bd)
+        right = bg.dims.get(bd, 0)
         if left != right:
             mismatches.append(f"{tuple(bd)}: block dim {left} vs root dim {right}")
 

@@ -127,14 +127,24 @@ def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
 
 
 class Geometry(NamedTuple):
-    """A catalog pair and its harmonic-curvature torsion support, named by its ``geometry_tag``."""
+    """A catalog pair and its harmonic-curvature torsion support, as ``catalog``
+    builds it; the support's ``geometry_tag`` names the catalog."""
 
     pair: ParabolicPair
     support: TorsionSupport
 
 
 # kind -> (sigma_q as a function of n, hand-typed rows (in1, in2, out, tag)); every
-# catalog kind(n) lives on sl(n+2) with sigma_p = {1}
+# catalog kind(n) lives on sl(n+2) with sigma_p = {1}.  legendrean(n), blocks
+# 1, n, 1: a contact structure with transverse rank-n distributions E and F,
+# whose two torsion rows obstruct involutivity of E and of F (the involutive-F
+# hypothesis drops Λ²F*⊗E, so the relative directions integrate); its curvature
+# row lands in q.  path-geometry(n), blocks 1, 1, n: a line bundle E and a rank-n
+# bundle V; its torsion row never meets two relative directions, its curvature
+# row lands in q, and Kostant's Λ²V*⊗(TM/H) is left out because V is assumed
+# integrable.  At n = 1 neither gives harmonic-curvature verdicts: E and F are
+# line bundles, so the Λ² rows vanish, and A2/B's two harmonic components both
+# land in q.
 _CATALOGS = {
     "legendrean": (
         lambda n: {1, n + 1},
@@ -153,9 +163,21 @@ _CATALOGS = {
     ),
 }
 
+_CATALOG_RE = re.compile(r"^([a-z-]+)\((\d+)\)$", re.ASCII)
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
-def _catalog(kind: str, n: int, assume_involutive_f: bool = False) -> Geometry:
-    """Catalog ``kind(n)``, n in 1..MAX_RANK - 1; the hypothesis drops a named row."""
+
+def catalog(name: str, assume_involutive_f: bool = False) -> Geometry:
+    """Build ``legendrean(n)`` or ``path-geometry(n)``, n in 1..MAX_RANK - 1,
+    from its row of ``_CATALOGS``; ``assume_involutive_f`` drops the row that
+    hypothesis names and is refused where there is none.  The gaps noted above
+    ``_CATALOGS`` stay while ``perfbench/checks.py`` hand-types the same supports."""
+    m = _CATALOG_RE.match(name.strip())
+    if not m:
+        raise ValueError(f"malformed catalog name {name!r}")
+    kind, n = m.group(1), int(m.group(2))
+    if kind not in _CATALOGS:
+        raise ValueError(f"unknown catalog {kind!r}")
     if n < 1:
         raise ValueError("need n >= 1")
     if n > MAX_RANK - 1:
@@ -172,51 +194,6 @@ def _catalog(kind: str, n: int, assume_involutive_f: bool = False) -> Geometry:
     comps = frozenset(TorsionComponent(*row) for row in rows if row[3] not in drop)
     tag = f"{kind}({n})" + (" involutive-F" if assume_involutive_f else "")
     return Geometry(pair=pair, support=TorsionSupport(comps, tag))
-
-
-def legendrean_catalog(n: int, assume_involutive_f: bool = False) -> Geometry:
-    """Contact structure with two transverse rank-n integrable-candidate
-    distributions E, F; blocks 1, n, 1 on sl(n+2).
-
-    The two first-order torsions obstruct involutivity of E and of F; the
-    second-order curvature component lands inside q.  Passing
-    ``assume_involutive_f`` drops the F-obstruction, which is the hypothesis
-    under which the relative directions integrate.  At n = 1, E and F are
-    line bundles and the Λ² components vanish, so the n = 1 verdicts are not
-    harmonic-curvature verdicts.
-    """
-    return _catalog("legendrean", n, assume_involutive_f)
-
-
-def path_geometry_catalog(n: int) -> Geometry:
-    """Rank-(n+1) distribution split into a line bundle E and a rank-n
-    bundle V; blocks 1, 1, n on sl(n+2).
-
-    The only torsion-type component consumes one E and one transversal
-    direction, so it never touches a pair of relative directions; the other
-    harmonic component is curvature and lands inside q.  Kostant's
-    Λ²V*⊗(TM/H) component is left out because V is assumed integrable.  At
-    n = 1 the pair is A2/B, whose two harmonic components both land in q, so
-    the n = 1 verdicts are not harmonic-curvature verdicts.
-    """
-    return _catalog("path-geometry", n)
-
-
-_CATALOG_RE = re.compile(r"^([a-z-]+)\((\d+)\)$", re.ASCII)
-_SURROGATE_RE = re.compile("[\ud800-\udfff]")
-
-
-def catalog(name: str, assume_involutive_f: bool = False) -> Geometry:
-    """Look up ``legendrean(n)`` or ``path-geometry(n)``, refusing a hypothesis
-    with no row to drop; their noted gaps are kept while
-    ``perfbench/checks.py`` hand-types the same supports."""
-    m = _CATALOG_RE.match(name.strip())
-    if not m:
-        raise ValueError(f"malformed catalog name {name!r}")
-    kind, n = m.group(1), int(m.group(2))
-    if kind not in _CATALOGS:
-        raise ValueError(f"unknown catalog {kind!r}")
-    return _catalog(kind, n, assume_involutive_f)
 
 
 def _bidegree_from_json(value, where: str) -> Bidegree:

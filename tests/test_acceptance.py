@@ -25,12 +25,11 @@ from relbgg import (
     bigrade,
     block_structure_from_pair,
     build_root_system,
+    catalog,
     commutator_audit,
     corollary_33_check,
     involutivity_check,
-    legendrean_catalog,
     parse_label,
-    path_geometry_catalog,
     print_label,
     reflect,
     relative_bgg_sequence,
@@ -105,13 +104,13 @@ def test_criterion_5_bigrading_dims_with_oracle_confirmation():
     with criterion(5, "bigrading dims for both families, confirmed by block dims"):
         for n in range(2, 6):
             path_bg = bigrade(path_pair(n))
-            assert path_bg.dim_component(Bidegree(-1, 0)) == 1
-            assert path_bg.dim_component(Bidegree(0, -1)) == n
-            assert path_bg.dim_component(Bidegree(-1, -1)) == n
+            assert path_bg.dims.get(Bidegree(-1, 0), 0) == 1
+            assert path_bg.dims.get(Bidegree(0, -1), 0) == n
+            assert path_bg.dims.get(Bidegree(-1, -1), 0) == n
             leg_bg = bigrade(legendrean_pair(n))
-            assert leg_bg.dim_component(Bidegree(-1, 0)) == n
-            assert leg_bg.dim_component(Bidegree(0, -1)) == n
-            assert leg_bg.dim_component(Bidegree(-1, -1)) == 1
+            assert leg_bg.dims.get(Bidegree(-1, 0), 0) == n
+            assert leg_bg.dims.get(Bidegree(0, -1), 0) == n
+            assert leg_bg.dims.get(Bidegree(-1, -1), 0) == 1
             for pair, bg in ((path_pair(n), path_bg), (legendrean_pair(n), leg_bg)):
                 rep = commutator_audit(block_structure_from_pair(pair), bg)
                 assert rep.ok, (n, rep.dim_mismatches)
@@ -139,14 +138,14 @@ def test_criterion_7_rank_telescoping():
 
 def test_criterion_8_torsion_verdicts():
     with criterion(8, "catalog torsion verdicts"):
-        full = legendrean_catalog(3)
+        full = catalog("legendrean(3)")
         verdict = involutivity_check(full.support)
         assert not verdict.ok
         assert [c.tag for c in verdict.violators] == ["Λ²F*⊗E"]
-        involutive = legendrean_catalog(3, assume_involutive_f=True)
+        involutive = catalog("legendrean(3)", assume_involutive_f=True)
         cor = corollary_33_check(involutive.support, bigrade(involutive.pair))
         assert cor.part1 and cor.part2
-        path_geom = path_geometry_catalog(3)
+        path_geom = catalog("path-geometry(3)")
         cor = corollary_33_check(path_geom.support, bigrade(path_geom.pair))
         assert cor.part1 and cor.part2
 

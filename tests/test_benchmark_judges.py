@@ -3,7 +3,8 @@
 perfbench/checks.py re-derives each subcommand's answer from perfbench/lie.py
 and imports nothing from relbgg.  Here every request that perfbench/workloads.py
 generates at seed 1 (380 sweep, 922 bgg-chain, 100 audit and 50 cli-cold
-requests, up to rank 24), and requests drawn up to rank 32, run through
+requests, up to rank 24), and requests drawn up to rank 32 (among them
+check-torsion on every catalog size and on custom supports), run through
 ``relbgg.cli.run`` in process and must be judged right.  This is stricter
 than the benchmark, which forgives a malformed support file that escapes
 ``run``: here an escaped exception fails the test.  Both perfbench modules
@@ -11,6 +12,7 @@ are only imported, never changed.
 """
 
 import functools
+import json
 import pathlib
 import sys
 
@@ -40,11 +42,20 @@ _chains = functools.cache(lambda t, n: list(workloads.chain_pairs(t, n)))
 @st.composite
 def drawn_requests(draw):
     """bgg on any chain pair up to rank 8, built as the bgg-chain workload
-    builds it, or bigrade, filtration, ranks (sigma_p nonempty) or type-A
-    audit on any nested pair up to rank 32; as text or JSON."""
-    cmd = draw(st.sampled_from(["bgg", "bigrade", "filtration", "ranks", "audit"]))
-    t = "A" if cmd == "audit" else draw(st.sampled_from("ABCD"))
+    builds it; bigrade, filtration, ranks (sigma_p nonempty), type-A audit or
+    check-torsion with a random support of the sweep workload on any nested
+    pair up to rank 32; or check-torsion on any catalog, with the spec the
+    cli-cold workload gives one.  As text or JSON.  A custom support travels
+    in the spec; the test writes it to a file and appends ``--support``."""
+    cmd = draw(st.sampled_from(["bgg", "bigrade", "filtration", "ranks", "audit", "check-torsion"]))
     json_out = draw(st.booleans())
+    if cmd == "check-torsion" and draw(st.booleans()):
+        kind = draw(st.sampled_from(["legendrean", "path-geometry"]))
+        name = f"{kind}({draw(st.integers(1, 31))})"
+        assume = kind == "legendrean" and draw(st.booleans())
+        argv = ["check-torsion", "--catalog", name] + ["--assume-involutive-F"] * assume + ["--json"] * json_out
+        return argv, {"cmd": cmd, "rc": 0, "catalog": name, "assume_f": assume, "json": json_out}
+    t = "A" if cmd == "audit" else draw(st.sampled_from("ABCD"))
     if cmd == "bgg":
         n = draw(st.integers(3 if t == "D" else 2, 8))
         sp, choices = draw(st.sampled_from(_chains(t, n)))
@@ -53,12 +64,24 @@ def drawn_requests(draw):
     sq = draw(st.sets(st.integers(1, n), min_size=cmd == "ranks"))
     sp = draw(st.sets(st.sampled_from(sorted(sq)), min_size=cmd == "ranks")) if sq else set()
     nodes = [",".join(map(str, sorted(s))) or "none" for s in (sq, sp)]
-    argv = [cmd, f"{t}{n}", "--sq", nodes[0], "--sp", nodes[1]] + ["--json"] * json_out
-    return argv, {"cmd": cmd, "rc": 0, "t": t, "n": n, "sq": sorted(sq), "sp": sorted(sp), "json": json_out}
+    spec = {"cmd": cmd, "rc": 0, "t": t, "n": n, "sq": sorted(sq), "sp": sorted(sp), "json": json_out}
+    argv = [cmd, f"{t}{n}", "--sq", nodes[0], "--sp", nodes[1]]
+    if cmd == "check-torsion":
+        spec["support"] = workloads._random_support(draw(st.randoms(use_true_random=False)), draw(st.integers(0, 99)))
+        argv = ["check-torsion", "--type", *argv[1:]]
+    return argv + ["--json"] * json_out, spec
 
 
-@settings(max_examples=200, deadline=None)
-@given(drawn_requests())
-def test_every_drawn_request_is_judged_right(drawn):
+@pytest.fixture(scope="module")
+def support_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn") / "support.json"
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=drawn_requests())
+def test_every_drawn_request_is_judged_right(drawn, support_file):
     argv, spec = drawn
+    if "support" in spec:
+        support_file.write_text(json.dumps(spec["support"], ensure_ascii=False), encoding="utf-8")
+        argv = [*argv, "--support", str(support_file)]
     assert checks.judge(spec, *run(argv)) is None, argv

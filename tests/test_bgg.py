@@ -25,6 +25,7 @@ from hypothesis import given, seed, settings, strategies as st
 from weyl_model import WeylModel, apply
 
 from relbgg import (
+    DynkinLabel,
     ParabolicPair,
     Weight,
     WeylWord,
@@ -63,7 +64,7 @@ def test_equal_sets_give_identity_diagram():
 
 def test_legendrean_hasse_sizes_and_lengths():
     hd = relative_hasse(legendrean_pair(2))
-    assert [w.length for w in hd.elements] == [0, 1, 2]
+    assert [len(w.gens) for w in hd.elements] == [0, 1, 2]
     assert len(hd.elements) == 3
 
 
@@ -91,7 +92,7 @@ def test_broken_shifted_action_trips_q_validity_guard(monkeypatch):
 def test_non_linear_diagram_detected():
     hd = relative_hasse(make_pair(4, {1, 3}, {1}))
     assert len(hd.elements) == 6
-    assert [w.length for w in hd.elements] == [0, 1, 2, 2, 3, 4]
+    assert [len(w.gens) for w in hd.elements] == [0, 1, 2, 2, 3, 4]
     assert not hd.is_chain
 
 
@@ -266,13 +267,19 @@ def _chain_pairs(rng):
 
 
 def test_sequence_entries_are_q_dominant_for_random_sources():
+    """Each entry is Q-dominant, and its label, built without the constructor's
+    checks, is the DynkinLabel the constructor builds from the shifted action."""
     rng = random.Random(23)
     for _ in range(300):
         pair = _chain_pairs(rng)
-        seq = relative_bgg_sequence(_p_dominant_source(pair, rng.randint, 6), pair)
+        src = _p_dominant_source(pair, rng.randint, 6)
+        seq = relative_bgg_sequence(src, pair)
         assert len(seq.entries) == len(relative_hasse(pair).elements)
         for entry in seq.entries:
             assert validate_label(entry.label, "Q", pair).ok
+            built = DynkinLabel(pair.rs, pair.sigma_q, affine_act(entry.word, src.coeffs, pair.rs))
+            assert type(entry.label) is DynkinLabel and entry.label == built
+            assert type(entry.label.crossed) is frozenset
 
 
 def test_orders_match_source_coefficients():
@@ -389,9 +396,9 @@ def _macdonald_profile(heights):
 
 def _length_profile(words):
     """How many of ``words`` have each length 0..the longest."""
-    profile = [0] * (max(w.length for w in words) + 1)
+    profile = [0] * (max(len(w.gens) for w in words) + 1)
     for w in words:
-        profile[w.length] += 1
+        profile[len(w.gens)] += 1
     return profile
 
 
@@ -448,12 +455,12 @@ def test_walk_lists_the_largest_diagram_in_order(type_tag, rank, sq, sp, expecte
     assert time.perf_counter() - start < 0.5
     words = list(hd.elements)
     assert len(words) == size
-    assert words == sorted(words, key=lambda w: (w.length, w.gens))
+    assert words == sorted(words, key=lambda w: (len(w.gens), w.gens))
     seen = set()
     for w in words:
         assert w.gens == () or w.gens[:-1] in seen, w
         seen.add(w.gens)
-    assert sorted({w.length for w in words}) == list(range(n + 1))
+    assert sorted({len(w.gens) for w in words}) == list(range(n + 1))
 
 
 def test_hasse_size_cap_boundary():

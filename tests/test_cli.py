@@ -213,6 +213,8 @@ REFUSED = [
      f"catalog legendrean(32) {CAP_MESSAGE}"),
     ("catalog-above-cap-path-geometry", ("check-torsion", "--catalog", "path-geometry(32)"),
      f"catalog path-geometry(32) {CAP_MESSAGE}"),
+    ("catalog-below-floor-legendrean", ("check-torsion", "--catalog", "legendrean(0)"), "error: need n >= 1"),
+    ("catalog-below-floor-path-geometry", ("check-torsion", "--catalog", "path-geometry(0)"), "error: need n >= 1"),
 ]
 
 

@@ -48,9 +48,9 @@ def test_sigma_height_read_offs():
 @pytest.mark.parametrize("n", range(2, 6))
 def test_legendrean_component_dims(n):
     bg = bigrade(legendrean_pair(n))
-    assert bg.dim_component(Bidegree(-1, 0)) == n
-    assert bg.dim_component(Bidegree(0, -1)) == n
-    assert bg.dim_component(Bidegree(-1, -1)) == 1
+    assert bg.dims.get(Bidegree(-1, 0), 0) == n
+    assert bg.dims.get(Bidegree(0, -1), 0) == n
+    assert bg.dims.get(Bidegree(-1, -1), 0) == 1
     assert sorted(bg.dims) == [
         (-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1),
     ]
@@ -59,9 +59,9 @@ def test_legendrean_component_dims(n):
 @pytest.mark.parametrize("n", range(2, 6))
 def test_path_component_dims(n):
     bg = bigrade(path_pair(n))
-    assert bg.dim_component(Bidegree(-1, 0)) == 1
-    assert bg.dim_component(Bidegree(0, -1)) == n
-    assert bg.dim_component(Bidegree(-1, -1)) == n
+    assert bg.dims.get(Bidegree(-1, 0), 0) == 1
+    assert bg.dims.get(Bidegree(0, -1), 0) == n
+    assert bg.dims.get(Bidegree(-1, -1), 0) == n
 
 
 def test_equal_sets_collapse_to_single_grading():
@@ -75,7 +75,7 @@ def test_absent_bidegree_has_no_roots(bd):
     bg = bigrade(legendrean_pair(3))
     assert bd not in bg.dims
     assert bd not in bg.root_spaces()
-    assert bg.dim_component(bd) == 0
+    assert bg.dims.get(bd, 0) == 0
 
 
 def test_dims_come_from_packed_heights_alone(monkeypatch):
@@ -166,7 +166,7 @@ def test_partition_duality_and_total_dim(rank):
         root_count = sum(len(listed_roots(spaces[bd])) for bd in bg.dims)
         assert root_count == 2 * len(WeylModel("A", rank).positive)
         for bd, dim in bg.dims.items():
-            assert bg.dim_component(Bidegree(-bd.i_prime, -bd.i_dprime)) == dim
+            assert bg.dims.get(Bidegree(-bd.i_prime, -bd.i_dprime), 0) == dim
 
 
 # -- subalgebra profile ------------------------------------------------------

@@ -22,8 +22,6 @@ from relbgg import (
     catalog,
     corollary_33_check,
     involutivity_check,
-    legendrean_catalog,
-    path_geometry_catalog,
     theorem_322_check,
 )
 from relbgg.grading import in_q
@@ -31,14 +29,14 @@ from relbgg.torsion import support_from_json, support_to_json
 
 
 def test_legendrean_full_support_fails_both_parts():
-    geom = legendrean_catalog(2)
+    geom = catalog("legendrean(2)")
     cor = corollary_33_check(geom.support, bigrade(geom.pair))
     assert not cor.part1 and not cor.part2
 
 
 def test_empty_support_passes_everything():
     empty = TorsionSupport(components=frozenset())
-    geom = path_geometry_catalog(2)
+    geom = catalog("path-geometry(2)")
     assert involutivity_check(empty).ok
     cor = corollary_33_check(empty, bigrade(geom.pair))
     assert cor.part1 and cor.part2
@@ -54,7 +52,7 @@ def _every_component():
 
 
 def test_curvature_components_are_ignored():
-    geom = legendrean_catalog(3, assume_involutive_f=True)
+    geom = catalog("legendrean(3)", assume_involutive_f=True)
     curvature = [c for c in geom.support.components if in_q(c.out)]
     assert [c.tag for c in curvature] == ["E*⊗F*⊗L(E,E)"]
     # A curvature output lies in q, so no verdict can flag it: not alone at any
@@ -129,7 +127,7 @@ def test_catalog_parser():
 
 
 def test_support_json_round_trip():
-    support = legendrean_catalog(3).support
+    support = catalog("legendrean(3)").support
     data = support_to_json(support)
     again = support_from_json(data)
     assert again.components == support.components
@@ -137,7 +135,7 @@ def test_support_json_round_trip():
 
 
 def test_support_json_with_retired_kappa_key_is_accepted():
-    data = support_to_json(legendrean_catalog(3, assume_involutive_f=True).support)
+    data = support_to_json(catalog("legendrean(3)", assume_involutive_f=True).support)
     for kappa in (True, False, None):
         again = support_from_json({**data, "kappa_vanishes_on_relative_pair": kappa})
         assert support_to_json(again) == data

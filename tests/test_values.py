@@ -32,10 +32,10 @@ from relbgg import (
     bigrade,
     block_structure_from_pair,
     build_root_system,
+    catalog,
     commutator_audit,
     corollary_33_check,
     filtration,
-    legendrean_catalog,
     parse_label,
     relative_bgg_sequence,
     relative_hasse,
@@ -55,7 +55,7 @@ def _a4():
 
 @functools.cache
 def _legendrean2():
-    geom = legendrean_catalog(2)
+    geom = catalog("legendrean(2)")
     return geom, corollary_33_check(geom.support, bigrade(geom.pair))
 
 
