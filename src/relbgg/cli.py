@@ -362,19 +362,20 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     return SimpleNamespace(command=command, func=func, **args)
 
 
-# bytes.translate table for root rows: coefficients 0..2 to their digits, any other byte (the marker "|" too) to "|".
+# bytes.translate tables for root rows: coefficients 0..2 to their digits, any other byte (the marker "|" too) to "|".
 _DIGITS = b"012" + b"|" * 253
+_NEGATED = b"0ab" + b"|" * 253  # the negated half: 1 and 2 as placeholders the writer turns into -1 and -2
 _KINDS = frozenset((str, int, bool, type(None), list, dict, RootRows))  # the exact types a report holds
 
 
-def _root_digits(rows: tuple[bytes, ...], sep: str) -> str:
-    """The coefficients of ``rows`` as digits joined by ``sep``, with a "|"
-    between two rows, in a fixed number of C-level calls.  A coefficient the
-    digit table does not cover shows as an extra "|" and raises."""
-    text = b"|".join(rows).translate(_DIGITS).decode()
-    if text.count("|") != max(len(rows) - 1, 0):
+def _root_digits(rows: tuple[bytes, ...], table: bytes) -> bytes:
+    """The coefficients of ``rows`` translated by ``table``, one byte each,
+    with a "|" between two rows, in a fixed number of C-level calls.  A
+    coefficient the table does not cover shows as an extra "|" and raises."""
+    text = b"|".join(rows).translate(table)
+    if text.count(b"|") != max(len(rows) - 1, 0):
         raise InternalCheckError("a root coefficient outside 0..2 reached the root listing")
-    return sep.join(text)
+    return text
 
 
 def _dump(obj) -> str:
@@ -386,9 +387,12 @@ def _dump(obj) -> str:
     An indent sends ``json.dumps`` to its pure-Python encoder; here strings
     go through the C quoting function, every other list and dict is one loop
     over its items, and a ``RootRows`` (``bigrade``'s root listing) a fixed
-    number of bulk string operations per half, however many rows it holds:
-    "-" goes before each digit of the negated half, as no indent or separator
-    holds a digit, and one replace turns every "|" into a row break."""
+    number of bulk ``bytes`` operations, however many rows it holds: its
+    halves, translated by ``_root_digits`` and joined by "|", are expanded by
+    ``replace(b"", sep)``, a separator around every character; one replace
+    turns each "|" and its separators into a row break, two more turn the
+    negated half's placeholders into -1 and -2 (no indent or separator holds
+    a letter), and one slice drops the separator left at each end."""
     return "".join([*_write(obj, "\n", []), "\n"])
 
 
@@ -405,14 +409,13 @@ def _write(obj, pad: str, out: list[str]) -> list[str]:
         raise TypeError(f"{kind.__name__} is not a report value")
     else:
         sep = "," + (inner := pad + "  ")
-        if kind is RootRows:  # either half may be empty
-            negated, positive = obj
-            deep = inner + "  "
-            halves = (_root_digits(negated, "," + deep).replace("1", "-1").replace("2", "-2"),
-                      _root_digits(positive, "," + deep))
-            marker = "," + deep + "|," + deep
-            rows = marker.join(filter(None, halves)).replace(marker, inner + "]" + sep + "[" + deep)
-            out += ("[" + inner + "[" + deep, rows, inner + "]" + pad + "]") if rows else ("[]",)
+        if kind is RootRows:  # either half may be empty, and so may both
+            text = b"|".join(filter(None, map(_root_digits, obj, (_NEGATED, _DIGITS))))
+            item = (sep + "  ").encode()  # before each coefficient: a comma, a newline and the row's indent
+            row_break = (inner + "]" + sep + "[" + inner + "  ").encode()
+            rows = text.replace(b"", item).replace(item + b"|" + item, row_break)
+            rows = rows.replace(b"a", b"-1").replace(b"b", b"-2")[1:-len(item)].decode()
+            out += ("[" + inner + "[", rows, inner + "]" + pad + "]") if text else ("[]",)
         elif kind is dict:  # a key that is no str makes _quote raise TypeError
             opener = "{" + inner
             for k in sorted(obj):

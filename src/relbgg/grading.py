@@ -9,7 +9,9 @@ tangent-bundle subquotient ranks) are pure functions of that decomposition.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from itertools import accumulate, groupby
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -92,18 +94,20 @@ class Bigrading(NamedTuple):
     def root_spaces(self) -> dict[Bidegree, RootRows]:
         """The roots of every component packed as ``RootRows``, keyed like
         ``dims``: root k's row is sliced out of the joined ``rs.columns`` as
-        every count-th byte from byte k, one pass buckets the rows by
-        bidegree, and each bucket is sorted as ``bytes``, which for rows of
+        every count-th byte from byte k, one pass buckets the rows by packed
+        bidegree key, and each bucket is sorted as ``bytes``, which for rows of
         equal length is the order of coefficient tuples.  No root is unpacked
         into a tuple.  ``bigrade --json`` prints them and ``audit`` checks them."""
         columns = self.pair.rs.columns
         flat, count = b"".join(columns), len(columns[0])
-        positive: dict[tuple[int, int], list[bytes]] = {}
-        for k, key in enumerate(zip(*_height_strings(self.pair))):
+        positive: dict[int, list[bytes]] = {}
+        for k, key in enumerate(_bidegree_keys(self.pair)):
             positive.setdefault(key, []).append(flat[k::count])
         for bucket in positive.values():
             bucket.sort()
-        return {bd: RootRows((tuple(positive.get(-bd, ())[::-1]), tuple(positive.get(bd, ())))) for bd in self.dims}
+        keys = {bd: 256 * bd.i_prime + bd.i_dprime for bd in self.dims}  # -bd's key is -key; no root's is < 0
+        return {bd: RootRows((tuple(positive.get(-key, ())[::-1]), tuple(positive.get(key, ()))))
+                for bd, key in keys.items()}
 
     @property
     def dim_g(self) -> int:
@@ -116,11 +120,25 @@ def _height_strings(pair: ParabolicPair) -> tuple[bytes, bytes]:
     return rs.sigma_heights(pair.sigma_p), rs.sigma_heights(pair.sigma_q - pair.sigma_p)
 
 
+_IP_AT = int(sys.byteorder == "little")  # the high byte of a native 16-bit int
+
+
+def _bidegree_keys(pair: ParabolicPair) -> memoryview:
+    """One key 256 i' + i'' per positive root in the walk's order, whatever the
+    byte order: the two height strings interleaved, i' in the high byte (each
+    index is at most 63, see ``roots.MAX_RANK``)."""
+    keys = bytearray(2 * len(pair.rs.columns[0]))
+    keys[_IP_AT::2], keys[1 - _IP_AT::2] = _height_strings(pair)
+    return memoryview(keys).cast("H")
+
+
 def bigrade(pair: ParabolicPair) -> Bigrading:
-    """Count the positive roots by bidegree; g_{-bd} has the dimension of g_{bd}."""
-    counts = Counter(zip(*_height_strings(pair)))
-    dims = {Bidegree(0, 0): 2 * counts.pop((0, 0), 0) + pair.rs.rank}
-    for (ip, idp), n in counts.items():
+    """Count the positive roots by bidegree, one ``Counter`` pass over their
+    packed keys; g_{-bd} has the dimension of g_{bd}."""
+    counts = Counter(_bidegree_keys(pair))
+    dims = {Bidegree(0, 0): 2 * counts.pop(0, 0) + pair.rs.rank}
+    for key, n in counts.items():
+        ip, idp = divmod(key, 256)
         dims[Bidegree(ip, idp)] = dims[Bidegree(-ip, -idp)] = n
     return Bigrading(pair=pair, dims=MappingProxyType(dims))
 
@@ -171,18 +189,21 @@ def filtration(bg: Bigrading) -> FiltrationReport:
     the module V_{i'} is its quotient by the next piece, filtered by second
     index (the step at i'' is the image of everything with both indices
     >= (i', i''), i.e. the part of V_{i'} with second index >= i'').
+
+    One sort serves every level: each piece is a suffix of the sorted
+    bidegrees, each level a run of them and each step a running suffix sum.
     """
+    every = tuple(sorted(bg.dims))
     components: dict[int, tuple[Bidegree, ...]] = {}
     modules: dict[int, ModuleDescriptor] = {}
-    for ip in sorted({bd.i_prime for bd in bg.dims}):
-        components[ip] = tuple(sorted(bd for bd in bg.dims if bd.i_prime >= ip))
-        level = sorted(bd for bd in bg.dims if bd.i_prime == ip)
-        total = sum(bg.dims[bd] for bd in level)
-        steps = tuple(
-            (bd.i_dprime, sum(bg.dims[b] for b in level if b.i_dprime >= bd.i_dprime))
-            for bd in level
-        )
-        modules[ip] = ModuleDescriptor(dim=total, filtration_steps=steps)
+    start = 0
+    for ip, run in groupby(every, lambda bd: bd.i_prime):
+        level = tuple(run)
+        components[ip] = every[start:]
+        start += len(level)
+        sums = [*accumulate(bg.dims[bd] for bd in reversed(level))][::-1]  # sums[k]: the dims of level[k:]
+        steps = tuple(zip([bd.i_dprime for bd in level], sums))
+        modules[ip] = ModuleDescriptor(dim=sums[0], filtration_steps=steps)
     return FiltrationReport(MappingProxyType(components), MappingProxyType(modules))
 
 

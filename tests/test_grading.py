@@ -7,7 +7,10 @@ The two geometric families used throughout:
 Core claims:
     - on every nested pair of A1-A5, B2-B4, C2-C4 and D3-D5, each component
       of bigrade holds exactly the roots of that bidegree in the epsilon-basis
-      model of tests/weyl_model.py, whose roots do not come from the engine
+      model of tests/weyl_model.py, whose roots do not come from the engine,
+      and so it does on B32, C32 and D32 with every node in sigma_q, where
+      one index of a packed bidegree key reaches 63 (61 on D32)
+    - filtration equals reference_filtration, its definition, on all of those
     - profile, filtration and ranks partition and telescope as defined;
       acceptance criterion 7 checks the rank telescoping on every pair
 """
@@ -22,6 +25,7 @@ from weyl_model import WeylModel
 from relbgg import (
     Bidegree,
     Bigrading,
+    ModuleDescriptor,
     ParabolicPair,
     RootSystem,
     bigrade,
@@ -31,6 +35,41 @@ from relbgg import (
     tangent_ranks,
 )
 from relbgg.roots import MAX_RANK
+
+
+def reference_filtration(bg):
+    """The filtration by its definition, one scan of the bidegrees per piece,
+    level and step: the piece at i' holds every bidegree with first index
+    >= i', and the step of V_{i'} at i'' sums the dims of its level with
+    second index >= i''."""
+    components, modules = {}, {}
+    for ip in sorted({bd.i_prime for bd in bg.dims}):
+        components[ip] = tuple(sorted(bd for bd in bg.dims if bd.i_prime >= ip))
+        level = sorted(bd for bd in bg.dims if bd.i_prime == ip)
+        steps = tuple(
+            (bd.i_dprime, sum(bg.dims[b] for b in level if b.i_dprime >= bd.i_dprime))
+            for bd in level
+        )
+        modules[ip] = ModuleDescriptor(dim=sum(bg.dims[bd] for bd in level), filtration_steps=steps)
+    return components, modules
+
+
+def assert_matches_model(pair, where):
+    """``bigrade(pair)``'s dims, root listing and filtration against the
+    epsilon-basis model and ``reference_filtration``."""
+    bg = bigrade(pair)
+    ref = WeylModel(pair.rs.type_tag, pair.rs.rank).components(pair.sigma_q, pair.sigma_p)
+    assert set(bg.dims) == set(ref), where
+    assert all(type(bd) is Bidegree for bd in bg.dims), where
+    spaces = bg.root_spaces()
+    assert set(spaces) == set(ref), where
+    for bd, roots in ref.items():
+        assert listed_roots(spaces[bd]) == tuple(roots), (where, bd)
+        assert all(type(r) is bytes for half in spaces[bd] for r in half), (where, bd)
+        assert bg.dims[bd] == len(roots) + (pair.rs.rank if bd == (0, 0) else 0), (where, bd)
+    rep = filtration(bg)
+    assert (dict(rep.components), dict(rep.modules)) == reference_filtration(bg), where
+    return bg
 
 
 # -- sigma height ------------------------------------------------------------
@@ -110,19 +149,24 @@ def test_bigrade_matches_reference_on_every_nested_pair():
     checked = 0
     for type_tag, rank in diagrams:
         for pair in all_pairs(rank, type_tag):
-            where = (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
-            bg = bigrade(pair)
-            ref = WeylModel(type_tag, rank).components(pair.sigma_q, pair.sigma_p)
-            assert set(bg.dims) == set(ref), where
-            assert all(type(bd) is Bidegree for bd in bg.dims), where
-            spaces = bg.root_spaces()
-            assert set(spaces) == set(ref), where
-            for bd, roots in ref.items():
-                assert listed_roots(spaces[bd]) == tuple(roots), (where, bd)
-                assert all(type(r) is bytes for half in spaces[bd] for r in half), (where, bd)
-                assert bg.dims[bd] == len(roots) + (rank if bd == (0, 0) else 0), (where, bd)
+            assert_matches_model(pair, (type_tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p)))
             checked += 1
     assert checked == 948
+
+
+@pytest.mark.parametrize("type_tag", "BCD")
+def test_packed_keys_at_the_byte_bound(type_tag):
+    """With every node of B32, C32 or D32 in sigma_q, the highest root's
+    sigma_q-height is 63 (61 on D32), the largest value either index byte of
+    a packed bidegree key ever holds: with sigma_p = every node i' reaches it,
+    with sigma_p empty i'' does."""
+    rs = build_root_system(type_tag, 32)
+    top = 61 if type_tag == "D" else 63
+    for sigma_p, extreme in ((range(1, 33), (top, 0)), ((), (0, top))):
+        pair = ParabolicPair(rs, range(1, 33), sigma_p)
+        bg = assert_matches_model(pair, (type_tag, sorted(pair.sigma_p)))
+        assert bg.dims[extreme] == bg.dims[tuple(-i for i in extreme)] == 1
+        assert max(max(bd) for bd in bg.dims) == top
 
 
 def test_sliced_rows_equal_the_tuple_view_at_every_rank():
