@@ -3,9 +3,9 @@
 The bundles of a relative BGG sequence are indexed by minimal-length coset
 representatives taken inside the Weyl group of the Levi factor of p: an
 element w qualifies iff w^{-1} keeps the simple roots of the uncrossed
-sigma_q nodes positive.  One breadth-first orbit walk lists them by length,
-then by word, as it finds them.  Words compose right-to-left (rightmost
-generator acts first), and weights move by the shifted action
+sigma_q nodes positive.  ``roots._orbit_walk`` lists them by length, then
+by word, as it finds them in one Weyl orbit.  Words compose right-to-left
+(rightmost generator acts first), and weights move by the shifted action
 w.l = w(l + rho) - rho, as the worked examples in the test suite pin.
 
 Only sequence shapes are computed: bundle labels and operator orders, no
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .dynkin import DynkinLabel, print_label, validate_label
 from .grading import ParabolicPair, _height_strings
-from .roots import InternalCheckError, RootSystem, Weight, _reflect_coords, _SparseColumns
+from .roots import InternalCheckError, RootSystem, Weight, _orbit_walk, _reflect_coords, _SparseColumns
 
 
 class WeylWord(NamedTuple):
@@ -53,17 +53,15 @@ def relative_hasse(
 ) -> HasseDiagram:
     """Minimal-length representatives indexing the relative sequence.
 
-    Walks the orbit of mu = sum of omega_j over sigma_q minus sigma_p under
-    the Weyl group of the Levi of p (nodes outside sigma_p), reflecting at a
-    Levi node only where the weight is positive, which lengthens v by one.
-    The stabilizer of mu is generated by the nodes outside sigma_q, so orbit
-    points nu = v(mu) match the elements w = v^{-1} with w^{-1}(alpha_j)
-    positive for every node j outside sigma_q.  The left descents of v are
-    the Levi nodes i with nu_i < 0 (Bjorner & Brenti, 2.4-2.5); each point
-    is entered once, from s_i nu for its first descent i, so its word, read
-    from the left as w = v^{-1}, is its parent's with i appended.  Parents
-    come in list order and letters ascend, so the list comes out of the walk
-    sorted by length, then by word, with lengths 0..top, top the last word's.
+    ``_orbit_walk`` walks the orbit of mu = sum of omega_j over sigma_q minus
+    sigma_p (0 or 1 at each node) under the Levi of p's Weyl group, the nodes
+    outside sigma_p.  Its stabilizer is generated by the nodes outside
+    sigma_q, so orbit points nu = v(mu) match the w = v^{-1} with
+    w^{-1}(alpha_j) > 0 for every node j outside sigma_q.  A step lengthens v
+    by one, entering nu from its first left descent i (Bjorner & Brenti,
+    2.4-2.5), so w's word is its parent's plus i; as parents come in list
+    order and letters ascend, the list is sorted by length, then word, with
+    lengths 0..top, top the last word's.
 
     N, the longest length, and the size |W_L| / |W_{L & q}| are known in
     closed form; ``closed_form`` passes in (N, size) as ``_levi_quotient``
@@ -81,25 +79,20 @@ def relative_hasse(
             f"above the supported maximum {MAX_HASSE_ELEMENTS}"
         )
     rs = pair.rs
-    cols = rs.sparse_cartan
     levi = [i for i in range(rs.rank) if i + 1 not in pair.sigma_p]
     mu = tuple(int(i in pair.sigma_q and i not in pair.sigma_p) for i in range(1, rs.rank + 1))
-    orbit = [(mu, ())]  # orbit point nu = v(mu) and the reduced word of w = v^{-1}
-    for nu, word in orbit:
-        for i in levi:
-            if nu[i] > 0:
-                nxt = _reflect_coords(cols, i, nu)
-                if i == next(j for j in levi if nxt[j] < 0):
-                    orbit.append((nxt, word + (i + 1,)))
-    top = len(orbit[-1][1])
-    if len(orbit) != size or top != n:
+    words = [()]  # the reduced word of w = v^{-1} for each orbit point nu = v(mu)
+    for _, parent, i in _orbit_walk(rs.sparse_cartan, [mu], levi)[1:]:
+        words.append(words[parent] + (i + 1,))
+    top = len(words[-1])
+    if len(words) != size or top != n:
         raise InternalCheckError(
-            f"the relative Hasse walk reached {len(orbit)} points over {top + 1} lengths "
+            f"the relative Hasse walk reached {len(words)} points over {top + 1} lengths "
             f"up to {top}, not |W_L|/|W_(L&q)| = {size} over the lengths 0..{n}, "
             f"on {rs.type_tag}{rs.rank} sigma_q={sorted(pair.sigma_q)} "
             f"sigma_p={sorted(pair.sigma_p)}"
         )
-    return HasseDiagram(elements=tuple(WeylWord(w) for _, w in orbit), is_chain=size == n + 1)
+    return HasseDiagram(elements=tuple(map(WeylWord, words)), is_chain=size == n + 1)
 
 
 def _shifted(cols: _SparseColumns, gens: tuple[int, ...], mu: tuple[int, ...]) -> tuple[int, ...]:

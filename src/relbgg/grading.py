@@ -115,7 +115,7 @@ class Bigrading(NamedTuple):
 
 
 def _height_strings(pair: ParabolicPair) -> tuple[bytes, bytes]:
-    """i' and i'' of every positive root, one byte each in the walk's order."""
+    """i' and i'' of every positive root, one byte each in ``RootSystem``'s root order."""
     rs = pair.rs
     return rs.sigma_heights(pair.sigma_p), rs.sigma_heights(pair.sigma_q - pair.sigma_p)
 
@@ -124,9 +124,9 @@ _IP_AT = int(sys.byteorder == "little")  # the high byte of a native 16-bit int
 
 
 def _bidegree_keys(pair: ParabolicPair) -> memoryview:
-    """One key 256 i' + i'' per positive root in the walk's order, whatever the
-    byte order: the two height strings interleaved, i' in the high byte (each
-    index is at most 63, see ``roots.MAX_RANK``)."""
+    """One key 256 i' + i'' per positive root in root order, whatever the byte
+    order: the two height strings interleaved, i' in the high byte (each index
+    at most 63, see ``roots.MAX_RANK``)."""
     keys = bytearray(2 * len(pair.rs.columns[0]))
     keys[_IP_AT::2], keys[1 - _IP_AT::2] = _height_strings(pair)
     return memoryview(keys).cast("H")

@@ -6,22 +6,21 @@ matching the usual Dynkin-diagram numbering.
 
 Types A-D share one generic machinery, and the tests check every A-D system
 up to ``MAX_RANK`` against an epsilon-basis model; only the matrix oracle is
-limited to type A.  Positive roots come from a walk up from the simple roots
-by simple reflections.  Larger ranks are refused, so every input is small.
+limited to type A.  Larger ranks are refused, so every input is small.
 
 A root is a plain tuple of its simple-root coefficients.  The one cache is
 ``build_root_system``: one immutable ``RootSystem`` per (type, rank) and
 process, holding the sparse Cartan table ``sparse_cartan`` and the positive
-roots packed as one ``bytes`` per node, one byte per coefficient.  The dense
-Cartan matrix is built only inside ``build_root_system``.  The cache is
-bounded by ``MAX_RANK``: building all 124 A-D systems in a fresh process
+roots packed as one ``bytes`` per node, one byte per coefficient.  The cache
+is bounded by ``MAX_RANK``: building all 124 A-D systems in a fresh process
 allocates 1,761,837 bytes still held afterwards (``tracemalloc`` current
 size, started after import, CPython 3.11).  The sigma-heights of all positive
 roots come out of the columns as one ``bytes`` by big-integer addition, and
 ``grading.Bigrading.root_spaces`` slices each root's row out of the joined
 columns.  ``positive_roots`` unpacks the columns into coefficient tuples when
 it is read; it is the public tuple view, and no other engine module reads it.
-Every reflection is ``_reflect_coords`` over ``sparse_cartan``.
+The positive roots and ``bgg``'s Hasse diagram come from one walk over Weyl
+orbits, ``_orbit_walk``; every reflection is ``_reflect_coords`` over ``sparse_cartan``.
 """
 
 from __future__ import annotations
@@ -77,12 +76,12 @@ class Weight:
 class RootSystem(NamedTuple):
     """A root system given by its sparse Cartan table.
 
-    ``columns[i]`` holds coefficient i (0-based) of every positive root in
-    the walk's order, one byte each.  ``sparse_cartan[i]`` holds the nonzero
-    entries (m, <alpha_i, alpha_m^vee>) of column i of the Cartan matrix, at
-    most four: alpha_i in fundamental-weight coordinates, the table
-    ``_reflect_coords`` reflects by.  The fields are read-only and there is
-    no instance ``__dict__``.
+    ``columns[i]`` holds coefficient i (0-based) of every positive root, one
+    byte each, in root order: by height, then by coefficients.
+    ``sparse_cartan[i]`` holds the nonzero entries (m, <alpha_i, alpha_m^vee>)
+    of column i of the Cartan matrix, at most four: alpha_i in
+    fundamental-weight coordinates, the table ``_reflect_coords`` reflects
+    by.  The fields are read-only and there is no instance ``__dict__``.
     """
 
     type_tag: str
@@ -96,13 +95,13 @@ class RootSystem(NamedTuple):
 
     @property
     def positive_roots(self) -> tuple[tuple[int, ...], ...]:
-        """The simple-root coefficients of every positive root in the walk's
-        order, unpacked from the columns on each read."""
+        """The simple-root coefficients of every positive root in root order
+        (see ``RootSystem``), unpacked from the columns on each read."""
         return tuple(zip(*self.columns))
 
     def sigma_heights(self, nodes: Iterable[int]) -> bytes:
         """The sigma-height of every positive root over the 1-based ``nodes``,
-        one byte each in the walk's order: the sum of their columns read as
+        one byte each in root order: the sum of their columns read as
         big integers (no byte carries, see ``MAX_RANK``)."""
         total = 0
         for i in nodes:
@@ -148,30 +147,38 @@ def _reflect_coords(cols: _SparseColumns, i: int, v: tuple[int, ...]) -> tuple[i
     return tuple(out)
 
 
-def _enumerate_positive_roots(
-    cartan: tuple[tuple[int, ...], ...], cols: _SparseColumns
-) -> list[tuple[int, ...]]:
-    """All positive roots by a walk up from the simple roots.
+def _orbit_walk(cols: _SparseColumns, starts: list[tuple[int, ...]], nodes: Iterable[int]) -> list:
+    """The points reached from ``starts`` by climbing at the 0-based, ascending
+    ``nodes``, breadth first, as (point, parent index, letter): parent -1 marks
+    a start, and any other point is ``_reflect_coords`` of its parent at its
+    letter.  From nu the walk reflects at each i in ``nodes`` with nu_i > 0 and
+    enters s_i nu only if i is its first negative coordinate, so each point
+    has one parent and no set is kept.  The test reads every coordinate below
+    i, so callers start >= 0 off ``nodes``, where s_i never lowers one."""
+    walk = [(nu, -1, -1) for nu in starts]
+    for k, (nu, _, _) in enumerate(walk):
+        for i in nodes:
+            if nu[i] > 0:
+                nxt = _reflect_coords(cols, i, nu)
+                if not i or min(nxt[:i]) >= 0:  # min(default=) is slower
+                    walk.append((nxt, k, i))
+    return walk
 
-    A positive root beta that is not simple has k = <beta, alpha_i^vee> > 0
-    for some i, and s_i beta = beta - k alpha_i is a lower positive root.  So
-    reflecting every root found at each node where its pairing is negative
-    reaches them all.  Each root c travels with its pairings p, which are c in
-    fundamental-weight coordinates, so ``_reflect_coords`` updates them by
-    ``cols``, the sparse table of ``cartan``.
-    """
+
+def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...], cols: _SparseColumns) -> list:
+    """All positive roots in root order (see ``RootSystem``), by ``_orbit_walk``
+    from the negated simple roots, the columns of ``cartan``: a point is -beta
+    in weight coordinates.  A non-simple positive root beta has a first i with
+    k = <beta, alpha_i^vee> > 0, and is entered from s_i beta = beta - k alpha_i,
+    a lower positive root, with its coefficients plus k at i."""
     rank = len(cartan)
-    simples = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
-    walk = list(zip(simples, zip(*cartan)))
-    seen = set(simples)
-    for c, p in walk:
-        for i, k in enumerate(p):
-            if k < 0:
-                t = c[:i] + (c[i] - k,) + c[i + 1:]
-                if t not in seen:
-                    seen.add(t)
-                    walk.append((t, _reflect_coords(cols, i, p)))
-    return sorted(seen, key=lambda t: (sum(t), t))
+    walk = _orbit_walk(cols, [tuple(-a for a in col) for col in zip(*cartan)], range(rank))
+    roots = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
+    for _, parent, i in walk[rank:]:
+        c = list(roots[parent])
+        c[i] += walk[parent][0][i]
+        roots.append(tuple(c))
+    return sorted(roots, key=lambda t: (sum(t), t))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -195,7 +202,7 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
 
 def reflect(rs: RootSystem, i: int, w: Weight) -> Weight:
     """Simple reflection s_i acting on a weight: w - w[i] * alpha_i, by the
-    walk's ``_reflect_coords``."""
+    ``_reflect_coords`` that ``_orbit_walk`` reads."""
     rs._check_node(i)
     if len(w.coeffs) != rs.rank:
         raise ValueError("weight length does not match rank")

@@ -260,13 +260,17 @@ def test_huge_hasse_diagram_exits_two_up_front():
 
 
 def test_broken_hasse_walk_exits_three(monkeypatch):
-    import relbgg.bgg as bgg
-    from relbgg.roots import _reflect_coords
+    """The Hasse walk is roots._orbit_walk; A4 is built first, so only the
+    Hasse walk, and not the cached root walk, reads the mutated reflection."""
+    import relbgg.roots as roots
+
+    reflect_coords = roots._reflect_coords
 
     def skip_node_3(cols, i, v):  # s_3 acts as the identity
-        return v if i == 2 else _reflect_coords(cols, i, v)
+        return v if i == 2 else reflect_coords(cols, i, v)
 
-    monkeypatch.setattr(bgg, "_reflect_coords", skip_node_3)
+    roots.build_root_system("A", 4)
+    monkeypatch.setattr(roots, "_reflect_coords", skip_node_3)
     code, out, err = run(["bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"])
     assert (code, out) == (3, "")
     assert err == (
@@ -443,7 +447,7 @@ def _doctored_columns(monkeypatch, node, at):
 def test_uncovered_root_coefficient_is_an_internal_error(monkeypatch):
     """A root coefficient outside the listing's digit table exits 3 with one
     stderr line and no JSON, never a wrong listing: here the first root in
-    the walk's order, (0, 0, 0, 1), as (3, 0, 0, 1)."""
+    root order, (0, 0, 0, 1), as (3, 0, 0, 1)."""
     _doctored_columns(monkeypatch, 1, 0)
     code, out, err = run(["bigrade", "A4", "--sq", "1,4", "--sp", "1", "--json"])
     assert (code, out) == (3, "")

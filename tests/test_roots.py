@@ -12,6 +12,10 @@ Core claims:
       node i
     - the root and reflection checks above fail at every rank up to 8 with the
       B/C -2 entries swapped or D_n's fork moved to node n-1
+    - _orbit_walk keeps its contract on every root walk up to MAX_RANK and
+      every Hasse walk up to rank 5: parents come first, each point is its
+      parent reflected at its letter, the letter is its first negative
+      coordinate, and no point is entered twice
     - every positive root of A_r has contiguous all-ones support
     - basis changes and reflections reproduce hand-computed values
     - simple reflections are involutions on arbitrary integer weights
@@ -35,11 +39,12 @@ import random
 from math import gcd
 
 import pytest
+from common import all_pairs
 from hypothesis import given, strategies as st
 from weyl_model import WeylModel, dot, reflect as model_reflect
 
-from relbgg import Weight, build_root_system, reflect
-from relbgg import roots
+from relbgg import Weight, build_root_system, reflect, relative_hasse
+from relbgg import bgg, roots
 from relbgg.roots import MAX_RANK
 
 ALL_TYPES = (("A", 1), ("B", 2), ("C", 2), ("D", 3))  # (tag, smallest rank)
@@ -107,6 +112,71 @@ def test_walk_matches_row_sum_walk_up_to_rank_cap(tag, lo):
         want = WeylModel(tag, rank).positive_roots
         for _ in range(2):
             assert list(build_root_system(tag, rank).positive_roots) == want, rank
+
+
+def _check_orbit_walk(walk, cols, starts, nodes):
+    """_orbit_walk's contract: the starts first with parent -1, then each
+    point s_letter of an earlier parent, its letter a node and its first
+    negative coordinate, and no point twice.  Returns the walk's points."""
+    points = [nu for nu, _, _ in walk]
+    assert points[:len(starts)] == list(starts)
+    assert [parent for _, parent, _ in walk[:len(starts)]] == [-1] * len(starts)
+    for k, (nu, parent, letter) in enumerate(walk[len(starts):], len(starts)):
+        assert 0 <= parent < k and letter in nodes, (k, parent, letter)
+        assert nu == roots._reflect_coords(cols, letter, points[parent]), k
+        assert next(j for j, c in enumerate(nu) if c < 0) == letter, (k, nu)
+    assert len(set(points)) == len(points)
+    return points
+
+
+def _recording_walks(monkeypatch, module):
+    """Every call of module._orbit_walk as (cols, starts, nodes, walk)."""
+    walk, calls = roots._orbit_walk, []
+
+    def recording_walk(cols, starts, nodes):
+        calls.append((cols, list(starts), list(nodes), walk(cols, starts, nodes)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(module, "_orbit_walk", recording_walk)
+    return calls
+
+
+@pytest.mark.parametrize("tag,lo", ALL_TYPES)
+def test_orbit_walk_contract_on_every_root_walk(tag, lo, monkeypatch):
+    """Every root walk up to MAX_RANK, as _enumerate_positive_roots calls it:
+    one entry per positive root, r(r+1)/2, r^2, r^2 and r(r-1) for A-D."""
+    count = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r,
+             "C": lambda r: r * r, "D": lambda r: r * (r - 1)}[tag]
+    calls = _recording_walks(monkeypatch, roots)
+    for rank in range(lo, MAX_RANK + 1):
+        rs = build_root_system(tag, rank)
+        calls.clear()  # the build walked unless rs was cached
+        roots._enumerate_positive_roots(roots._cartan_matrix(tag, rank), rs.sparse_cartan)
+        (cols, starts, nodes, walk), = calls
+        assert cols is rs.sparse_cartan and nodes == list(range(rank))
+        assert len(_check_orbit_walk(walk, cols, starts, nodes)) == count(rank), rank
+
+
+def test_orbit_walk_contract_on_every_hasse_walk(monkeypatch):
+    """Every Hasse walk of a nested pair of A1-A5, B2-B5, C2-C5 and D3-D5, as
+    relative_hasse calls it, one start at mu.  The first-negative test reads
+    the coordinates outside the Levi nodes too: each stays >= 0."""
+    calls = _recording_walks(monkeypatch, bgg)
+    walked = 0
+    for tag, lo in ALL_TYPES:
+        for rank in range(lo, 6):
+            for pair in all_pairs(rank, tag):
+                where = (tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
+                relative_hasse(pair)
+                (cols, starts, nodes, walk), = calls
+                calls.clear()
+                assert len(starts) == 1 and set(starts[0]) <= {0, 1}, where
+                assert nodes == [i for i in range(rank) if i + 1 not in pair.sigma_p], where
+                points = _check_orbit_walk(walk, cols, starts, nodes)
+                off = [i for i in range(rank) if i not in nodes]
+                assert all(nu[i] >= 0 for nu in points for i in off), where
+                walked += 1
+    assert walked == 1434  # 3^r nested pairs on each rank-r diagram
 
 
 def test_rank_cap():
