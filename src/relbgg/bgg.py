@@ -66,8 +66,8 @@ def relative_hasse(
     N, the longest length, and the size |W_L| / |W_{L & q}| are known in
     closed form; ``closed_form`` passes in (N, size) as ``_levi_quotient``
     gives it, which is evaluated here when left None.  A size above
-    ``MAX_HASSE_ELEMENTS`` is refused with ValueError before the walk, and a
-    walk of another size or with top other than N raises
+    ``MAX_HASSE_ELEMENTS`` is refused with ValueError before the walk, which
+    it bounds, and a walk of another size or with top other than N raises
     InternalCheckError.  So the diagram is a chain, one element per length,
     exactly when its size is N + 1; each word then extends the previous one
     by one generator i, so w_{k+1} = w_k s_i.
@@ -82,7 +82,7 @@ def relative_hasse(
     levi = [i for i in range(rs.rank) if i + 1 not in pair.sigma_p]
     mu = tuple(int(i in pair.sigma_q and i not in pair.sigma_p) for i in range(1, rs.rank + 1))
     words = [()]  # the reduced word of w = v^{-1} for each orbit point nu = v(mu)
-    for _, parent, i in _orbit_walk(rs.sparse_cartan, [mu], levi)[1:]:
+    for _, parent, i in _orbit_walk(rs.sparse_cartan, [mu], levi, size)[1:]:
         words.append(words[parent] + (i + 1,))
     top = len(words[-1])
     if len(words) != size or top != n:

@@ -6,8 +6,8 @@ and writes nothing; a failure while rendering the JSON report (one fragment
 list, joined once) or the lines leaves stdout empty.  ``main`` only writes.
 ``parse_args`` reads argv in one pass against the ``COMMANDS`` table: options
 in any order, as ``--opt value`` or ``--opt=value``, unique prefixes, and
-``--`` to end them.  Help and ``--version`` are stdout with exit 0; a usage
-error is one ``error:`` line on stderr with exit 2.
+``--`` to end them.  It returns help and ``--version`` as text (exit 0); a
+usage error is a ``ValueError`` like any other bad input (exit 2).
 
 Exit codes: 0 success, 1 stdout closed by its reader, 2 bad input, 3 a
 violated internal invariant (a failed audit or an inconsistency the library
@@ -216,7 +216,7 @@ def cmd_check_torsion(args) -> tuple[dict, dict, list[str]]:
             raise ValueError(f"support JSON {args.support!r} is nested too deeply") from None
         support = support_from_json(data)
     name = support.geometry_tag or "custom"
-    cor = corollary_33_check(support, bigrade(pair))
+    cor = corollary_33_check(support, pair)
     inv = cor.involutivity
     result = {
         "geometry": name,
@@ -292,17 +292,13 @@ _DEST = {o: o[2:].replace("-", "_").lower() for *_, options, flags in COMMANDS.v
 _HELP = ("-h, --help", "show this help message and exit")
 
 
-class _Exit(Exception):
-    """``(code, text)`` from ``parse_args``: help or version with code 0, a usage error with code 2."""
-
-
 def _resolve(arg: str, names: list[str]) -> str:
     """The option that ``arg`` names in full or, for ``--``, by a unique prefix."""
     if arg in names:
         return arg
     found = [n for n in names if n.startswith(arg)] if arg.startswith("--") else []
     if len(found) != 1:
-        raise _Exit(2, f"error: option {arg!r} is " + (f"ambiguous: {', '.join(found)}" if found else "unknown"))
+        raise ValueError(f"option {arg!r} is " + (f"ambiguous: {', '.join(found)}" if found else "unknown"))
     return found[0]
 
 
@@ -322,14 +318,14 @@ def _help(command: str | None) -> str:
     return "\n".join([f"usage: relbgg {usage}", "", about, "", *(f"  {name.ljust(width)}{h}" for name, h in rows)])
 
 
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """One pass over ``argv`` against ``COMMANDS``, as ``--opt value`` or ``--opt=value`` in any order."""
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """One pass over ``argv`` against ``COMMANDS``: the request's namespace, or the help or version text."""
     command, *rest = argv or [""]
     if command not in COMMANDS:
         if not command.startswith("-"):
-            raise _Exit(2, f"error: expected a command, one of {', '.join(COMMANDS)}; got {command!r}")
+            raise ValueError(f"expected a command, one of {', '.join(COMMANDS)}; got {command!r}")
         top = _resolve(command, ["-h", "--help", "--version"])
-        raise _Exit(0, f"relbgg {__version__}" if top == "--version" else _help(None))
+        return f"relbgg {__version__}" if top == "--version" else _help(None)
     func, _, positional, options, flags = COMMANDS[command]
     args = {**{_DEST[o]: None for o in options}, **{_DEST[f]: False for f in flags}}
     free, it = [], iter(rest)
@@ -343,22 +339,22 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
             option = _resolve(option, [*options, *flags, "-h", "--help"])
             if option in options:
                 if not eq and (value := next(it, "-")).startswith("-"):
-                    raise _Exit(2, f"error: option {option} expects a value")
+                    raise ValueError(f"option {option} expects a value")
                 args[_DEST[option]] = value
             elif eq:
-                raise _Exit(2, f"error: option {option} takes no value")
+                raise ValueError(f"option {option} takes no value")
             elif option in flags:
                 args[_DEST[option]] = True
             else:
-                raise _Exit(0, _help(command))
+                return _help(command)
     if positional and free:
         args[positional[0]] = free.pop(0)
     if free:
-        raise _Exit(2, f"error: unrecognized arguments: {' '.join(map(repr, free))}")
+        raise ValueError(f"unrecognized arguments: {' '.join(map(repr, free))}")
     missing = [positional[0]] if positional and positional[0] not in args else []
     missing += [o for o, (required, _) in options.items() if required and args[_DEST[o]] is None]
     if missing:
-        raise _Exit(2, f"error: the following arguments are required: {', '.join(missing)}")
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     return SimpleNamespace(command=command, func=func, **args)
 
 
@@ -437,12 +433,11 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     """One request's exit code, stdout and stderr; nothing is written."""
     try:
         args = parse_args(argv)
+        if type(args) is str:  # help or --version
+            return 0, args + "\n", ""
         inputs, result, lines = args.func(args)
         report = {"command": args.command, "inputs": inputs, "result": result, "version": __version__}
         out = _dump(report) if args.json else "\n".join([*lines, ""])
-    except _Exit as exc:
-        code, text = exc.args
-        return (code, "", text + "\n") if code else (0, text + "\n", "")
     except InternalCheckError as exc:
         return 3, "", f"internal invariant violated: {exc}\n"
     except (ValueError, OSError) as exc:

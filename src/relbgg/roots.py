@@ -147,16 +147,17 @@ def _reflect_coords(cols: _SparseColumns, i: int, v: tuple[int, ...]) -> tuple[i
     return tuple(out)
 
 
-def _orbit_walk(cols: _SparseColumns, starts: list[tuple[int, ...]], nodes: Iterable[int]) -> list:
+def _orbit_walk(cols: _SparseColumns, starts: list[tuple[int, ...]], nodes: Iterable[int], limit: int) -> list:
     """The points reached from ``starts`` by climbing at the 0-based, ascending
     ``nodes``, breadth first, as (point, parent index, letter): parent -1 marks
     a start, and any other point is ``_reflect_coords`` of its parent at its
     letter.  From nu the walk reflects at each i in ``nodes`` with nu_i > 0 and
     enters s_i nu only if i is its first negative coordinate, so each point
     has one parent and no set is kept.  The test reads every coordinate below
-    i, so callers start >= 0 off ``nodes``, where s_i never lowers one."""
+    i, so callers start >= 0 off ``nodes``, where s_i never lowers one.  Only
+    the first ``limit`` points climb: a walk that re-enters points ends past it."""
     walk = [(nu, -1, -1) for nu in starts]
-    for k, (nu, _, _) in enumerate(walk):
+    for k, (nu, _, _) in zip(range(limit), walk):
         for i in nodes:
             if nu[i] > 0:
                 nxt = _reflect_coords(cols, i, nu)
@@ -172,7 +173,7 @@ def _enumerate_positive_roots(cartan: tuple[tuple[int, ...], ...], cols: _Sparse
     k = <beta, alpha_i^vee> > 0, and is entered from s_i beta = beta - k alpha_i,
     a lower positive root, with its coefficients plus k at i."""
     rank = len(cartan)
-    walk = _orbit_walk(cols, [tuple(-a for a in col) for col in zip(*cartan)], range(rank))
+    walk = _orbit_walk(cols, [tuple(-a for a in col) for col in zip(*cartan)], range(rank), rank * rank)
     roots = [tuple(int(j == i) for j in range(rank)) for i in range(rank)]
     for _, parent, i in walk[rank:]:
         c = list(roots[parent])
@@ -194,9 +195,11 @@ def build_root_system(type_tag: str, rank: int) -> RootSystem:
     """
     cartan = _cartan_matrix(type_tag, rank)
     sparse = tuple(tuple((m, a) for m, a in enumerate(col) if a) for col in zip(*cartan))
+    if len(roots := _enumerate_positive_roots(cartan, sparse)) > rank * rank:  # no A-D system has more
+        raise InternalCheckError(f"the root walk of {type_tag}{rank} passed {rank * rank} roots")
     # A-D coefficients are at most 2, so each takes one byte; ``bytes``
     # raises on any that would not fit.
-    columns = tuple(map(bytes, zip(*_enumerate_positive_roots(cartan, sparse))))
+    columns = tuple(map(bytes, zip(*roots)))
     return RootSystem(type_tag, rank, columns, sparse)
 
 

@@ -6,7 +6,8 @@ outputs one.  An output bidegree inside q marks a curvature component that
 dies under the projection to the tangent bundle; every predicate below reads
 such components, and none can flag one.
 
-The relative directions are exactly the bidegrees (0, i'') with i'' < 0.
+The relative directions are exactly the bidegrees (0, i'') with i'' < 0, and
+Corollary 3.3 reads the levels i' from -k, the depth of the p-grading, to 0.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .grading import Bidegree, Bigrading, ParabolicPair, _reduce_report, in_q, in_relative_range
+from .grading import Bidegree, ParabolicPair, _reduce_report, in_q, in_relative_range
 from .roots import MAX_RANK, build_root_system
 
 
@@ -109,13 +110,13 @@ class Corollary33Verdict(NamedTuple):
     __reduce__ = _reduce_report
 
 
-def corollary_33_check(ts: TorsionSupport, bg: Bigrading) -> Corollary33Verdict:
-    """Conjunction of the level conditions: part1 over i' <= 0 non-strict,
-    part2 additionally strict over i' < 0 plus involutivity."""
+def corollary_33_check(ts: TorsionSupport, pair: ParabolicPair) -> Corollary33Verdict:
+    """Conjunction of the level conditions over i' = -k..0, k the depth of the p-grading:
+    part1 non-strict at each, part2 also strict below 0, plus involutivity."""
     inv = involutivity_check(ts)
     per_level = {
         ip: (theorem_322_check(ts, ip).ok, ip == 0 or theorem_322_check(ts, ip, strict=True).ok)
-        for ip in range(min(bd.i_prime for bd in bg.dims), 1)
+        for ip in range(-max(pair.rs.sigma_heights(pair.sigma_p)), 1)
     }
     non_strict, strict = zip(*per_level.values())  # level 0 is always there
     return Corollary33Verdict(

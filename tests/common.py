@@ -15,7 +15,6 @@ from relbgg import (
     ParabolicPair,
     TorsionComponent,
     TorsionSupport,
-    bigrade,
     build_root_system,
     corollary_33_check,
     involutivity_check,
@@ -90,14 +89,14 @@ def random_support(rng, max_components=4):
 def check_torsion_monotonicity(seed, cases):
     """Adding a component to a support never turns a failed verdict into a pass."""
     rng = random.Random(seed)
-    bg = bigrade(legendrean_pair(4))
+    pair = legendrean_pair(4)
     for _ in range(cases):
         ts = random_support(rng)
         bigger = TorsionSupport(components=ts.components | {random_component(rng)})
         if involutivity_check(bigger).ok:
             assert involutivity_check(ts).ok
-        cor_small = corollary_33_check(ts, bg)
-        cor_big = corollary_33_check(bigger, bg)
+        cor_small = corollary_33_check(ts, pair)
+        cor_big = corollary_33_check(bigger, pair)
         if cor_big.part1:
             assert cor_small.part1
         if cor_big.part2:
@@ -108,12 +107,12 @@ def check_strict_implies_non_strict(seed, cases):
     """A strict theorem_322_check pass implies the non-strict one, and
     corollary_33_check's part 2 implies its part 1."""
     rng = random.Random(seed)
-    bg = bigrade(legendrean_pair(4))
+    pair = legendrean_pair(4)
     for _ in range(cases):
         ts = random_support(rng)
         ip = rng.randint(-3, -1)
         if theorem_322_check(ts, ip, strict=True).ok:
             assert theorem_322_check(ts, ip, strict=False).ok
-        cor = corollary_33_check(ts, bg)
+        cor = corollary_33_check(ts, pair)
         if cor.part2:
             assert cor.part1

@@ -143,10 +143,10 @@ def test_criterion_8_torsion_verdicts():
         assert not verdict.ok
         assert [c.tag for c in verdict.violators] == ["Λ²F*⊗E"]
         involutive = catalog("legendrean(3)", assume_involutive_f=True)
-        cor = corollary_33_check(involutive.support, bigrade(involutive.pair))
+        cor = corollary_33_check(involutive.support, involutive.pair)
         assert cor.part1 and cor.part2
         path_geom = catalog("path-geometry(3)")
-        cor = corollary_33_check(path_geom.support, bigrade(path_geom.pair))
+        cor = corollary_33_check(path_geom.support, path_geom.pair)
         assert cor.part1 and cor.part2
 
 

@@ -178,6 +178,45 @@ def test_check_torsion_custom_support(tmp_path):
     assert "part1: PASS part2: PASS" in out
 
 
+# The custom support of CI's console-script step: a curvature row, read but never
+# flagged, and a torsion row that fails involutivity and both parts.
+CI_SUPPORT = {
+    "components": [
+        {"in1": [0, -1], "in2": [0, -1], "out": [0, 0], "tag": "curv"},
+        {"in1": [0, -1], "in2": [0, -1], "out": [-1, 0], "tag": "tors"},
+    ],
+    "geometry_tag": "ci",
+}
+
+
+def test_check_torsion_grades_no_root(golden, tmp_path, monkeypatch):
+    """check-torsion reads the depth of the p-grading off the pair, so with
+    bigrade refused, at home and where the CLI reads it, it still prints its
+    goldens for a catalog and its verdict and levels for a custom support
+    (B4 with sigma_p = {4}: the highest root has coefficient 2 at node 4)."""
+    import relbgg.cli as cli
+    import relbgg.grading as grading
+
+    def refuse(pair):
+        raise AssertionError("check-torsion graded every root")
+
+    for module in (grading, cli):
+        monkeypatch.setattr(module, "bigrade", refuse)
+    with pytest.raises(AssertionError):  # the control: ranks grades
+        run(["ranks", "A4", "--sq", "1,2", "--sp", "1"])
+    for name, flags in (("check_torsion_legendrean3.txt", ()), ("check_torsion_legendrean3.json", ("--json",))):
+        code, out, err = run(["check-torsion", "--catalog", "legendrean(3)", *flags])
+        assert (code, err) == (0, "")
+        golden(name, out)
+    path = tmp_path / "support.json"
+    path.write_text(json.dumps(CI_SUPPORT))
+    argv = ["check-torsion", "--type", "B4", "--sq", "2,4", "--sp", "4", "--support", str(path)]
+    assert run(argv) == (0, "geometry: ci\ninvolutivity: FAIL (tors)\npart1: FAIL part2: FAIL\n", "")
+    code, out, err = run([*argv, "--json"])
+    assert (code, err) == (0, "")
+    assert [level["i_prime"] for level in json.loads(out)["result"]["per_level"]] == [-2, -1, 0]
+
+
 # -- exit codes ---------------------------------------------------------------
 
 CAP_MESSAGE = "needs n <= 31: sl(n+2) has rank n+1, above the supported maximum 32"
@@ -277,6 +316,44 @@ def test_broken_hasse_walk_exits_three(monkeypatch):
         "internal invariant violated: the relative Hasse walk reached 2 points over 2 lengths "
         "up to 1, not |W_L|/|W_(L&q)| = 4 over the lengths 0..3, on A4 sigma_q=[1, 2] sigma_p=[1]\n"
     )
+
+
+# A child whose reflection at node 2 returns its input, so s_2 fixes every point
+# and an orbit walk re-enters each point with a positive coordinate 2.  argv[1]
+# says whether A4's root system is built before the mutation.  Its address
+# space is capped, so a walk that never stops cannot take the host's memory.
+_BROKEN_WALK_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import relbgg.roots as roots
+from relbgg.cli import main
+reflect_coords = roots._reflect_coords
+if sys.argv[1] == "built":
+    roots.build_root_system("A", 4)
+roots._reflect_coords = lambda cols, i, v: v if i == 1 else reflect_coords(cols, i, v)
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "built, argv, message",
+    [("built", ("bgg", "A4[x,o,o,o](-2,1,0,0)", "--sq", "1,2", "--sp", "1"),
+      "the relative Hasse walk reached 5 points over 5 lengths up to 4, not |W_L|/|W_(L&q)| = 4 "
+      "over the lengths 0..3, on A4 sigma_q=[1, 2] sigma_p=[1]"),
+     ("fresh", ("ranks", "A4", "--sq", "1,2", "--sp", "1"), "the root walk of A4 passed 16 roots")],
+    ids=["hasse", "roots"],
+)
+def test_walk_that_reenters_points_exits_three(built, argv, message):
+    """Each orbit walk climbs from at most its bound of points, the Hasse
+    diagram's size or rank^2 roots, so a walk that re-enters points ends and
+    exits 3 in bounded time and memory; an unbounded walk fails here on the
+    child's address-space cap or on the timeout."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _BROKEN_WALK_CHILD, built, *argv],
+        env=SRC_ENV, capture_output=True, text=True, timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"internal invariant violated: {message}\n"
 
 
 def test_broken_shifted_action_exits_three(monkeypatch):

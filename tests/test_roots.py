@@ -15,7 +15,8 @@ Core claims:
     - _orbit_walk keeps its contract on every root walk up to MAX_RANK and
       every Hasse walk up to rank 5: parents come first, each point is its
       parent reflected at its letter, the letter is its first negative
-      coordinate, and no point is entered twice
+      coordinate, no point is entered twice, and each walk gets its bound,
+      rank^2 roots or the Hasse diagram's size
     - every positive root of A_r has contiguous all-ones support
     - basis changes and reflections reproduce hand-computed values
     - simple reflections are involutions on arbitrary integer weights
@@ -130,11 +131,11 @@ def _check_orbit_walk(walk, cols, starts, nodes):
 
 
 def _recording_walks(monkeypatch, module):
-    """Every call of module._orbit_walk as (cols, starts, nodes, walk)."""
+    """Every call of module._orbit_walk as (cols, starts, nodes, limit, walk)."""
     walk, calls = roots._orbit_walk, []
 
-    def recording_walk(cols, starts, nodes):
-        calls.append((cols, list(starts), list(nodes), walk(cols, starts, nodes)))
+    def recording_walk(cols, starts, nodes, limit):
+        calls.append((cols, list(starts), list(nodes), limit, walk(cols, starts, nodes, limit)))
         return calls[-1][-1]
 
     monkeypatch.setattr(module, "_orbit_walk", recording_walk)
@@ -144,7 +145,8 @@ def _recording_walks(monkeypatch, module):
 @pytest.mark.parametrize("tag,lo", ALL_TYPES)
 def test_orbit_walk_contract_on_every_root_walk(tag, lo, monkeypatch):
     """Every root walk up to MAX_RANK, as _enumerate_positive_roots calls it:
-    one entry per positive root, r(r+1)/2, r^2, r^2 and r(r-1) for A-D."""
+    one entry per positive root, r(r+1)/2, r^2, r^2 and r(r-1) for A-D, within
+    its bound of r^2."""
     count = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r,
              "C": lambda r: r * r, "D": lambda r: r * (r - 1)}[tag]
     calls = _recording_walks(monkeypatch, roots)
@@ -152,15 +154,16 @@ def test_orbit_walk_contract_on_every_root_walk(tag, lo, monkeypatch):
         rs = build_root_system(tag, rank)
         calls.clear()  # the build walked unless rs was cached
         roots._enumerate_positive_roots(roots._cartan_matrix(tag, rank), rs.sparse_cartan)
-        (cols, starts, nodes, walk), = calls
-        assert cols is rs.sparse_cartan and nodes == list(range(rank))
+        (cols, starts, nodes, limit, walk), = calls
+        assert cols is rs.sparse_cartan and nodes == list(range(rank)) and limit == rank * rank
         assert len(_check_orbit_walk(walk, cols, starts, nodes)) == count(rank), rank
 
 
 def test_orbit_walk_contract_on_every_hasse_walk(monkeypatch):
     """Every Hasse walk of a nested pair of A1-A5, B2-B5, C2-C5 and D3-D5, as
-    relative_hasse calls it, one start at mu.  The first-negative test reads
-    the coordinates outside the Levi nodes too: each stays >= 0."""
+    relative_hasse calls it, one start at mu, bounded by the diagram's size.
+    The first-negative test reads the coordinates outside the Levi nodes too:
+    each stays >= 0."""
     calls = _recording_walks(monkeypatch, bgg)
     walked = 0
     for tag, lo in ALL_TYPES:
@@ -168,8 +171,9 @@ def test_orbit_walk_contract_on_every_hasse_walk(monkeypatch):
             for pair in all_pairs(rank, tag):
                 where = (tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
                 relative_hasse(pair)
-                (cols, starts, nodes, walk), = calls
+                (cols, starts, nodes, limit, walk), = calls
                 calls.clear()
+                assert limit == len(walk), where
                 assert len(starts) == 1 and set(starts[0]) <= {0, 1}, where
                 assert nodes == [i for i in range(rank) if i + 1 not in pair.sigma_p], where
                 points = _check_orbit_walk(walk, cols, starts, nodes)

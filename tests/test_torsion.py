@@ -7,12 +7,14 @@ import pytest
 from common import (
     NEG_BIDEGREES,
     OUT_BIDEGREES,
+    all_pairs,
     check_strict_implies_non_strict,
     check_torsion_monotonicity,
     legendrean_pair,
     make_pair,
     random_support,
 )
+from hypothesis import given, settings, strategies as st
 
 from relbgg import (
     Bidegree,
@@ -25,12 +27,13 @@ from relbgg import (
     theorem_322_check,
 )
 from relbgg.grading import in_q
+from relbgg.roots import MAX_RANK
 from relbgg.torsion import support_from_json, support_to_json
 
 
 def test_legendrean_full_support_fails_both_parts():
     geom = catalog("legendrean(2)")
-    cor = corollary_33_check(geom.support, bigrade(geom.pair))
+    cor = corollary_33_check(geom.support, geom.pair)
     assert not cor.part1 and not cor.part2
 
 
@@ -38,7 +41,7 @@ def test_empty_support_passes_everything():
     empty = TorsionSupport(components=frozenset())
     geom = catalog("path-geometry(2)")
     assert involutivity_check(empty).ok
-    cor = corollary_33_check(empty, bigrade(geom.pair))
+    cor = corollary_33_check(empty, geom.pair)
     assert cor.part1 and cor.part2
 
 
@@ -65,12 +68,12 @@ def test_curvature_components_are_ignored():
         for ip in range(-3, 1):
             assert theorem_322_check(ts, ip).ok
             assert ip == 0 or theorem_322_check(ts, ip, strict=True).ok
-    bg = bigrade(legendrean_pair(4))
+    pair = legendrean_pair(4)
     rng = random.Random(39)
     for _ in range(100):
         ts = random_support(rng)
         more = TorsionSupport(components=ts.components | {rng.choice(curvatures)})
-        assert corollary_33_check(more, bg) == corollary_33_check(ts, bg)
+        assert corollary_33_check(more, pair) == corollary_33_check(ts, pair)
 
 
 def _one_component(in1, in2, out):
@@ -89,7 +92,7 @@ def test_part2_requires_involutivity_without_a_strict_level():
     """With sigma_p empty every first index is 0, so no strict level exists
     and only involutivity can fail part 2."""
     ts = _one_component((0, -1), (0, -1), (-1, 0))
-    cor = corollary_33_check(ts, bigrade(make_pair(4, {1, 2}, ())))
+    cor = corollary_33_check(ts, make_pair(4, {1, 2}, ()))
     assert list(cor.per_level) == [0]
     assert not cor.involutivity.ok and not cor.part2
 
@@ -169,7 +172,7 @@ def test_corollary_33_is_the_conjunction_of_its_levels(pair, lowest):
     # the support of every component flags many at once, in hash order
     full = TorsionSupport(components=_every_component())
     for ts in [full] + [random_support(rng) for _ in range(100)]:
-        cor = corollary_33_check(ts, bg)
+        cor = corollary_33_check(ts, pair)
         assert list(cor.per_level) == list(range(lowest, 1))
         for ip, entry in cor.per_level.items():
             strict = ip == 0 or theorem_322_check(ts, ip, strict=True).ok
@@ -184,6 +187,41 @@ def test_corollary_33_is_the_conjunction_of_its_levels(pair, lowest):
         assert cor.part2 == (
             involutivity_check(ts).ok and all(ok2 for _, ok2 in cor.per_level.values())
         )
+
+
+def _graded_depth(pair):
+    """The lowest first index over every bidegree of the bigrading: the
+    reference for the levels, which corollary_33_check reads off the pair."""
+    return min(bd.i_prime for bd in bigrade(pair).dims)
+
+
+def _levels(pair):
+    return list(corollary_33_check(TorsionSupport(components=frozenset()), pair).per_level)
+
+
+def test_levels_start_at_the_graded_depth_on_every_nested_pair():
+    """The levels run from minus the sigma_p-height of the highest root to 0,
+    as the bigrading's lowest first index says, on all 4,350 nested pairs of
+    A1-A6, B2-B6, C2-C6 and D3-D6."""
+    checked = 0
+    for tag, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for rank in range(lo, 7):
+            for pair in all_pairs(rank, tag):
+                where = (tag, rank, sorted(pair.sigma_q), sorted(pair.sigma_p))
+                assert _levels(pair) == list(range(_graded_depth(pair), 1)), where
+                checked += 1
+    assert checked == 4350
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_levels_start_at_the_graded_depth_up_to_rank_cap(data):
+    tag, lo = data.draw(st.sampled_from([("A", 1), ("B", 2), ("C", 2), ("D", 3)]))
+    rank = data.draw(st.integers(lo, MAX_RANK))
+    sq = data.draw(st.frozensets(st.integers(1, rank)))
+    sp = data.draw(st.frozensets(st.sampled_from(sorted(sq)))) if sq else frozenset()
+    pair = make_pair(rank, sq, sp, tag)
+    assert _levels(pair) == list(range(_graded_depth(pair), 1))
 
 
 def test_verdicts_ignore_input_order():

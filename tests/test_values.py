@@ -56,7 +56,7 @@ def _a4():
 @functools.cache
 def _legendrean2():
     geom = catalog("legendrean(2)")
-    return geom, corollary_33_check(geom.support, bigrade(geom.pair))
+    return geom, corollary_33_check(geom.support, geom.pair)
 
 
 # One instance of every public frozen value type, with a field to assign to.
