@@ -30,7 +30,7 @@ from .grading import ParabolicPair, RootRows, bigrade, filtration, subalgebra_pr
 from .roots import InternalCheckError, build_root_system
 
 _TYPE_RE = re.compile(r"^([A-Z])(\d+)$", re.ASCII)
-_NODE_RE = re.compile(r"\s*\d+\s*", re.ASCII)
+_NODES_RE = re.compile(r"\s*\d+\s*(?:,\s*\d+\s*)*", re.ASCII)
 MAX_SUPPORT_BYTES = 64 * 1024  # longer --support files are refused unparsed
 
 
@@ -42,12 +42,12 @@ def _parse_type(token: str):
 
 
 def _parse_nodes(text: str | None) -> frozenset[int]:
+    """Comma-separated ASCII numbers, ASCII whitespace allowed around each; blank or ``none`` is empty."""
     if text is None or text.strip() in ("", "none"):
         return frozenset()
-    tokens = text.split(",")
-    if not all(_NODE_RE.fullmatch(t) for t in tokens):
+    if not _NODES_RE.fullmatch(text):
         raise ValueError(f"malformed node list {text!r}; expected e.g. 1,4")
-    return frozenset(map(int, tokens))
+    return frozenset(map(int, text.split(",")))
 
 
 def _pair_from_args(args) -> ParabolicPair:
@@ -290,6 +290,10 @@ COMMANDS = {
 # Each option's attribute name: --assume-involutive-F -> assume_involutive_f.
 _DEST = {o: o[2:].replace("-", "_").lower() for *_, options, flags in COMMANDS.values() for o in (*options, *flags)}
 _HELP = ("-h, --help", "show this help message and exit")
+# Per command, built once: the names _resolve matches and the namespace before any option is read.
+_NAMES = {c: [*options, *flags, "-h", "--help"] for c, (*_, options, flags) in COMMANDS.items()}
+_DEFAULTS = {c: {**dict.fromkeys(map(_DEST.get, options)), **dict.fromkeys(map(_DEST.get, flags), False)}
+             for c, (*_, options, flags) in COMMANDS.items()}
 
 
 def _resolve(arg: str, names: list[str]) -> str:
@@ -327,7 +331,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
         top = _resolve(command, ["-h", "--help", "--version"])
         return f"relbgg {__version__}" if top == "--version" else _help(None)
     func, _, positional, options, flags = COMMANDS[command]
-    args = {**{_DEST[o]: None for o in options}, **{_DEST[f]: False for f in flags}}
+    args, names = _DEFAULTS[command].copy(), _NAMES[command]
     free, it = [], iter(rest)
     for arg in it:
         if arg == "--":
@@ -336,7 +340,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace | str:
             free.append(arg)
         else:
             option, eq, value = arg.partition("=")
-            option = _resolve(option, [*options, *flags, "-h", "--help"])
+            option = _resolve(option, names)
             if option in options:
                 if not eq and (value := next(it, "-")).startswith("-"):
                     raise ValueError(f"option {option} expects a value")
@@ -380,14 +384,14 @@ def _dump(obj) -> str:
     int, bool, None, and ``RootRows``, which print as a list of int lists.  The
     fragments and the newline go to one list, joined once: no byte is copied per container.
 
-    An indent sends ``json.dumps`` to its pure-Python encoder; here strings
-    go through the C quoting function, every other list and dict is one loop
-    over its items, and a ``RootRows`` (``bigrade``'s root listing) a fixed
-    number of bulk ``bytes`` operations, however many rows it holds: its
-    halves, translated by ``_root_digits`` and joined by "|", are expanded by
-    ``replace(b"", sep)``, a separator around every character; one replace
-    turns each "|" and its separators into a row break, two more turn the
-    negated half's placeholders into -1 and -2 (no indent or separator holds
+    An indent sends ``json.dumps`` to its pure-Python encoder; here strings go
+    through the C quoting function, every other list and dict is one loop over
+    its items, each int item written in place, and a ``RootRows`` (``bigrade``'s
+    root listing) a fixed number of bulk ``bytes`` operations, however many rows
+    it holds: its halves, translated by ``_root_digits`` and joined by "|", are
+    expanded by ``replace(b"", sep)``, a separator around every character; one
+    replace turns each "|" and its separators into a row break, two more turn
+    the negated half's placeholders into -1 and -2 (no indent or separator holds
     a letter), and one slice drops the separator left at each end."""
     return "".join([*_write(obj, "\n", []), "\n"])
 
@@ -415,15 +419,21 @@ def _write(obj, pad: str, out: list[str]) -> list[str]:
         elif kind is dict:  # a key that is no str makes _quote raise TypeError
             opener = "{" + inner
             for k in sorted(obj):
-                out.append(opener + _quote(k) + ": ")
-                _write(obj[k], inner, out)
+                if type(v := obj[k]) is int:  # an exact int, never a bool: its f-string is its repr
+                    out.append(f"{opener}{_quote(k)}: {v}")
+                else:
+                    out.append(f"{opener}{_quote(k)}: ")
+                    _write(v, inner, out)
                 opener = sep
             out.append(pad + "}" if obj else "{}")
         else:
             opener = "[" + inner
             for v in obj:
-                out.append(opener)
-                _write(v, inner, out)
+                if type(v) is int:
+                    out.append(f"{opener}{v}")
+                else:
+                    out.append(opener)
+                    _write(v, inner, out)
                 opener = sep
             out.append(pad + "]" if obj else "[]")
     return out

@@ -41,7 +41,9 @@ class DynkinLabel(_LabelFields):
 
 
 def parse_label(text: str) -> DynkinLabel:
-    """Parse ``TYPE RANK [x|o,...] (int,...)``, e.g. ``A4[x,o,o,o](-2,1,0,0)``."""
+    """Parse ``TYPE RANK [x|o,...] (int,...)``, e.g. ``A4[x,o,o,o](-2,1,0,0)``.  The text must name a
+    supported type and rank and give one marker and one coefficient per node; those checks cover
+    ``DynkinLabel()``'s, so the label is built by ``_make``."""
     m = _LABEL_RE.match(text.strip())
     if not m:
         raise ValueError(f"malformed label {text!r}")
@@ -55,7 +57,7 @@ def parse_label(text: str) -> DynkinLabel:
     if len(coeffs) != rank:
         raise ValueError(f"{len(coeffs)} coefficients for rank {rank} in {text!r}")
     crossed = frozenset(i + 1 for i, mk in enumerate(marks) if mk == "x")
-    return DynkinLabel(rs=rs, crossed=crossed, coeffs=Weight(coeffs))
+    return DynkinLabel._make((rs, crossed, Weight(coeffs)))
 
 
 def print_label(lbl: DynkinLabel) -> str:

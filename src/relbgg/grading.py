@@ -163,8 +163,8 @@ def subalgebra_profile(bg: Bigrading) -> dict[str, SubalgebraInfo]:
     out = {}
     every = sorted(bg.dims)
     for name, pred in _SUBALGEBRA_PREDICATES.items():
-        bds = tuple(bd for bd in every if pred(bd))
-        out[name] = SubalgebraInfo(bidegrees=bds, dim=sum(bg.dims[bd] for bd in bds))
+        bds = tuple(filter(pred, every))
+        out[name] = SubalgebraInfo(bidegrees=bds, dim=sum(map(bg.dims.__getitem__, bds)))
     return out
 
 

@@ -197,14 +197,10 @@ def catalog(name: str, assume_involutive_f: bool = False) -> Geometry:
     return Geometry(pair=pair, support=TorsionSupport(comps, tag))
 
 
-def _bidegree_from_json(value, where: str) -> Bidegree:
-    if not (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in value)
-    ):
-        raise ValueError(f"support {where} must be a pair of integers, got {value!r}")
-    return Bidegree(*value)
+def _bidegree_from_json(value, k: int, key: str) -> list[int]:
+    if isinstance(value, list) and len(value) == 2 and all(type(x) is not bool and isinstance(x, int) for x in value):
+        return value  # TorsionComponent wraps it
+    raise ValueError(f"support component {k} {key} must be a pair of integers, got {value!r}")
 
 
 def _text_from_json(value, what: str) -> str:
@@ -216,7 +212,8 @@ def _text_from_json(value, what: str) -> str:
 
 
 def support_from_json(data) -> TorsionSupport:
-    """Deserialize a support from the CLI's JSON schema; ValueError on a bad shape."""
+    """Deserialize a support from the CLI's JSON schema; ValueError on a bad shape: each component an
+    object whose in1, in2 and out are lists of two ints (not bools) and whose optional tag is a string."""
     if not isinstance(data, dict):
         raise ValueError("support JSON must be an object")
     components = data.get("components", [])
@@ -231,7 +228,7 @@ def support_from_json(data) -> TorsionSupport:
         for key in ("in1", "in2", "out"):
             if key not in c:
                 raise ValueError(f"support component {k} lacks {key!r}")
-            bidegrees[key] = _bidegree_from_json(c[key], f"component {k} {key}")
+            bidegrees[key] = _bidegree_from_json(c[key], k, key)
         tag = _text_from_json(c.get("tag", ""), f"component {k} tag")
         comps.add(TorsionComponent(**bidegrees, tag=tag))
     return TorsionSupport(components=frozenset(comps), geometry_tag=geometry_tag)

@@ -13,7 +13,8 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
-from relbgg.cli import MAX_SUPPORT_BYTES, _dump, main, parse_args, run
+from relbgg import DynkinLabel, Weight, build_root_system, parse_label
+from relbgg.cli import MAX_SUPPORT_BYTES, _dump, _parse_nodes, main, parse_args, run
 from relbgg.grading import RootRows
 
 # A child process finds the engine in src/, installed or not.
@@ -266,6 +267,44 @@ def test_refused_input_exits_two(argv, fragment):
         assert (code, out) == (2, ""), mode
         assert len(err.splitlines()) == 1 and err.startswith("error: "), (mode, err)
         assert fragment in err, (mode, err)
+
+
+def _nodes_per_token(text):
+    """The node-list parser that one whole-text pattern replaced, kept as the reference:
+    split at commas, then match each token on its own."""
+    if text is None or text.strip() in ("", "none"):
+        return frozenset()
+    tokens = text.split(",")
+    if not all(re.fullmatch(r"\s*\d+\s*", t, re.ASCII) for t in tokens):
+        raise ValueError(f"malformed node list {text!r}; expected e.g. 1,4")
+    return frozenset(map(int, tokens))
+
+
+_NODE_PIECES = st.sampled_from([*"0123456789", ",", " ", "\t", "\n", "+", "-", "_", "x", "\u0661", "none"])
+
+
+@given(st.none() | st.lists(_NODE_PIECES, max_size=12).map("".join))
+@example(" 1 , 4 ")
+@example("1,,4")
+@example("1,")
+@example(",1")
+@example(" none ")
+@example("none,1")
+@example("1 4")
+@example("1\t,\n4\n")
+@example("\u0661")
+@example("01,004")
+def test_node_list_matches_the_per_token_parser(text):
+    """The one-pattern parser accepts the same lists, with the same nodes, and refuses the
+    rest with the same message."""
+    try:
+        expected = _nodes_per_token(text)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _parse_nodes(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert _parse_nodes(text) == expected
 
 
 @pytest.mark.parametrize(
@@ -614,9 +653,13 @@ _REPORT_VALUES = st.recursive(
 @example([1, [2, 3]])
 @example([True, 1])
 @example({"k": [[1, 2], [3]]})
+@example({"a": [True, 0, False, -1], "b": True, "c": 7})
+@example([False])
 def test_report_writer_matches_indented_json_dumps(value):
     """At any depth, ``RootRows`` leaves print as their list form, and keys
-    of a str subclass as their text, as ``json.dumps`` prints them."""
+    of a str subclass as their text, as ``json.dumps`` prints them.  Ints
+    inside a list or dict are written by its loop, and a bool there, also
+    an int, still prints as true or false."""
     assert _dump(value) == json.dumps(_listed(value), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
@@ -727,6 +770,24 @@ def test_argv_grammar(argv, code, check):
     got, out, err = run(list(argv))
     assert got == code, (out, err)
     assert check(out, err), (out, err)
+
+
+def _label_reference(text):
+    """``text``'s label built through ``DynkinLabel()``, which checks every node and the
+    coefficient count again, from fields read off the text by hand."""
+    head, marks, coeffs = re.fullmatch(r"(\w+)\[(.*)\]\((.*)\)", text).groups()
+    crossed = {i for i, mark in enumerate(marks.split(","), 1) if mark == "x"}
+    return DynkinLabel(build_root_system(head[0], int(head[1:])), crossed, Weight(tuple(map(int, coeffs.split(",")))))
+
+
+# Every label a golden or an argv case passes to bgg.
+_CASE_LABELS = sorted({a for _, argv, *_ in [*ARGV_CASES, *GOLDEN_REPORTS] if argv[:1] == ("bgg",) for a in argv if "[" in a})
+
+
+@pytest.mark.parametrize("text", _CASE_LABELS)
+def test_case_labels_parse_as_the_checked_constructor_builds_them(text):
+    lbl = parse_label(text)
+    assert type(lbl) is DynkinLabel and lbl == _label_reference(text)
 
 
 MAIN_CASES = [(name, argv) for name, argv, *_ in ARGV_CASES] + GOLDEN_REPORTS

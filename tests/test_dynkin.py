@@ -119,3 +119,53 @@ def labels(draw):
 ))
 def test_parse_print_identity(lbl):
     assert parse_label(print_label(lbl)) == lbl
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("A4[x,x,o,o](-2,1,0)", "3 coefficients for rank 4 in 'A4[x,x,o,o](-2,1,0)'"),
+        ("A4[x,x,o](-2,1,0,0)", "3 node markers for rank 4 in 'A4[x,x,o](-2,1,0,0)'"),
+        ("A4[x,x,o](-2,1,0)", "3 node markers for rank 4 in 'A4[x,x,o](-2,1,0)'"),
+        ("A4[x,x,o,o](-2,1,0,0", "malformed label 'A4[x,x,o,o](-2,1,0,0'"),
+        ("A0[](())", "malformed label 'A0[](())'"),
+        ("E6[x,o,o,o,o,o](0,0,0,0,0,0)", "unsupported type tag 'E'"),
+        ("A0[x](0)", "rank must be >= 1"),
+        ("B1[x](0)", "type B needs rank >= 2"),
+        ("D2[x,o](0,0)", "type D needs rank >= 3"),
+        ("A33[x" + ",o" * 32 + "](0" + ",0" * 32 + ")", "rank 33 is above the supported maximum 32"),
+    ],
+)
+def test_malformed_label_messages(bad, message):
+    with pytest.raises(ValueError) as exc:
+        parse_label(bad)
+    assert str(exc.value) == message
+
+
+@st.composite
+def label_texts(draw):
+    """A label's text up to rank 8 and the fields it was written from; the marker or the
+    coefficient count is sometimes one off the rank."""
+    type_tag = draw(st.sampled_from(sorted(_MIN_RANK)))
+    rank = draw(st.integers(_MIN_RANK[type_tag], 8))
+    marks = draw(st.lists(st.sampled_from("xo"), min_size=max(rank - 1, 1), max_size=rank + 1))
+    coeffs = draw(st.lists(st.integers(-99, 99), min_size=max(rank - 1, 1), max_size=rank + 1))
+    text = f"{type_tag}{rank}[{','.join(marks)}]({','.join(map(str, coeffs))})"
+    return text, type_tag, rank, marks, coeffs
+
+
+@given(label_texts())
+def test_parsed_label_is_what_the_checked_constructor_builds(drawn):
+    """``parse_label`` builds with ``_make``: on every count it accepts, the label equals the one
+    ``DynkinLabel()`` builds with all its checks, and a count off the rank keeps its message."""
+    text, type_tag, rank, marks, coeffs = drawn
+    if len(marks) != rank or len(coeffs) != rank:
+        wrong = f"{len(marks)} node markers" if len(marks) != rank else f"{len(coeffs)} coefficients"
+        with pytest.raises(ValueError) as exc:
+            parse_label(text)
+        assert str(exc.value) == f"{wrong} for rank {rank} in {text!r}"
+        return
+    crossed = {i for i, mark in enumerate(marks, 1) if mark == "x"}
+    lbl = parse_label(text)
+    assert type(lbl) is DynkinLabel
+    assert lbl == DynkinLabel(build_root_system(type_tag, rank), crossed, Weight(tuple(coeffs)))

@@ -144,6 +144,18 @@ def test_support_json_with_retired_kappa_key_is_accepted():
         assert support_to_json(again) == data
 
 
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("key", ["in1", "in2", "out"])
+@pytest.mark.parametrize("bad, shown", [([0], "[0]"), ([0, True], "[0, True]"), ("x", "'x'")])
+def test_bad_bidegree_message_names_its_component_and_key(k, key, bad, shown):
+    """Each bad pair is named by its component's index and key, with the value as given."""
+    components = [{"in1": [0, -1], "in2": [-1, 0], "out": [0, 0]} for _ in range(2)]
+    components[k][key] = bad
+    with pytest.raises(ValueError) as exc:
+        support_from_json({"components": components})
+    assert str(exc.value) == f"support component {k} {key} must be a pair of integers, got {shown}"
+
+
 # -- randomized structure ----------------------------------------------------
 
 def test_monotone_under_adding_components():
